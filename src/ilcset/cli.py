@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .ilc_engine import (
     verify_error_recursion,
     verify_input_recursion,
 )
-from .matrix_core import inf_norm
 from .plant import sample_iteration
 from .presets import PRESET_NAMES, preset_config
 from .schedule_lang import MatrixSchedule
@@ -237,10 +235,13 @@ def _sweep_rows(args, seed: int) -> list:
 def cmd_run(args) -> int:
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
-        with ThreadPoolExecutor(max_workers=min(8, len(seeds))) as pool:
-            blocks = list(pool.map(lambda s: _sweep_rows(args, s), seeds))
-        _write_csv(args.out, ("seed",) + CSV_HEADER,
-                   [row for block in blocks for row in block])
+        if args.verify_set or args.record_trajectories != "none":
+            raise SchemaError("/sweep", "--sweep cannot be combined with "
+                                        "--verify-set or --record-trajectories")
+        rows = []
+        for seed in seeds:
+            rows.extend(_sweep_rows(args, seed))
+        _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
         return 0
 
     cfg = _build_config(args)
@@ -285,9 +286,8 @@ def _equivalence_gap(cfg: ExperimentConfig, result: RunResult) -> float:
                       else "transformed-xi")
         other = run_transformed(cfg.system, cfg.uncertainty, transform,
                                 _engine_config(cfg, split_mode))
-    return max(inf_norm(a.y[k] - b.y[k])
-               for a, b in zip(result.trajectories, other.trajectories)
-               for k in range(cfg.system.N + 1))
+    return max(float(np.abs(a.y - b.y).max())
+               for a, b in zip(result.trajectories, other.trajectories))
 
 
 def cmd_check(args) -> int:
@@ -336,8 +336,8 @@ def cmd_transform(args) -> int:
             {
                 "k": k,
                 "col_perm": [int(c) for c in transform.col_perm[k]],
-                "matrix": transform.matrix(k).tolist(),
-                "inverse": transform.inverse(k).tolist(),
+                "matrix": transform.T[k].tolist(),
+                "inverse": transform.Tinv[k].tolist(),
                 "gain_product": transform.gain_products[k].tolist(),
             }
             for k in range(transform.steps)

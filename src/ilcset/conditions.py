@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrix_core import inf_norm, spectral_norm, spectral_radius
+from .matrix_core import inf_norm, spectral_norm, spectral_radii
 from .plant import NominalSystem, UncertaintySpec
 from .schedule_lang import MatrixSchedule
 
@@ -51,38 +51,39 @@ class ConditionReport:
                    margin=threshold - worst, best_lambda=best_lambda)
 
 
+def loop_radii(products: np.ndarray) -> np.ndarray:
+    """rho(I - P(k)) for every loop product in a (steps, n, n) stack."""
+    return spectral_radii(np.eye(products.shape[-1]) - products)
+
+
+def contraction_report(name: str, products: np.ndarray) -> ConditionReport:
+    """Spectral-radius condition rho(I - P(k)) < 1 over k = 0, 1, ..."""
+    return ConditionReport.from_values(
+        name, enumerate(loop_radii(products).tolist()), SPECTRAL_THRESHOLD)
+
+
 def check_rho_dxi(D: MatrixSchedule, Xi: MatrixSchedule) -> ConditionReport:
     """Output-side contraction rho(I - D(k)Xi(k)) over k in 0..N."""
-    p = D.rows
-    pairs = [(k, spectral_radius(np.eye(p) - D.at(k) @ Xi.at(k)))
-             for k in range(D.N + 1)]
-    return ConditionReport.from_values("rho_dxi", pairs, SPECTRAL_THRESHOLD)
+    return contraction_report("rho_dxi", D.values @ Xi.values)
 
 
 def check_rho_xid(D: MatrixSchedule, Xi: MatrixSchedule) -> ConditionReport:
     """Input-side companion rho(I - Xi(k)D(k)): provably >= 1 when m > p."""
-    m = Xi.rows
-    pairs = [(k, spectral_radius(np.eye(m) - Xi.at(k) @ D.at(k)))
-             for k in range(D.N + 1)]
-    return ConditionReport.from_values("rho_xid", pairs, SPECTRAL_THRESHOLD)
+    return contraction_report("rho_xid", Xi.values @ D.values)
 
 
 def check_rho_cb_gamma(B: MatrixSchedule, C: MatrixSchedule,
                        Gamma: MatrixSchedule) -> ConditionReport:
     """rho(I - C(k+1)B(k)Gamma(k)) over k in 0..N-1."""
-    p = C.rows
-    pairs = [(k, spectral_radius(np.eye(p) - C.at(k + 1) @ B.at(k) @ Gamma.at(k)))
-             for k in range(B.N)]
-    return ConditionReport.from_values("rho_cbgamma", pairs, SPECTRAL_THRESHOLD)
+    return contraction_report("rho_cbgamma",
+                              C.values[1:] @ B.values[:-1] @ Gamma.values[:-1])
 
 
 def check_rho_gamma_cb(B: MatrixSchedule, C: MatrixSchedule,
                        Gamma: MatrixSchedule) -> ConditionReport:
     """rho(I - Gamma(k)C(k+1)B(k)): the input-side mirror, >= 1 when m > p."""
-    m = Gamma.rows
-    pairs = [(k, spectral_radius(np.eye(m) - Gamma.at(k) @ C.at(k + 1) @ B.at(k)))
-             for k in range(B.N)]
-    return ConditionReport.from_values("rho_gammacb", pairs, SPECTRAL_THRESHOLD)
+    return contraction_report("rho_gammacb",
+                              Gamma.values[:-1] @ C.values[1:] @ B.values[:-1])
 
 
 def _lmi_matrix(S: np.ndarray, E: np.ndarray, FXi: np.ndarray, lam: float) -> np.ndarray:
@@ -210,7 +211,7 @@ def budget(sys: NominalSystem, unc: UncertaintySpec) -> UncertaintyBudget:
     its factor schedules.
     """
     def peak(sched: MatrixSchedule) -> float:
-        return max(inf_norm(sched.at(k)) for k in range(sched.N + 1))
+        return float(np.abs(sched.values).sum(axis=2).max())
 
     def beta(sched: MatrixSchedule, amp: float) -> float:
         return amp * sched.cols + peak(sched)

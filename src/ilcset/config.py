@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import SchemaError
-from .matrix_core import Mat, inf_norm
+from .ilc_engine import GAMMA_MODES, MODES
 from .plant import NominalSystem, StructuredD, UncertaintySpec
 from .schedule_lang import MatrixSchedule, ScheduleBuildError, build_schedule
 
-MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
-GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 _AMP_KEYS = ("A", "B", "C", "D", "w", "v", "r", "x0")
 
 
@@ -34,7 +32,7 @@ class ExperimentConfig:
     mode: str
     iterations: int
     record_every: int
-    u0: tuple                # N+1 initial inputs, each m x 1
+    u0: np.ndarray           # (N+1, m, 1) initial input stack
 
 
 class _Collector:
@@ -256,15 +254,15 @@ def config_from_dict(doc) -> ExperimentConfig:
         if "u0" in run_doc:
             u0_sched = _schedule(run_doc, "u0", (m, 1), N, "/run", problems)
             if u0_sched is not None:
-                u0 = tuple(u0_sched.at(k) for k in range(N + 1))
+                u0 = u0_sched.values
     if u0 is None:
-        u0 = tuple(np.zeros((m, 1)) for _ in range(N + 1))
+        u0 = np.zeros((N + 1, m, 1))
 
     problems.raise_if_any()
     system = NominalSystem(n=n, m=m, p=p, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
 
     def _zero_schedule(sched: MatrixSchedule) -> bool:
-        return all(inf_norm(sched.at(k)) == 0.0 for k in range(N + 1))
+        return not np.any(sched.values)
 
     if mode in GAMMA_MODES:
         if not _zero_schedule(D):

@@ -17,13 +17,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditions import ConditionReport
+from .conditions import (
+    ConditionReport,
+    check_rho_cb_gamma,
+    check_rho_dxi,
+    contraction_report,
+)
 from .errors import (
     DimensionMismatchError,
     MissingDataError,
     NotConvergedError,
 )
-from .matrix_core import Mat, inf_norm, spectral_radius
 from .plant import (
     NominalSystem,
     RealizedIteration,
@@ -43,7 +47,7 @@ from .set_transform import (
 
 log = logging.getLogger(__name__)
 
-XI_MODES = ("direct-xi", "transformed-xi")
+MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
 GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 CONVERGENCE_THRESHOLD = 1e-9
 
@@ -54,11 +58,11 @@ class IlcConfig:
 
     mode: str
     iterations: int
-    u0: tuple              # N+1 inputs, each m x 1
+    u0: np.ndarray         # (N+1, m, 1) input stack (N+1 (m, 1) arrays also work)
     record_every: int = 1
 
     def __post_init__(self):
-        if self.mode not in XI_MODES + GAMMA_MODES:
+        if self.mode not in MODES:
             raise DimensionMismatchError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise DimensionMismatchError("iterations must be positive")
@@ -74,36 +78,37 @@ class RunResult:
     with k ranging over 0..N in the current-error modes and over 1..N
     (errors) / 0..N-1 (inputs) in the look-ahead modes.  converged_value
     estimates the asymptotic error level as the maximum of E over the last
-    tenth of the iterations.  xi_seq / gamma_seq are the per-step gains the
-    run effectively applied, retained so recorded data can be re-checked
-    against the iteration-domain recursions afterwards.
+    tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
+    stacks the run effectively applied, retained so recorded data can be
+    re-checked against the iteration-domain recursions afterwards.
+    inputs is the (L, N+1, m, 1) stack of applied inputs and the split
+    histories are (L, steps, p, 1) and (L, steps, m-p, 1) stacks.
     """
 
     mode: str
     iterations: int
     E_hist: tuple
     U_hist: tuple
-    inputs: tuple          # inputs[l][k]: the input applied on iteration l
+    inputs: np.ndarray     # inputs[l][k]: the input applied on iteration l
     trajectories: tuple    # one Trajectory per iteration
     converged_value: float
-    xi_seq: tuple
-    gamma_seq: tuple
+    xi_seq: np.ndarray
+    gamma_seq: np.ndarray
     condition_report: Optional[ConditionReport] = None
     warnings: tuple = ()
-    u1star_history: Optional[tuple] = None
-    u2star_history: Optional[tuple] = None
+    u1star_history: Optional[np.ndarray] = None
+    u2star_history: Optional[np.ndarray] = None
 
     @property
     def final_trajectory(self) -> Trajectory:
         return self.trajectories[-1]
 
     @property
-    def final_input(self) -> tuple:
+    def final_input(self) -> np.ndarray:
         return self.inputs[-1]
 
 
-def update_input(u: Sequence[Mat], e: Sequence[Mat], Xi: MatrixSchedule,
-                 Gamma: MatrixSchedule) -> list:
+def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
     """One step of the update law: u + Xi e(k) + Gamma e(k+1).
 
     The look-ahead term is dropped at k = N where e(N+1) does not exist.
@@ -111,36 +116,25 @@ def update_input(u: Sequence[Mat], e: Sequence[Mat], Xi: MatrixSchedule,
     N = len(u) - 1
     if len(e) != N + 1:
         raise DimensionMismatchError("input and error sequences differ in length")
-    out = []
+    u = np.asarray(u, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
     # Divergent configurations are allowed to overflow here; the next
     # simulation reports the non-finite values with their iteration.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            nxt = u[k] + Xi.at(k) @ e[k]
-            if k < N:
-                nxt = nxt + Gamma.at(k) @ e[k + 1]
-            out.append(nxt)
+        out = u + Xi.values @ e
+        out[:N] = out[:N] + Gamma.values[:N] @ e[1:]
     return out
 
 
-def _metrics(mode: str, traj: Trajectory, u: Sequence[Mat], N: int) -> tuple:
+def _metrics(mode: str, traj: Trajectory, u: np.ndarray, N: int) -> tuple:
     if mode in GAMMA_MODES:
-        E = max(inf_norm(traj.e[k]) for k in range(1, N + 1))
-        U = max(inf_norm(u[k]) for k in range(N))
-    else:
-        E = max(inf_norm(traj.e[k]) for k in range(N + 1))
-        U = max(inf_norm(u[k]) for k in range(N + 1))
-    return E, U
+        return float(np.abs(traj.e[1:]).max()), float(np.abs(u[:N]).max())
+    return float(np.abs(traj.e).max()), float(np.abs(u).max())
 
 
 def _converged_value(E_hist: Sequence[float]) -> float:
     tail = max(1, -(-len(E_hist) // 10))  # ceil(L / 10)
     return max(E_hist[-tail:])
-
-
-def _loop_report(name: str, loops: Sequence[Mat]) -> ConditionReport:
-    values = [(k, spectral_radius(np.eye(len(m)) - m)) for k, m in enumerate(loops)]
-    return ConditionReport.from_values(name, values, 1.0)
 
 
 def _precheck(report: ConditionReport) -> tuple:
@@ -161,30 +155,27 @@ def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
     NonFinite carrying the offending step and iteration.
     """
     xi, gamma = gains
-    xi_seq = tuple(xi.at(k) for k in range(sys.N + 1))
-    gamma_seq = tuple(gamma.at(k) for k in range(sys.N + 1))
     if cfg.mode in GAMMA_MODES:
-        loops = [sys.C.at(k + 1) @ sys.B.at(k) @ gamma_seq[k] for k in range(sys.N)]
-        report, warnings = _precheck(_loop_report("rho_cbgamma", loops))
+        report, warnings = _precheck(check_rho_cb_gamma(sys.B, sys.C, gamma))
     else:
-        loops = [sys.D.at(k) @ xi_seq[k] for k in range(sys.N + 1)]
-        report, warnings = _precheck(_loop_report("rho_dxi", loops))
-    u = [np.asarray(uk, dtype=np.float64) for uk in cfg.u0]
-    E_hist, U_hist, inputs, trajectories = [], [], [], []
+        report, warnings = _precheck(check_rho_dxi(sys.D, xi))
+    u = np.array(cfg.u0, dtype=np.float64)
+    E_hist, U_hist, trajectories = [], [], []
+    inputs = np.empty((cfg.iterations,) + u.shape)
     for l in range(cfg.iterations):
         realized = sample_iteration(sys, unc, l)
         traj = simulate(realized, u)
         E, U = _metrics(cfg.mode, traj, u, sys.N)
         E_hist.append(E)
         U_hist.append(U)
-        inputs.append(tuple(u))
+        inputs[l] = u
         trajectories.append(traj)
         u = update_input(u, traj.e, xi, gamma)
     return RunResult(mode=cfg.mode, iterations=cfg.iterations,
                      E_hist=tuple(E_hist), U_hist=tuple(U_hist),
-                     inputs=tuple(inputs), trajectories=tuple(trajectories),
+                     inputs=inputs, trajectories=tuple(trajectories),
                      converged_value=_converged_value(E_hist),
-                     xi_seq=xi_seq, gamma_seq=gamma_seq,
+                     xi_seq=xi.values, gamma_seq=gamma.values,
                      condition_report=report, warnings=warnings)
 
 
@@ -198,62 +189,56 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
     uses the collapsed square gain, so its loop matrix coincides with the
     direct one and the same contraction condition applies.
     """
-    m, p = sys.m, sys.p
-    zero_gain = np.zeros((m, p))
+    m, p, N = sys.m, sys.p, sys.N
+    zero_gains = np.zeros((N + 1, m, p))
     if cfg.mode == "transformed-xi":
         if not isinstance(transform, QTransform):
             raise DimensionMismatchError(
                 "transformed-xi needs a feedthrough-coupled transform")
-        active_steps = sys.N + 1
-        xi_seq = tuple(transform.gain)
-        gamma_seq = tuple(zero_gain for _ in range(sys.N + 1))
-        report, warnings = _precheck(_loop_report("rho_dxi", transform.gain_products))
+        active_steps = N + 1
+        xi_seq, gamma_seq = transform.gain, zero_gains
+        report, warnings = _precheck(
+            contraction_report("rho_dxi", transform.gain_products))
     elif cfg.mode in ("transformed-gamma", "repetitive"):
         if not isinstance(transform, PTransform):
             raise DimensionMismatchError(
                 f"{cfg.mode} needs a state-coupled transform on k in 0..N-1")
-        active_steps = sys.N
-        xi_seq = tuple(zero_gain for _ in range(sys.N + 1))
-        gamma_seq = tuple(transform.gain) + (zero_gain,)
+        active_steps = N
+        xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
         report, warnings = _precheck(
-            _loop_report("rho_cbgamma", transform.gain_products))
+            contraction_report("rho_cbgamma", transform.gain_products))
     else:
         raise DimensionMismatchError(f"mode {cfg.mode!r} is not a transformed mode")
 
-    split1, split2 = [], []
-    for k in range(active_steps):
-        u1k, u2k = split_input(transform, np.asarray(cfg.u0[k], dtype=np.float64), k)
-        split1.append(u1k)
-        split2.append(u2k)
-    frozen = tuple(arr.copy() for arr in split2)
+    u0 = np.asarray(cfg.u0, dtype=np.float64)
+    u1, frozen = split_input(transform, u0[:active_steps])
+    tail = u0[active_steps:]
 
-    E_hist, U_hist, inputs, trajectories = [], [], [], []
-    u1_hist, u2_hist = [], []
-    u1 = split1
+    E_hist, U_hist, trajectories = [], [], []
+    L = cfg.iterations
+    inputs = np.empty((L,) + u0.shape)
+    u1_hist = np.empty((L,) + u1.shape)
+    u2_hist = np.empty((L,) + frozen.shape)
     shift = 0 if cfg.mode == "transformed-xi" else 1
-    for l in range(cfg.iterations):
-        u = [assemble_input(transform, u1[k], frozen[k], k)
-             for k in range(active_steps)]
-        for k in range(active_steps, sys.N + 1):
-            u.append(np.asarray(cfg.u0[k], dtype=np.float64))
+    for l in range(L):
+        u = np.concatenate([assemble_input(transform, u1, frozen), tail])
         realized = sample_iteration(sys, unc, l)
         traj = simulate(realized, u)
-        E, U = _metrics(cfg.mode, traj, u, sys.N)
+        E, U = _metrics(cfg.mode, traj, u, N)
         E_hist.append(E)
         U_hist.append(U)
-        inputs.append(tuple(u))
+        inputs[l] = u
         trajectories.append(traj)
-        u1_hist.append(tuple(arr.copy() for arr in u1))
-        u2_hist.append(tuple(arr.copy() for arr in frozen))
-        u1 = [u1[k] + transform.gain_products[k] @ traj.e[k + shift]
-              for k in range(active_steps)]
-    return RunResult(mode=cfg.mode, iterations=cfg.iterations,
+        u1_hist[l] = u1
+        u2_hist[l] = frozen
+        u1 = u1 + transform.gain_products @ traj.e[shift:shift + active_steps]
+    return RunResult(mode=cfg.mode, iterations=L,
                      E_hist=tuple(E_hist), U_hist=tuple(U_hist),
-                     inputs=tuple(inputs), trajectories=tuple(trajectories),
+                     inputs=inputs, trajectories=tuple(trajectories),
                      converged_value=_converged_value(E_hist),
                      xi_seq=xi_seq, gamma_seq=gamma_seq,
                      condition_report=report, warnings=warnings,
-                     u1star_history=tuple(u1_hist), u2star_history=tuple(u2_hist))
+                     u1star_history=u1_hist, u2star_history=u2_hist)
 
 
 @dataclass(frozen=True)
@@ -289,37 +274,29 @@ def verify_error_recursion(result: RunResult,
     difference plus model, reference, and noise shifts.  The state
     difference itself obeys a companion recursion, re-derived and checked
     alongside.  All shifted-matrix products are taken in the dimensionally
-    meaningful order (matrix shift times vector).
+    meaningful order (matrix shift times vector).  Each transition is
+    checked at every k at once.
     """
     _require_logged(result)
+    inputs = np.asarray(result.inputs, dtype=np.float64)
     N = len(result.trajectories[0].e) - 1
+    eye = np.eye(result.trajectories[0].e.shape[1])
     per_iteration = []
     worst_state = 0.0
     for l in range(len(result.trajectories) - 1):
         cur, nxt = realizations[l], realizations[l + 1]
         t_cur, t_nxt = result.trajectories[l], result.trajectories[l + 1]
-        u_cur, u_nxt = result.inputs[l], result.inputs[l + 1]
-        worst = 0.0
-        for k in range(N + 1):
-            dx = t_nxt.x[k] - t_cur.x[k]
-            dC = nxt.C[k] - cur.C[k]
-            dD = nxt.D[k] - cur.D[k]
-            dr = nxt.r[k] - cur.r[k]
-            dv = nxt.v[k] - cur.v[k]
-            tau = -cur.C[k] @ dx - dC @ t_nxt.x[k] - dD @ u_nxt[k] + dr - dv
-            loop = np.eye(len(tau)) - cur.D[k] @ result.xi_seq[k]
-            residual = t_nxt.e[k] - loop @ t_cur.e[k] - tau
-            worst = max(worst, inf_norm(residual))
-            if k < N:
-                du = u_nxt[k] - u_cur[k]
-                dA = nxt.A[k] - cur.A[k]
-                dB = nxt.B[k] - cur.B[k]
-                dw = nxt.w[k] - cur.w[k]
-                dx1 = t_nxt.x[k + 1] - t_cur.x[k + 1]
-                predicted = (cur.A[k] @ dx + dA @ t_nxt.x[k]
-                             + cur.B[k] @ du + dB @ u_nxt[k] + dw)
-                worst_state = max(worst_state, inf_norm(dx1 - predicted))
-        per_iteration.append(worst)
+        u_cur, u_nxt = inputs[l], inputs[l + 1]
+        dx = t_nxt.x - t_cur.x
+        tau = (-cur.C @ dx - (nxt.C - cur.C) @ t_nxt.x - (nxt.D - cur.D) @ u_nxt
+               + (nxt.r - cur.r) - (nxt.v - cur.v))
+        loop = eye - cur.D @ result.xi_seq
+        residual = t_nxt.e - loop @ t_cur.e - tau
+        per_iteration.append(float(np.abs(residual).max()))
+        predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ t_nxt.x[:N]
+                     + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
+                     + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
+        worst_state = max(worst_state, float(np.abs(dx[1:] - predicted).max()))
     return ResidualReport(name="error_recursion",
                           max_residual=max(per_iteration),
                           per_iteration=tuple(per_iteration),
@@ -337,40 +314,35 @@ def verify_input_recursion(result: RunResult,
     for k in 0..N-1, while the final input is never updated.
     """
     _require_logged(result)
+    inputs = np.asarray(result.inputs, dtype=np.float64)
     N = len(result.trajectories[0].e) - 1
-    m = result.inputs[0][0].shape[0]
-    per_iteration = []
+    eye = np.eye(inputs.shape[2])
     look_ahead = result.mode in GAMMA_MODES
-    for l in range(len(result.inputs) - 1):
+    G, Xi = result.gamma_seq[:N], result.xi_seq
+    per_iteration = []
+    for l in range(len(inputs) - 1):
         cur = realizations[l]
-        t_cur = result.trajectories[l]
-        u_cur, u_nxt = result.inputs[l], result.inputs[l + 1]
-        worst = 0.0
+        x = result.trajectories[l].x
+        u_cur, u_nxt = inputs[l], inputs[l + 1]
         if look_ahead:
-            for k in range(N):
-                G = result.gamma_seq[k]
-                loop = np.eye(m) - G @ cur.C[k + 1] @ cur.B[k]
-                drive = G @ (cur.r[k + 1]
-                             - cur.C[k + 1] @ (cur.A[k] @ t_cur.x[k] + cur.w[k])
-                             - cur.v[k + 1])
-                residual = u_nxt[k] - loop @ u_cur[k] - drive
-                worst = max(worst, inf_norm(residual))
-            worst = max(worst, inf_norm(u_nxt[N] - u_cur[N]))
+            loop = eye - G @ cur.C[1:] @ cur.B[:N]
+            drive = G @ (cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N])
+                         - cur.v[1:])
+            residual = u_nxt[:N] - loop @ u_cur[:N] - drive
+            worst = max(float(np.abs(residual).max()),
+                        float(np.abs(u_nxt[N] - u_cur[N]).max()))
         else:
-            for k in range(N + 1):
-                Xi = result.xi_seq[k]
-                loop = np.eye(m) - Xi @ cur.D[k]
-                drive = Xi @ (cur.r[k] - cur.C[k] @ t_cur.x[k] - cur.v[k])
-                residual = u_nxt[k] - loop @ u_cur[k] - drive
-                worst = max(worst, inf_norm(residual))
+            loop = eye - Xi @ cur.D
+            drive = Xi @ (cur.r - cur.C @ x - cur.v)
+            worst = float(np.abs(u_nxt - loop @ u_cur - drive).max())
         per_iteration.append(worst)
     return ResidualReport(name="input_recursion",
                           max_residual=max(per_iteration),
                           per_iteration=tuple(per_iteration))
 
 
-def limit_input(sys: NominalSystem, transform: PTransform, u0: Sequence[Mat],
-                result: RunResult) -> list:
+def limit_input(sys: NominalSystem, transform: PTransform, u0,
+                result: RunResult) -> np.ndarray:
     """Closed-form limit of the input in the uncertainty-free look-ahead case.
 
     Maps the converged active channels and the frozen share of the initial
@@ -382,14 +354,11 @@ def limit_input(sys: NominalSystem, transform: PTransform, u0: Sequence[Mat],
     if final_E > CONVERGENCE_THRESHOLD:
         raise NotConvergedError(
             f"final error {final_E:.3e} above {CONVERGENCE_THRESHOLD:.0e}")
+    N = sys.N
     if result.u1star_history is not None:
-        u1_inf = list(result.u1star_history[-1])
+        u1_inf = result.u1star_history[-1]
     else:
-        u1_inf = [split_input(transform, result.final_input[k], k)[0]
-                  for k in range(sys.N)]
-    out = []
-    for k in range(sys.N):
-        _, frozen = split_input(transform, np.asarray(u0[k], dtype=np.float64), k)
-        out.append(assemble_input(transform, u1_inf[k], frozen, k))
-    out.append(np.asarray(u0[sys.N], dtype=np.float64))
-    return out
+        u1_inf = split_input(transform, result.final_input[:N])[0]
+    u0 = np.asarray(u0, dtype=np.float64)
+    _, frozen = split_input(transform, u0[:N])
+    return np.concatenate([assemble_input(transform, u1_inf, frozen), u0[N:]])

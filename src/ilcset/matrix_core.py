@@ -23,23 +23,8 @@ IDENTITY_TOL = 1e-9       # ||M @ invert(M) - I||_inf allowance
 PIVOT_RTOL = 1e-12        # pivot magnitude below PIVOT_RTOL * ||M||_inf => singular
 
 
-def as_mat(data) -> Mat:
-    """Coerce to a finite 2-D float64 array.
-
-    Accepts nested sequences or arrays; a 1-D input becomes a column vector.
-    """
-    m = np.array(data, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise DimensionMismatchError("matrix entries must be finite")
-    return m
-
-
 def _require_square(m: Mat) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonSquareError(f"square matrix required, got shape {m.shape}")
 
 
@@ -50,27 +35,40 @@ def inf_norm(m: Mat) -> float:
     return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
-def spectral_radius(m: Mat) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
+def spectral_radii(m: Mat) -> np.ndarray:
+    """Largest eigenvalue magnitude of each matrix in a (..., n, n) stack."""
     _require_square(m)
-    if m.shape[0] == 0:
-        return 0.0
+    if m.shape[-1] == 0:
+        return np.zeros(m.shape[:-2])
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.max(np.abs(eigs)))
+    return np.max(np.abs(eigs), axis=-1)
+
+
+def spectral_radius(m: Mat) -> float:
+    """Largest eigenvalue magnitude of a square matrix."""
+    if m.ndim != 2:
+        raise NonSquareError(f"square matrix required, got shape {m.shape}")
+    return float(spectral_radii(m))
+
+
+def spectral_norms(m: Mat) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., r, c) stack,
+    sigma_max(m) = sqrt(rho(m^T m))."""
+    if m.size == 0:
+        return np.zeros(m.shape[:-2])
+    try:
+        gram_eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    return np.sqrt(np.maximum(gram_eigs[..., -1], 0.0))
 
 
 def spectral_norm(m: Mat) -> float:
-    """Largest singular value, sigma_max(m) = sqrt(rho(m^T m))."""
-    if m.size == 0:
-        return 0.0
-    try:
-        gram_eigs = np.linalg.eigvalsh(m.T @ m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    return float(np.sqrt(max(gram_eigs[-1], 0.0)))
+    """Largest singular value of one matrix."""
+    return float(spectral_norms(m))
 
 
 def invert(m: Mat) -> Mat:
@@ -99,59 +97,21 @@ def invert(m: Mat) -> Mat:
     return aug[:, n:]
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add {a.shape} and {b.shape}")
-    return a + b
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot subtract {b.shape} from {a.shape}")
-    return a - b
-
-
-def scalar_mul(c: float, m: Mat) -> Mat:
-    return float(c) * m
-
-
-def transpose(m: Mat) -> Mat:
-    return m.T.copy()
-
-
-def hcat(a: Mat, b: Mat) -> Mat:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(f"row counts differ: {a.shape} vs {b.shape}")
-    return np.hstack([a, b])
-
-
-def vcat(a: Mat, b: Mat) -> Mat:
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"column counts differ: {a.shape} vs {b.shape}")
-    return np.vstack([a, b])
-
-
 def block2x2(m11: Mat, m12: Mat, m21: Mat, m22: Mat) -> Mat:
-    """Assemble [[m11, m12], [m21, m22]]; blocks may have zero rows/columns."""
-    if m11.shape[0] != m12.shape[0] or m21.shape[0] != m22.shape[0]:
+    """Assemble [[m11, m12], [m21, m22]]; blocks may have zero rows/columns.
+
+    Blocks may be stacks (..., rows, cols); the leading axes broadcast.
+    """
+    if m11.shape[-2] != m12.shape[-2] or m21.shape[-2] != m22.shape[-2]:
         raise DimensionMismatchError("block row heights do not match")
-    if m11.shape[1] != m21.shape[1] or m12.shape[1] != m22.shape[1]:
+    if m11.shape[-1] != m21.shape[-1] or m12.shape[-1] != m22.shape[-1]:
         raise DimensionMismatchError("block column widths do not match")
-    top = m11.shape[0]
-    left = m11.shape[1]
-    out = np.empty((top + m21.shape[0], left + m12.shape[1]))
-    out[:top, :left] = m11
-    out[:top, left:] = m12
-    out[top:, :left] = m21
-    out[top:, left:] = m22
+    top = m11.shape[-2]
+    left = m11.shape[-1]
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in (m11, m12, m21, m22)))
+    out = np.empty(lead + (top + m21.shape[-2], left + m12.shape[-1]))
+    out[..., :top, :left] = m11
+    out[..., :top, left:] = m12
+    out[..., top:, :left] = m21
+    out[..., top:, left:] = m22
     return out
-
-
-def identity(n: int) -> Mat:
-    return np.eye(n)

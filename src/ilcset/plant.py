@@ -11,13 +11,13 @@ plus a bounded nonrepetitive perturbation resampled each iteration l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .matrix_core import Mat, spectral_norm
+from .matrix_core import Mat, spectral_norm, spectral_norms
 from .schedule_lang import MatrixSchedule
 
 _MASK64 = (1 << 64) - 1
@@ -114,25 +114,28 @@ class UncertaintySpec:
 
 @dataclass(frozen=True)
 class RealizedIteration:
-    """One iteration's fully sampled plant: nominal + perturbation at every k."""
+    """One iteration's fully sampled plant: nominal + perturbation at every k.
+
+    Every per-step field is a stacked (N+1, rows, cols) array.
+    """
 
     l: int
     N: int
-    A: tuple
-    B: tuple
-    C: tuple
-    D: tuple
-    w: tuple
-    v: tuple
-    r: tuple
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
     x0: Mat
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    x: tuple  # N+1 states, (n,1)
-    y: tuple  # N+1 outputs, (p,1)
-    e: tuple  # N+1 tracking errors, (p,1)
+    x: np.ndarray  # (N+1, n, 1) states
+    y: np.ndarray  # (N+1, p, 1) outputs
+    e: np.ndarray  # (N+1, p, 1) tracking errors
 
 
 def _stream(seed: int, l: int, tag: str) -> np.random.Generator:
@@ -158,11 +161,10 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     steps = N + 1
     seed = unc.seed
 
-    def perturbed(tag: str, sched: MatrixSchedule, amp: float) -> tuple:
+    def perturbed(tag: str, sched: MatrixSchedule, amp: float) -> np.ndarray:
         if amp == 0.0:
-            return tuple(sched.at(k) for k in range(steps))
-        noise = amp * _unit_noise(seed, l, tag, steps, sched.shape)
-        return tuple(sched.at(k) + noise[k] for k in range(steps))
+            return sched.values
+        return sched.values + amp * _unit_noise(seed, l, tag, steps, sched.shape)
 
     A = perturbed("A", sys.A, unc.amp_A)
     B = perturbed("B", sys.B, unc.amp_B)
@@ -178,11 +180,8 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
                 f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
                 f"do not match p={p}, s={sd.s}, m={m}")
         sigmas = _unit_noise(seed, l, "sigma", steps, (sd.s, sd.s))
-        D = []
-        for k in range(steps):
-            sigma = sigmas[k] / max(1.0, spectral_norm(sigmas[k]))
-            D.append(sys.D.at(k) + sd.E.at(k) @ sigma @ sd.F.at(k))
-        D = tuple(D)
+        sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
+        D = sys.D.values + sd.E.values @ sigmas @ sd.F.values
     else:
         D = perturbed("D", sys.D, unc.amp_D)
 
@@ -203,33 +202,37 @@ def sampled_sigma(sys: NominalSystem, unc: UncertaintySpec, l: int, k: int) -> M
     return raw / max(1.0, spectral_norm(raw))
 
 
-def simulate(realized: RealizedIteration, u: Sequence[Mat]) -> Trajectory:
-    """Run one trial under the given input sequence (N+1 column vectors).
+def simulate(realized: RealizedIteration, u) -> Trajectory:
+    """Run one trial under the given (N+1, m, 1) input stack.
 
     The state recursion stops at k = N-1; u[N] feeds only the output
-    equation at the final step.
+    equation at the final step.  Only the state recursion loops over k;
+    the input and output terms are batched matmuls over the horizon.  A
+    blow-up is reported at the first non-finite quantity in step order
+    y(0), x(1), y(1), x(2), ...
     """
     N = realized.N
     if len(u) != N + 1:
         raise DimensionMismatchError(f"input sequence has {len(u)} entries, expected {N + 1}")
-    x = [np.asarray(realized.x0, dtype=np.float64)]
-    y = []
-    e = []
+    u = np.asarray(u, dtype=np.float64)
+    A, w = realized.A, realized.w
+    x = np.empty((N + 1,) + realized.x0.shape)
+    x[0] = realized.x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N + 1):
-            yk = realized.C[k] @ x[k] + realized.D[k] @ u[k] + realized.v[k]
-            if not np.all(np.isfinite(yk)):
-                raise NonFiniteError("output diverged", k=k, iteration=realized.l)
-            y.append(yk)
-            e.append(realized.r[k] - yk)
-            if k < N:
-                xk1 = realized.A[k] @ x[k] + realized.B[k] @ u[k] + realized.w[k]
-                if not np.all(np.isfinite(xk1)):
-                    raise NonFiniteError("state diverged", k=k + 1, iteration=realized.l)
-                x.append(xk1)
-    return Trajectory(x=tuple(x), y=tuple(y), e=tuple(e))
+        Bu = realized.B[:N] @ u[:N]
+        for k in range(N):
+            x[k + 1] = A[k] @ x[k] + Bu[k] + w[k]
+        y = realized.C @ x + realized.D @ u + realized.v
+        e = realized.r - y
+    bad_y = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
+    bad_x = np.flatnonzero(~np.isfinite(x[1:]).all(axis=(1, 2)))
+    if bad_x.size and (not bad_y.size or bad_x[0] < bad_y[0]):
+        raise NonFiniteError("state diverged", k=int(bad_x[0]) + 1, iteration=realized.l)
+    if bad_y.size:
+        raise NonFiniteError("output diverged", k=int(bad_y[0]), iteration=realized.l)
+    return Trajectory(x=x, y=y, e=e)
 
 
-def zero_input(m: int, N: int) -> list:
-    """The all-zeros initial input sequence u_0."""
-    return [np.zeros((m, 1)) for _ in range(N + 1)]
+def zero_input(m: int, N: int) -> np.ndarray:
+    """The all-zeros initial input stack u_0, shape (N+1, m, 1)."""
+    return np.zeros((N + 1, m, 1))

@@ -311,8 +311,8 @@ def to_source(e: EntryExpr) -> str:
 class MatrixSchedule:
     """A rows x cols grid of entry expressions, pre-evaluated for k in 0..N.
 
-    The cache is computed eagerly at construction and frozen; `at(k)` is a
-    constant-time lookup returning a read-only array.
+    ``values`` is the read-only (N+1, rows, cols) stack computed eagerly at
+    construction; `at(k)` is a bounds-checked view of one step.
     """
 
     def __init__(self, exprs: Sequence[Sequence[EntryExpr]], N: int):
@@ -329,26 +329,24 @@ class MatrixSchedule:
         self.N = N
         self.exprs = tuple(tuple(row) for row in exprs)
         failures: list[tuple[int, int, str]] = []
-        cache = []
+        values = np.empty((N + 1, rows, cols))
         for k in range(N + 1):
-            mat = np.empty((rows, cols))
             for i in range(rows):
                 for j in range(cols):
                     try:
-                        mat[i, j] = eval_expr(self.exprs[i][j], k)
+                        values[k, i, j] = eval_expr(self.exprs[i][j], k)
                     except EvalError as exc:
                         failures.append((i, j, f"k={k}: {exc}"))
-                        mat[i, j] = np.nan
-            mat.flags.writeable = False
-            cache.append(mat)
+                        values[k, i, j] = np.nan
         if failures:
             raise ScheduleBuildError(failures)
-        self.cache = tuple(cache)
+        values.flags.writeable = False
+        self.values = values
 
     def at(self, k: int) -> Mat:
         if not 0 <= k <= self.N:
             raise IndexError(f"time step {k} outside 0..{self.N}")
-        return self.cache[k]
+        return self.values[k]
 
     @property
     def shape(self) -> tuple[int, int]:

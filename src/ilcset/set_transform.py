@@ -25,7 +25,8 @@ from .errors import (
     ModelMismatchError,
     RankDeficientError,
 )
-from .matrix_core import Mat, block2x2, inf_norm, invert, spectral_radius
+from .conditions import loop_radii
+from .matrix_core import Mat, block2x2, inf_norm, invert
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
 
@@ -77,8 +78,24 @@ def _fixed_perm_is_valid(coupling: Sequence[Mat], perm: np.ndarray, p: int) -> b
     return True
 
 
+def _take_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """stack[k][:, cols[k]] for every k.
+
+    Each step comes out column-major, as ``M[:, cols]`` does: a
+    matrix-vector product then takes the same BLAS path, and rounds the
+    same way, as the per-step product.
+    """
+    rows_of_transpose = np.take_along_axis(np.swapaxes(stack, 1, 2), cols[:, :, None], axis=1)
+    return np.swapaxes(rows_of_transpose, 1, 2)
+
+
+def _take_rows(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """stack[k][rows[k], :] for every k, as one contiguous stack."""
+    return np.take_along_axis(stack, rows[:, :, None], axis=1)
+
+
 class InputTransform:
-    """Per-step forward/inverse block pairs shared by both transform kinds.
+    """Per-step forward/inverse matrices shared by both transform kinds.
 
     For each defined k the forward matrix is
 
@@ -89,68 +106,49 @@ class InputTransform:
     the permuted gain.  The inverse comes in closed form with ti22 = I
     exactly.  Applied to the permuted input, the forward transform sends
     the gain to [G; 0]: updates touch only the first p channels.
+
+    Everything is held as stacks over k: ``T`` and ``Tinv`` (steps, m, m),
+    ``gain_products`` (steps, p, p), ``col_perm`` (steps, m), ``coupling``
+    (steps, p, m) and ``gain`` (steps, m, p).
     """
 
     kind = "generic"
 
     def __init__(self, coupling, gain, perms, label: str):
-        self.steps = len(coupling)
-        self.p, self.m = coupling[0].shape
+        self.coupling = np.asarray(coupling, dtype=np.float64)
+        self.gain = np.asarray(gain, dtype=np.float64)
+        self.col_perm = np.asarray(perms, dtype=np.intp)
+        self.steps, self.p, self.m = self.coupling.shape
         self.label = label
-        self.coupling = tuple(coupling)
-        self.gain = tuple(gain)
-        self.col_perm = tuple(perms)
-        t11 = []; t12 = []; t21 = []; t22 = []
-        ti11 = []; ti12 = []; ti21 = []; ti22 = []
-        gains = []
-        p, m = self.p, self.m
-        eye_rest = np.eye(m - p)
-        for k in range(self.steps):
-            M, Xi, perm = self.coupling[k], self.gain[k], self.col_perm[k]
-            M1, M2 = M[:, perm[:p]], M[:, perm[p:]]
-            Xi1, Xi2 = Xi[perm[:p], :], Xi[perm[p:], :]
-            G = M @ Xi
-            rho = spectral_radius(np.eye(p) - G)
-            if rho >= 1.0:
-                raise ConditionViolatedError(
-                    f"{label} contraction precondition fails", k=k, value=rho)
-            Ginv = invert(G)
-            X2G = Xi2 @ Ginv
-            t11.append(M1)
-            t12.append(M2)
-            t21.append(-X2G @ M1)
-            t22.append(eye_rest - X2G @ M2)
-            ti11.append(Xi1 @ Ginv)
-            ti12.append(-invert(M1) @ M2)
-            ti21.append(X2G)
-            ti22.append(eye_rest)
-            gains.append(G)
-        self.t11, self.t12, self.t21, self.t22 = map(tuple, (t11, t12, t21, t22))
-        self.ti11, self.ti12, self.ti21, self.ti22 = map(tuple, (ti11, ti12, ti21, ti22))
-        self.gain_products = tuple(gains)
+        p = self.p
+        lead, rest = self.col_perm[:, :p], self.col_perm[:, p:]
+        M1 = _take_columns(self.coupling, lead)
+        M2 = _take_columns(self.coupling, rest)
+        Xi1 = _take_rows(self.gain, lead)
+        Xi2 = _take_rows(self.gain, rest)
+        G = self.coupling @ self.gain
+        Ginv = np.stack([invert(g) for g in G])
+        M1inv = np.stack([invert(m1) for m1 in M1])
+        X2G = Xi2 @ Ginv
+        eye_rest = np.eye(self.m - p)
+        t21, t22 = -X2G @ M1, eye_rest - X2G @ M2
+        ti12 = -M1inv @ M2
+        self.T = block2x2(M1, M2, t21, t22)
+        self.Tinv = block2x2(Xi1 @ Ginv, ti12, X2G, eye_rest)
+        self.gain_products = G
+        # Routes the permuted initial input into the frozen channels and
+        # back, built block by block as [[ti12], [ti22]] @ [t21, t22].
+        self.frozen_mix = block2x2(ti12 @ t21, ti12 @ t22, eye_rest @ t21, eye_rest @ t22)
+        # The first p columns of the inverse: what u1* drives.
+        self.active_columns = np.ascontiguousarray(self.Tinv[:, :, :p])
 
     def matrix(self, k: int) -> Mat:
-        """The assembled m x m forward transform at step k."""
-        return block2x2(self.t11[k], self.t12[k], self.t21[k], self.t22[k])
+        """The m x m forward transform at step k."""
+        return self.T[k]
 
     def inverse(self, k: int) -> Mat:
-        """The assembled closed-form inverse at step k."""
-        return block2x2(self.ti11[k], self.ti12[k], self.ti21[k], self.ti22[k])
-
-    def frozen_mix(self, k: int) -> Mat:
-        """The m x m matrix routing the initial input into the frozen channels.
-
-        Built exactly as printed: the 2x2 grid of inverse-block-by-forward-
-        block products acting on the (permuted) initial input.
-        """
-        return block2x2(
-            self.ti12[k] @ self.t21[k], self.ti12[k] @ self.t22[k],
-            self.ti22[k] @ self.t21[k], self.ti22[k] @ self.t22[k],
-        )
-
-    def active_columns(self, k: int) -> Mat:
-        """The first p columns of the inverse, stacked: what u1* drives."""
-        return np.vstack([self.ti11[k], self.ti21[k]])
+        """The closed-form inverse at step k."""
+        return self.Tinv[k]
 
 
 class QTransform(InputTransform):
@@ -161,7 +159,7 @@ class QTransform(InputTransform):
 
 class PTransform(InputTransform):
     """First-Markov-parameter transform: coupling C(k+1)B(k), gain Gamma(k),
-    defined on k in 0..N-1.  Keeps the nominal B/C caches so the repetitive
+    defined on k in 0..N-1.  Keeps the nominal B/C stacks so the repetitive
     precondition can be enforced when transforming a realization.
     """
 
@@ -169,17 +167,18 @@ class PTransform(InputTransform):
 
     def __init__(self, coupling, gain, perms, b_cache, c_cache):
         super().__init__(coupling, gain, perms, label="coupling-gain")
-        self.b_cache = tuple(b_cache)
-        self.c_cache = tuple(c_cache)
+        self.b_cache = b_cache
+        self.c_cache = c_cache
 
 
 def _build(coupling, gains, label: str):
-    p, m = coupling[0].shape
-    for k, (M, Xi) in enumerate(zip(coupling, gains)):
-        rho = spectral_radius(np.eye(p) - M @ Xi)
-        if rho >= 1.0:
-            raise ConditionViolatedError(f"{label} contraction precondition fails",
-                                         k=k, value=rho)
+    radii = loop_radii(coupling @ gains)
+    violated = np.flatnonzero(radii >= 1.0)
+    if violated.size:
+        k = int(violated[0])
+        raise ConditionViolatedError(f"{label} contraction precondition fails",
+                                     k=k, value=float(radii[k]))
+    p = coupling.shape[1]
     perm0, _, _ = select_nonsingular_block(coupling[0])
     if _fixed_perm_is_valid(coupling, perm0, p):
         perms = [perm0] * len(coupling)
@@ -198,10 +197,8 @@ def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> QTransform:
     if D.cols != Xi.rows or D.rows != Xi.cols or D.N != Xi.N:
         raise DimensionMismatchError(
             f"D {D.shape} and gain {Xi.shape} do not conform")
-    coupling = [D.at(k) for k in range(D.N + 1)]
-    gains = [Xi.at(k) for k in range(D.N + 1)]
-    perms = _build(coupling, gains, "feedthrough-gain")
-    return QTransform(coupling, gains, perms, label="feedthrough-gain")
+    perms = _build(D.values, Xi.values, "feedthrough-gain")
+    return QTransform(D.values, Xi.values, perms, label="feedthrough-gain")
 
 
 def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
@@ -212,33 +209,30 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
             f"B {B.shape}, C {C.shape}, gain {Gamma.shape} do not conform")
     if not (B.N == C.N == Gamma.N):
         raise DimensionMismatchError("schedule horizons differ")
-    coupling = [C.at(k + 1) @ B.at(k) for k in range(B.N)]
-    gains = [Gamma.at(k) for k in range(B.N)]
+    coupling = C.values[1:] @ B.values[:-1]
+    gains = Gamma.values[:-1]
     perms = _build(coupling, gains, "coupling-gain")
-    return PTransform(coupling, gains, perms,
-                      b_cache=[B.at(k) for k in range(B.N + 1)],
-                      c_cache=[C.at(k) for k in range(C.N + 1)])
+    return PTransform(coupling, gains, perms, b_cache=B.values, c_cache=C.values)
 
 
 @dataclass(frozen=True)
 class TransformedSystem:
     """The equivalent square system driven only by the p updated channels."""
 
-    kind: str            # "xi" or "gamma"
-    Bstar: tuple         # per-k n x p
-    Dstar: Optional[tuple]  # per-k p x p, absent for the feedthrough-free case
-    wstar: tuple
-    vstar: tuple
-    gain_star: tuple     # per-k p x p updated-channel gain
+    kind: str                   # "xi" or "gamma"
+    Bstar: np.ndarray           # (steps, n, p)
+    Dstar: Optional[np.ndarray]  # (steps, p, p), absent for the feedthrough-free case
+    wstar: np.ndarray
+    vstar: np.ndarray
+    gain_star: np.ndarray       # (steps, p, p) updated-channel gain
 
 
-def _initial_input_correction(transform: InputTransform, u0, k: int) -> Mat:
-    perm = transform.col_perm[k]
-    return transform.frozen_mix(k) @ u0[k][perm, :]
+def _initial_input_correction(transform: InputTransform, u0: np.ndarray) -> np.ndarray:
+    return transform.frozen_mix @ _take_rows(u0, transform.col_perm)
 
 
 def apply_q_transform(realized: RealizedIteration, q: QTransform,
-                       u0: Sequence[Mat]) -> TransformedSystem:
+                       u0) -> TransformedSystem:
     """Square the feedthrough-coupled plant for one realized iteration.
 
     The realized B/D matrices are pushed through the inverse's active
@@ -248,29 +242,34 @@ def apply_q_transform(realized: RealizedIteration, q: QTransform,
     if q.steps != realized.N + 1:
         raise DimensionMismatchError(
             f"transform defined on {q.steps} steps, plant horizon {realized.N}")
-    if realized.D[0].shape != (q.p, q.m):
+    if realized.D.shape[1:] != (q.p, q.m):
         raise DimensionMismatchError(
-            f"plant D shape {realized.D[0].shape} vs transform {(q.p, q.m)}")
+            f"plant D shape {realized.D.shape[1:]} vs transform {(q.p, q.m)}")
     if len(u0) != realized.N + 1:
         raise DimensionMismatchError("initial input length mismatch")
-    Bstar = []; Dstar = []; wstar = []; vstar = []
-    for k in range(realized.N + 1):
-        perm = q.col_perm[k]
-        active = q.active_columns(k)
-        Bk = realized.B[k][:, perm]
-        Dk = realized.D[k][:, perm]
-        correction = _initial_input_correction(q, u0, k)
-        Bstar.append(Bk @ active)
-        Dstar.append(Dk @ active)
-        wstar.append(realized.w[k] + Bk @ correction)
-        vstar.append(realized.v[k] + Dk @ correction)
-    return TransformedSystem(kind="xi", Bstar=tuple(Bstar), Dstar=tuple(Dstar),
-                             wstar=tuple(wstar), vstar=tuple(vstar),
+    Bk = _take_columns(realized.B, q.col_perm)
+    Dk = _take_columns(realized.D, q.col_perm)
+    correction = _initial_input_correction(q, np.asarray(u0, dtype=np.float64))
+    return TransformedSystem(kind="xi", Bstar=Bk @ q.active_columns,
+                             Dstar=Dk @ q.active_columns,
+                             wstar=realized.w + Bk @ correction,
+                             vstar=realized.v + Dk @ correction,
                              gain_star=q.gain_products)
 
 
+def _first_mismatch(checks) -> None:
+    """Raise ModelMismatchError for the earliest flagged step, in check order."""
+    first = min((int(np.argmax(flags)) for _, flags in checks if flags.any()),
+                default=None)
+    if first is None:
+        return
+    for message, flags in checks:
+        if flags[first]:
+            raise ModelMismatchError(f"{message} at k={first}")
+
+
 def apply_p_transform(realized: RealizedIteration, p: PTransform,
-                       u0: Sequence[Mat]) -> TransformedSystem:
+                       u0) -> TransformedSystem:
     """Square the feedthrough-free plant for one realized iteration.
 
     Requires the realization to match the transform's nominal B and C
@@ -282,44 +281,45 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
             f"transform defined on {p.steps} steps, expected {realized.N}")
     if len(u0) != realized.N + 1:
         raise DimensionMismatchError("initial input length mismatch")
-    for k in range(realized.N + 1):
-        if inf_norm(realized.D[k]) != 0.0:
-            raise ModelMismatchError(f"feedthrough must be zero, nonzero at k={k}")
-        if not np.array_equal(realized.B[k], p.b_cache[k]):
-            raise ModelMismatchError(f"B is nonrepetitive at k={k}")
-        if not np.array_equal(realized.C[k], p.c_cache[k]):
-            raise ModelMismatchError(f"C is nonrepetitive at k={k}")
-    Bstar = []; wstar = []
-    for k in range(realized.N):
-        perm = p.col_perm[k]
-        Bk = p.b_cache[k][:, perm]
-        Bstar_k = Bk @ p.active_columns(k)
-        residual = inf_norm(p.c_cache[k + 1] @ Bstar_k - np.eye(p.p))
-        if residual > COUPLING_RESIDUAL_TOL:
-            raise ModelMismatchError(
-                f"coupling inverse residual {residual:.3e} at k={k}")
-        Bstar.append(Bstar_k)
-        wstar.append(realized.w[k] + Bk @ _initial_input_correction(p, u0, k))
-    return TransformedSystem(kind="gamma", Bstar=tuple(Bstar), Dstar=None,
-                             wstar=tuple(wstar), vstar=realized.v,
-                             gain_star=p.gain_products)
+    _first_mismatch((
+        ("feedthrough must be zero, nonzero", np.any(realized.D != 0.0, axis=(1, 2))),
+        ("B is nonrepetitive", np.any(realized.B != p.b_cache, axis=(1, 2))),
+        ("C is nonrepetitive", np.any(realized.C != p.c_cache, axis=(1, 2))),
+    ))
+    N = realized.N
+    Bk = _take_columns(p.b_cache[:N], p.col_perm)
+    Bstar = Bk @ p.active_columns
+    residuals = np.abs(p.c_cache[1:] @ Bstar - np.eye(p.p)).sum(axis=2).max(axis=1)
+    too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
+    if too_large.size:
+        k = int(too_large[0])
+        raise ModelMismatchError(
+            f"coupling inverse residual {residuals[k]:.3e} at k={k}")
+    correction = _initial_input_correction(p, np.asarray(u0, dtype=np.float64)[:N])
+    return TransformedSystem(kind="gamma", Bstar=Bstar, Dstar=None,
+                             wstar=realized.w[:N] + Bk @ correction,
+                             vstar=realized.v, gain_star=p.gain_products)
 
 
-def split_input(transform: InputTransform, u: Mat, k: int):
-    """Map one input vector through the forward transform and split it."""
-    if u.shape != (transform.m, 1):
-        raise DimensionMismatchError(f"input shape {u.shape}, expected {(transform.m, 1)}")
-    star = transform.matrix(k) @ u[transform.col_perm[k], :]
-    return star[:transform.p, :], star[transform.p:, :]
+def split_input(transform: InputTransform, u):
+    """Map an input stack (steps, m, 1) through the forward transform and
+    split it into the active (steps, p, 1) and frozen (steps, m-p, 1) parts."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (transform.steps, transform.m, 1):
+        raise DimensionMismatchError(
+            f"input shape {u.shape}, expected {(transform.steps, transform.m, 1)}")
+    star = transform.T @ _take_rows(u, transform.col_perm)
+    return star[:, :transform.p], star[:, transform.p:]
 
 
-def assemble_input(transform: InputTransform, u1star: Mat, u2star: Mat, k: int) -> Mat:
-    """Invert split_input: recover the original-coordinate input vector."""
-    if u1star.shape != (transform.p, 1) or u2star.shape != (transform.m - transform.p, 1):
+def assemble_input(transform: InputTransform, u1star, u2star) -> np.ndarray:
+    """Invert split_input: recover the original-coordinate input stack."""
+    steps, p, m = transform.steps, transform.p, transform.m
+    if u1star.shape != (steps, p, 1) or u2star.shape != (steps, m - p, 1):
         raise DimensionMismatchError(
             f"split shapes {u1star.shape}, {u2star.shape} do not match "
-            f"p={transform.p}, m={transform.m}")
-    permuted = transform.inverse(k) @ np.vstack([u1star, u2star])
-    u = np.empty((transform.m, 1))
-    u[transform.col_perm[k], :] = permuted
+            f"steps={steps}, p={p}, m={m}")
+    permuted = transform.Tinv @ np.concatenate([u1star, u2star], axis=1)
+    u = np.empty((steps, m, 1))
+    np.put_along_axis(u, transform.col_perm[:, :, None], permuted, axis=1)
     return u

@@ -211,6 +211,16 @@ def test_sweep_bad_spec_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],
+                                   ["--record-trajectories", "all"]])
+def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
+    out = tmp_path / "sweep.csv"
+    assert main(["run", "--preset", "example1", "--iterations", "2",
+                 "--sweep", "seeds=0..1", "--out", str(out), *flags]) == 2
+    assert "cannot be combined" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_runs_as_module():
     proc = subprocess.run([sys.executable, "-m", "ilcset.cli", "--version"],
                           capture_output=True, text=True)

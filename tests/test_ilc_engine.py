@@ -182,9 +182,9 @@ def test_frozen_channels_bitwise_constant(example1, q_example1):
             assert np.array_equal(a, b)
     # The frozen share recomputed from the applied inputs agrees to roundoff.
     for l in range(6):
+        _, u2 = split_input(q_example1, result.inputs[l])
         for k in range(cfg.system.N + 1):
-            _, u2 = split_input(q_example1, result.inputs[l][k], k)
-            assert inf_norm(u2 - first[k]) <= 1e-9
+            assert inf_norm(u2[k] - first[k]) <= 1e-9
 
 
 def test_recursion_residuals_small_with_uncertainty(example1):

@@ -1,5 +1,6 @@
 """Plant realization sampling and single-trial simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -215,6 +216,22 @@ def test_superposition_of_forced_response():
         np.testing.assert_allclose(f12[k], f1[k] + f2[k], atol=1e-9)
 
 
+def test_batched_simulation_matches_per_step_recursion_exactly():
+    # The per-step recursion in the order the model states it; the batched
+    # products must round exactly as these do.
+    cfg = build_preset("example1", seed=11)
+    realized = sample_iteration(cfg.system, cfg.uncertainty, l=4)
+    u = np.random.default_rng(2).normal(size=(101, 3, 1))
+    traj = simulate(realized, u)
+    x = realized.x0
+    for k in range(101):
+        y = realized.C[k] @ x + realized.D[k] @ u[k] + realized.v[k]
+        np.testing.assert_array_equal(traj.x[k], x)
+        np.testing.assert_array_equal(traj.y[k], y)
+        np.testing.assert_array_equal(traj.e[k], realized.r[k] - y)
+        x = realized.A[k] @ x + realized.B[k] @ u[k] + realized.w[k]
+
+
 def test_final_input_feeds_output_only():
     sys = scalar_system(a=0.5, b=1.0, c=1.0, d=2.0, x0=1.0, N=2)
     realized = sample_iteration(sys, UncertaintySpec.none(), 0)
@@ -222,7 +239,7 @@ def test_final_input_feeds_output_only():
     base = simulate(realized, u)
     u[2] = np.array([[1.0]])
     bumped = simulate(realized, u)
-    assert bumped.x == base.x
+    assert np.array_equal(bumped.x, base.x)
     assert bumped.y[2][0, 0] == base.y[2][0, 0] + 2.0
 
 
@@ -232,6 +249,32 @@ def test_divergence_raises_non_finite_with_location():
         simulate(sample_iteration(sys, UncertaintySpec.none(), 7), zero_input(1, 3))
     assert err.value.k == 2
     assert err.value.iteration == 7
+
+
+def test_output_divergence_reports_its_step():
+    # A huge feedthrough at k = 2 only: y(2) overflows while every state
+    # stays finite, so the output is blamed at that step.
+    sys = scalar_system(a=0.5, x0=1.0, N=4)
+    realized = sample_iteration(sys, UncertaintySpec.none(), 3)
+    D = realized.D.copy()
+    D[2] = 1e300
+    u = zero_input(1, 4) + 1e10
+    with pytest.raises(NonFiniteError) as err:
+        simulate(dataclasses.replace(realized, D=D), u)
+    assert str(err.value).startswith("output diverged")
+    assert err.value.k == 2
+    assert err.value.iteration == 3
+
+
+def test_state_is_blamed_before_the_output_of_the_same_step():
+    # x(k+1) and y(k+1) both blow up; x(k+1) is computed first, so the
+    # state is reported at k+1.
+    sys = scalar_system(a=1e200, c=1.0, x0=1.0, N=3)
+    with pytest.raises(NonFiniteError) as err:
+        simulate(sample_iteration(sys, UncertaintySpec.none(), 5), zero_input(1, 3))
+    assert str(err.value).startswith("state diverged")
+    assert err.value.k == 2
+    assert err.value.iteration == 5
 
 
 def test_simulate_checks_input_length():

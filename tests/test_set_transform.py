@@ -64,8 +64,8 @@ def test_square_case_blocks():
     for k in range(N + 1):
         np.testing.assert_allclose(q.matrix(k), np.eye(2), atol=1e-12)
         np.testing.assert_allclose(q.inverse(k), np.eye(2), atol=1e-12)
-        assert q.t12[k].shape == (2, 0)
-        assert q.t21[k].shape == (0, 2)
+        assert q.matrix(k)[:2, 2:].shape == (2, 0)
+        assert q.matrix(k)[2:, :2].shape == (0, 2)
 
 
 def test_wide_case_closed_form_by_hand():
@@ -130,7 +130,8 @@ def test_gain_annihilation(q_example1, p_example2):
 def test_inverse_hat_bottom_right_is_exact_identity(q_example1, p_example2):
     for transform in (q_example1, p_example2):
         for k in range(transform.steps):
-            assert np.array_equal(transform.ti22[k], np.eye(transform.m - transform.p))
+            p = transform.p
+            assert np.array_equal(transform.inverse(k)[p:, p:], np.eye(transform.m - p))
 
 
 def test_contraction_precondition_enforced():
@@ -200,7 +201,7 @@ def test_squared_feedthrough_shift_equals_pushed_delta(example1, q_example1):
     ts = apply_q_transform(realized, q_example1, zero_input(3, 100))
     for k in range(101):
         delta_D = realized.D[k] - example1.system.D.at(k)
-        pushed = delta_D[:, q_example1.col_perm[k]] @ q_example1.active_columns(k)
+        pushed = delta_D[:, q_example1.col_perm[k]] @ q_example1.active_columns[k]
         assert inf_norm((ts.Dstar[k] - np.eye(2)) - pushed) <= 1e-10
 
 
@@ -213,8 +214,8 @@ def test_initial_input_correction_two_routes(example1, q_example1):
         perm = q_example1.col_perm[k]
         u0p = u0[k][perm, :]
         # Compact route: land in the frozen channels first, then map back.
-        frozen = np.hstack([q_example1.t21[k], q_example1.t22[k]]) @ u0p
-        back = np.vstack([q_example1.ti12[k], q_example1.ti22[k]]) @ frozen
+        frozen = q_example1.matrix(k)[2:, :] @ u0p
+        back = q_example1.inverse(k)[:, 2:] @ frozen
         expected_w = realized.w[k] + realized.B[k][:, perm] @ back
         np.testing.assert_allclose(ts.wstar[k], expected_w, atol=1e-12)
 
@@ -250,7 +251,7 @@ def test_feedthrough_free_squaring_unit_coupling(example2, p_example2):
 def test_feedthrough_free_loop_matrices_coincide(example2, p_example2):
     for k in range(100):
         coupling_star = p_example2.c_cache[k + 1] @ (
-            p_example2.b_cache[k][:, p_example2.col_perm[k]] @ p_example2.active_columns(k))
+            p_example2.b_cache[k][:, p_example2.col_perm[k]] @ p_example2.active_columns[k])
         gain_star = p_example2.gain_products[k]
         direct = p_example2.coupling[k] @ p_example2.gain[k]
         a = np.eye(2) - gain_star @ coupling_star
@@ -295,34 +296,81 @@ def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_exampl
 # --- split / assemble ------------------------------------------------------
 
 def test_split_zero_input(q_example1):
-    u1, u2 = split_input(q_example1, np.zeros((3, 1)), k=0)
-    np.testing.assert_array_equal(u1, np.zeros((2, 1)))
-    np.testing.assert_array_equal(u2, np.zeros((1, 1)))
+    u1, u2 = split_input(q_example1, np.zeros((101, 3, 1)))
+    np.testing.assert_array_equal(u1, np.zeros((101, 2, 1)))
+    np.testing.assert_array_equal(u2, np.zeros((101, 1, 1)))
 
 
 def test_split_by_hand():
     N = 1
     q = build_q_transform(MatrixSchedule.from_values([[2.0, 1.0]], N),
                           MatrixSchedule.from_values([[0.2], [0.1]], N))
-    u1, u2 = split_input(q, np.array([[1.0], [1.0]]), k=0)
-    assert u1[0, 0] == pytest.approx(3.0, abs=1e-12)
-    assert u2[0, 0] == pytest.approx(0.4, abs=1e-12)
+    u1, u2 = split_input(q, np.ones((2, 2, 1)))
+    assert u1[0, 0, 0] == pytest.approx(3.0, abs=1e-12)
+    assert u2[0, 0, 0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_split_square_case_has_empty_remainder():
     N = 1
     q = build_q_transform(MatrixSchedule.constant(np.eye(2), N),
                           MatrixSchedule.constant(0.5 * np.eye(2), N))
-    u1, u2 = split_input(q, np.array([[1.0], [2.0]]), k=0)
-    assert u2.shape == (0, 1)
-    np.testing.assert_allclose(u1, [[1.0], [2.0]], atol=1e-12)
+    u1, u2 = split_input(q, np.array([[[1.0], [2.0]]] * 2))
+    assert u2.shape == (2, 0, 1)
+    np.testing.assert_allclose(u1[0], [[1.0], [2.0]], atol=1e-12)
 
 
 def test_split_assemble_round_trip(q_example1, p_example2):
     rng = np.random.default_rng(11)
     for transform in (q_example1, p_example2):
+        u = rng.normal(size=(transform.steps, 3, 1))
+        u1, u2 = split_input(transform, u)
+        back = assemble_input(transform, u1, u2)
+        np.testing.assert_allclose(back, u, atol=1e-10)
+        # The stack matches the per-step matrices, permutation included.
         for k in (0, 13, transform.steps - 1):
-            u = rng.normal(size=(3, 1))
-            u1, u2 = split_input(transform, u, k)
-            back = assemble_input(transform, u1, u2, k)
-            np.testing.assert_allclose(back, u, atol=1e-10)
+            star = transform.matrix(k) @ u[k][transform.col_perm[k], :]
+            np.testing.assert_allclose(np.vstack([u1[k], u2[k]]), star, atol=1e-12)
+
+
+def test_split_rejects_wrong_stack_shape(q_example1):
+    with pytest.raises(DimensionMismatchError):
+        split_input(q_example1, np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatchError):
+        assemble_input(q_example1, np.zeros((101, 2, 1)), np.zeros((101, 2, 1)))
+
+
+def test_stacked_squaring_matches_per_step_products_exactly():
+    # Four inputs, one output, a nonzero initial input and a permutation
+    # that changes with k: the stacked products must round exactly as the
+    # per-step matrix products they replace.
+    N = 6
+    q = build_q_transform(build_schedule([["1-k", "1", "0.3*sin(k)", "0.2"]], N),
+                          build_schedule([["0"], ["0.5"], ["0.1"], ["0"]], N))
+    assert len({tuple(perm) for perm in q.col_perm}) > 1
+    sys = sample_iteration_wide_plant(N)
+    realized = sample_iteration(sys, UncertaintySpec(amp_B=0.1, amp_w=0.1, seed=3), 2)
+    rng = np.random.default_rng(8)
+    u0 = rng.normal(size=(N + 1, 4, 1))
+    ts = apply_q_transform(realized, q, u0)
+    for k in range(N + 1):
+        perm = q.col_perm[k]
+        correction = q.frozen_mix[k] @ u0[k][perm, :]
+        np.testing.assert_array_equal(ts.wstar[k],
+                                      realized.w[k] + realized.B[k][:, perm] @ correction)
+        np.testing.assert_array_equal(ts.Bstar[k],
+                                      realized.B[k][:, perm] @ q.active_columns[k])
+    u1, u2 = split_input(q, u0)
+    np.testing.assert_allclose(assemble_input(q, u1, u2), u0, atol=1e-12)
+
+
+def sample_iteration_wide_plant(N):
+    from ilcset.plant import NominalSystem
+    return NominalSystem.from_parts(
+        A=MatrixSchedule.from_values([[0.5, 0.1], [0.0, 0.3]], N),
+        B=build_schedule([["1", "0.5", "cos(k)", "0.2"], ["0", "1", "0.3", "k"]], N),
+        C=MatrixSchedule.from_values([[1.0, 0.0]], N),
+        D=build_schedule([["1-k", "1", "0.3*sin(k)", "0.2"]], N),
+        w=MatrixSchedule.from_values(np.zeros((2, 1)), N),
+        v=MatrixSchedule.from_values([[0.0]], N),
+        r=MatrixSchedule.from_values([[1.0]], N),
+        x0=[0.0, 0.0])
