@@ -9,12 +9,13 @@ multiplier, a realized-norm check, and uncertainty budget bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrix_core import inf_norm, spectral_norm, spectral_radii
+from .matrix_core import (inf_norm, inf_norms, spectral_norms, spectral_radii,
+                          symmetric_eigvals)
 from .plant import NominalSystem, UncertaintySpec
 from .schedule_lang import MatrixSchedule
 
@@ -86,8 +87,9 @@ def check_rho_gamma_cb(B: MatrixSchedule, C: MatrixSchedule,
                               Gamma.values[:-1] @ C.values[1:] @ B.values[:-1])
 
 
-def _lmi_matrix(S: np.ndarray, E: np.ndarray, FXi: np.ndarray, lam: float) -> np.ndarray:
-    """Symmetric block matrix whose negativity certifies the norm condition.
+def _lmi_stack(S: np.ndarray, E: np.ndarray, FXi: np.ndarray) -> np.ndarray:
+    """Symmetric block matrices, one per step, whose negativity certifies the
+    norm condition; the multiplier blocks are left at zero (lam = 0).
 
     Blocks (sizes p, p, s, s):
 
@@ -96,57 +98,68 @@ def _lmi_matrix(S: np.ndarray, E: np.ndarray, FXi: np.ndarray, lam: float) -> np
         [  0    E^T   -lam I      0    ]
         [ FXi   0        0     -lam I  ]
 
-    with S = I - D Xi.  The multiplier lam absorbs the norm-bounded
-    contraction linking E and F.
+    with S = I - D Xi, given as (steps, ...) stacks.  The multiplier lam
+    absorbs the norm-bounded contraction linking E and F.
     """
-    p = S.shape[0]
-    s = E.shape[1]
+    steps, p, _ = S.shape
+    s = E.shape[-1]
     dim = 2 * p + 2 * s
-    M = np.zeros((dim, dim))
-    M[:p, :p] = -np.eye(p)
-    M[p:2 * p, p:2 * p] = -np.eye(p)
-    M[p:2 * p, :p] = S
-    M[:p, p:2 * p] = S.T
-    M[p:2 * p, 2 * p:2 * p + s] = E
-    M[2 * p:2 * p + s, p:2 * p] = E.T
-    M[2 * p:2 * p + s, 2 * p:2 * p + s] = -lam * np.eye(s)
-    M[2 * p + s:, :p] = FXi
-    M[:p, 2 * p + s:] = FXi.T
-    M[2 * p + s:, 2 * p + s:] = -lam * np.eye(s)
+    M = np.zeros((steps, dim, dim))
+    M[:, :p, :p] = -np.eye(p)
+    M[:, p:2 * p, p:2 * p] = -np.eye(p)
+    M[:, p:2 * p, :p] = S
+    M[:, :p, p:2 * p] = np.swapaxes(S, -1, -2)
+    M[:, p:2 * p, 2 * p:2 * p + s] = E
+    M[:, 2 * p:2 * p + s, p:2 * p] = np.swapaxes(E, -1, -2)
+    M[:, 2 * p + s:, :p] = FXi
+    M[:, :p, 2 * p + s:] = np.swapaxes(FXi, -1, -2)
     return M
 
 
-def _min_max_eig(S, E, FXi, lambda_grid) -> tuple:
-    """Minimize the top eigenvalue over the multiplier: grid + golden section.
+def _min_max_eig(work: np.ndarray, s: int, lambda_grid) -> tuple:
+    """Minimize the top eigenvalue over the multiplier at every step at once:
+    grid + golden section, elementwise over k.
 
-    The matrix is affine in lam, so the top eigenvalue is convex in lam and
-    a bracketed 1-D search is sound.
+    ``work`` is the lam = 0 stack from `_lmi_stack`; each evaluation writes
+    -lam(k) I into its two multiplier blocks and takes one stacked
+    eigenvalue call.  The matrix is affine in lam, so the top eigenvalue is
+    convex in lam and a bracketed 1-D search is sound.
     """
-    def f(lam: float) -> float:
-        return float(np.linalg.eigvalsh(_lmi_matrix(S, E, FXi, lam))[-1])
+    steps, dim, _ = work.shape
+    eye_s = np.eye(s)
 
-    values = [f(lam) for lam in lambda_grid]
-    best = int(np.argmin(values))
-    lo = lambda_grid[max(best - 1, 0)]
-    hi = lambda_grid[min(best + 1, len(lambda_grid) - 1)]
+    def f(lam) -> np.ndarray:
+        block = -np.asarray(lam)[..., None, None] * eye_s
+        work[:, dim - 2 * s:dim - s, dim - 2 * s:dim - s] = block
+        work[:, dim - s:, dim - s:] = block
+        # A copy, not a view: a view keeps the whole (steps, dim) result alive.
+        return symmetric_eigvals(work)[:, -1].copy()
+
+    best = np.zeros(steps, dtype=np.intp)
+    best_values = f(lambda_grid[0])
+    for g in range(1, len(lambda_grid)):
+        value = f(lambda_grid[g])
+        lower = value < best_values  # strict: the first minimum wins, as argmin
+        best = np.where(lower, g, best)
+        best_values = np.where(lower, value, best_values)
+    lo = lambda_grid[np.maximum(best - 1, 0)]
+    hi = lambda_grid[np.minimum(best + 1, len(lambda_grid) - 1)]
     a, b = np.log(lo), np.log(hi)
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(np.exp(c)), f(np.exp(d))
     for _ in range(60):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(np.exp(d))
-    refined_lam = float(np.exp((a + b) / 2.0))
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fx = f(np.exp(x))
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    refined_lam = np.exp((a + b) / 2.0)
     refined = f(refined_lam)
-    if refined < values[best]:
-        return refined, refined_lam
-    return values[best], float(lambda_grid[best])
+    use_refined = refined < best_values
+    return (np.where(use_refined, refined, best_values),
+            np.where(use_refined, refined_lam, lambda_grid[best]))
 
 
 def default_lambda_grid() -> np.ndarray:
@@ -157,10 +170,17 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
               F: MatrixSchedule, lambda_grid=None) -> ConditionReport:
     """Structured-uncertainty feasibility at every k.
 
-    Reports, per step, the minimum over the multiplier grid of the top
+    Reports, per step, the minimum over the multiplier of the top
     eigenvalue; satisfied iff every step's minimum is strictly negative.
     With E = F = 0 the test reduces exactly to
     spectral_norm(I - D(k)Xi(k)) < 1.
+
+    The search runs on all N+1 steps together: a 40-point grid, then 60
+    golden-section steps on log(lam), elementwise over k.  Every evaluation
+    is one stacked eigenvalue call, so the search takes 103 calls whatever
+    the horizon.  Its memory is one reused (N+1, 2p+2s, 2p+2s) work stack
+    plus a few (N+1,) vectors; the grid keeps a running minimum, not a
+    table of every grid value.
     """
     p, m = D.rows, D.cols
     if E.rows != p or F.cols != m or E.cols != F.rows:
@@ -168,26 +188,26 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
             f"structure grids E {E.shape}, F {F.shape} do not fit D {D.shape}")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
-    pairs = []
-    lambdas = []
-    for k in range(D.N + 1):
-        S = np.eye(p) - D.at(k) @ Xi.at(k)
-        value, lam = _min_max_eig(S, E.at(k), F.at(k) @ Xi.at(k), lambda_grid)
-        pairs.append((k, value))
-        lambdas.append(lam)
-    return ConditionReport.from_values("lmi", pairs, LMI_THRESHOLD,
-                                       best_lambda=tuple(lambdas))
+    S = np.eye(p) - D.values @ Xi.values
+    work = _lmi_stack(S, E.values, F.values @ Xi.values)
+    values, lambdas = _min_max_eig(work, E.cols, np.asarray(lambda_grid))
+    return ConditionReport.from_values("lmi", enumerate(values.tolist()),
+                                       LMI_THRESHOLD,
+                                       best_lambda=tuple(lambdas.tolist()))
 
 
-def verify_norm_condition(D_realized: Sequence[Sequence[np.ndarray]],
-                          Xi: MatrixSchedule) -> ConditionReport:
-    """Spectral norm of I - D_l(k)Xi(k) across sampled realizations."""
-    pairs = []
-    for l, D_seq in enumerate(D_realized):
-        for k, Dk in enumerate(D_seq):
-            p = Dk.shape[0]
-            pairs.append(((l, k), spectral_norm(np.eye(p) - Dk @ Xi.at(k))))
-    return ConditionReport.from_values("norm_condition", pairs, SPECTRAL_THRESHOLD)
+def verify_norm_condition(D_realized, Xi: MatrixSchedule) -> ConditionReport:
+    """Spectral norm of I - D_l(k)Xi(k) across sampled realizations.
+
+    ``D_realized`` holds one (steps, p, m) stack per realization l, all of
+    the same length; step k pairs with Xi(k).
+    """
+    D = np.asarray(D_realized, dtype=np.float64)
+    steps = D.shape[1]
+    norms = spectral_norms(np.eye(D.shape[-2]) - D @ Xi.values[:steps])
+    return ConditionReport.from_values(
+        "norm_condition", zip(np.ndindex(*norms.shape), norms.ravel().tolist()),
+        SPECTRAL_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -211,15 +231,15 @@ def budget(sys: NominalSystem, unc: UncertaintySpec) -> UncertaintyBudget:
     its factor schedules.
     """
     def peak(sched: MatrixSchedule) -> float:
-        return float(np.abs(sched.values).sum(axis=2).max())
+        return float(inf_norms(sched.values).max())
 
     def beta(sched: MatrixSchedule, amp: float) -> float:
         return amp * sched.cols + peak(sched)
 
     if unc.structured_D is not None:
         sd = unc.structured_D
-        delta_d = max(inf_norm(sd.E.at(k)) * np.sqrt(sd.s) * inf_norm(sd.F.at(k))
-                      for k in range(sd.E.N + 1))
+        delta_d = float((inf_norms(sd.E.values) * np.sqrt(sd.s)
+                         * inf_norms(sd.F.values)).max())
         beta_D = delta_d + peak(sys.D)
     else:
         beta_D = beta(sys.D, unc.amp_D)

@@ -28,11 +28,16 @@ def _require_square(m: Mat) -> None:
         raise NonSquareError(f"square matrix required, got shape {m.shape}")
 
 
+def inf_norms(m: Mat) -> np.ndarray:
+    """Maximum absolute row sum of each matrix in a (..., r, c) stack."""
+    if m.size == 0:
+        return np.zeros(m.shape[:-2])
+    return np.abs(m).sum(axis=-1).max(axis=-1)
+
+
 def inf_norm(m: Mat) -> float:
     """Maximum absolute row sum."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(m), axis=1)))
+    return float(inf_norms(m))
 
 
 def spectral_radii(m: Mat) -> np.ndarray:
@@ -54,15 +59,21 @@ def spectral_radius(m: Mat) -> float:
     return float(spectral_radii(m))
 
 
+def symmetric_eigvals(m: Mat) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix in a (..., n, n) stack
+    (only the lower triangle is read)."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+
+
 def spectral_norms(m: Mat) -> np.ndarray:
     """Largest singular value of each matrix in a (..., r, c) stack,
     sigma_max(m) = sqrt(rho(m^T m))."""
     if m.size == 0:
         return np.zeros(m.shape[:-2])
-    try:
-        gram_eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    gram_eigs = symmetric_eigvals(np.swapaxes(m, -1, -2) @ m)
     return np.sqrt(np.maximum(gram_eigs[..., -1], 0.0))
 
 

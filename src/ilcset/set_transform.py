@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientError,
 )
 from .conditions import loop_radii
-from .matrix_core import Mat, block2x2, inf_norm, invert
+from .matrix_core import Mat, block2x2, inf_norm, inf_norms, invert
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
 
@@ -289,7 +289,7 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
     N = realized.N
     Bk = _take_columns(p.b_cache[:N], p.col_perm)
     Bstar = Bk @ p.active_columns
-    residuals = np.abs(p.c_cache[1:] @ Bstar - np.eye(p.p)).sum(axis=2).max(axis=1)
+    residuals = inf_norms(p.c_cache[1:] @ Bstar - np.eye(p.p))
     too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
     if too_large.size:
         k = int(too_large[0])

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ilcset.cli import main
@@ -130,6 +131,16 @@ def test_check_look_ahead_family(capsys):
     assert "rho_cbgamma" in table and "rho_gammacb" in table
     assert "lmi" not in table
     assert main(["check", "--preset", "example2", "--require-all"]) == 1
+
+
+def test_check_eigenvalue_failure_exits_one(monkeypatch, capsys):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["check", "--preset", "example1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eigenvalue iteration failed")
 
 
 def test_transform_dump(tmp_path):

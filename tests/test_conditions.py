@@ -15,9 +15,10 @@ from ilcset.conditions import (
     check_rho_xid,
     verify_norm_condition,
 )
-from ilcset.matrix_core import spectral_norm
-from ilcset.plant import sample_iteration
-from ilcset.schedule_lang import MatrixSchedule
+from ilcset.errors import NoConvergenceError
+from ilcset.matrix_core import inf_norm, spectral_norm
+from ilcset.plant import NominalSystem, StructuredD, UncertaintySpec, sample_iteration
+from ilcset.schedule_lang import MatrixSchedule, build_schedule
 
 
 def constant(values, N=1):
@@ -190,6 +191,111 @@ def test_lmi_records_multiplier():
     assert all(lam > 0 for lam in report.best_lambda)
 
 
+# Per-step reference for the batched multiplier search: the search as it ran
+# one k at a time, kept verbatim so the stacked version can be compared
+# bit for bit.
+
+def _ref_lmi_matrix(S, E, FXi, lam):
+    p = S.shape[0]
+    s = E.shape[1]
+    dim = 2 * p + 2 * s
+    M = np.zeros((dim, dim))
+    M[:p, :p] = -np.eye(p)
+    M[p:2 * p, p:2 * p] = -np.eye(p)
+    M[p:2 * p, :p] = S
+    M[:p, p:2 * p] = S.T
+    M[p:2 * p, 2 * p:2 * p + s] = E
+    M[2 * p:2 * p + s, p:2 * p] = E.T
+    M[2 * p:2 * p + s, 2 * p:2 * p + s] = -lam * np.eye(s)
+    M[2 * p + s:, :p] = FXi
+    M[:p, 2 * p + s:] = FXi.T
+    M[2 * p + s:, 2 * p + s:] = -lam * np.eye(s)
+    return M
+
+
+def _ref_min_max_eig(S, E, FXi, lambda_grid):
+    def f(lam):
+        return float(np.linalg.eigvalsh(_ref_lmi_matrix(S, E, FXi, lam))[-1])
+
+    values = [f(lam) for lam in lambda_grid]
+    best = int(np.argmin(values))
+    lo = lambda_grid[max(best - 1, 0)]
+    hi = lambda_grid[min(best + 1, len(lambda_grid) - 1)]
+    a, b = np.log(lo), np.log(hi)
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = f(np.exp(c)), f(np.exp(d))
+    for _ in range(60):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(np.exp(d))
+    refined_lam = float(np.exp((a + b) / 2.0))
+    refined = f(refined_lam)
+    if refined < values[best]:
+        return refined, refined_lam
+    return values[best], float(lambda_grid[best])
+
+
+def _ref_check_lmi(D, Xi, E, F):
+    lambda_grid = np.logspace(-4.0, 4.0, 40)
+    values, lambdas = [], []
+    for k in range(D.N + 1):
+        S = np.eye(D.rows) - D.at(k) @ Xi.at(k)
+        value, lam = _ref_min_max_eig(S, E.at(k), F.at(k) @ Xi.at(k), lambda_grid)
+        values.append(value)
+        lambdas.append(lam)
+    return values, lambdas
+
+
+def _random_schedule(rng, rows, cols, N, scale=1.0):
+    """Time-varying schedule a + b sin(w k) per cell, written as source text."""
+    grid = [[f"{scale * rng.normal()!r} + {scale * rng.normal()!r}"
+             f"*sin({rng.uniform(0.05, 3.0)!r}*k)" for _ in range(cols)]
+            for _ in range(rows)]
+    return build_schedule(grid, N)
+
+
+def test_lmi_batched_search_matches_per_step_reference_exactly():
+    rng = np.random.default_rng(2024)
+    grid = set(np.logspace(-4.0, 4.0, 40).tolist())
+    chosen = []
+    for case in range(30):
+        p = int(rng.integers(1, 4))
+        m = p + int(rng.integers(0, 3))
+        s = int(rng.integers(1, 3))
+        N = int(rng.integers(1, 41))  # MatrixSchedule needs a horizon >= 1
+        D = _random_schedule(rng, p, m, N)
+        Xi = _random_schedule(rng, m, p, N, scale=rng.uniform(0.1, 0.8))
+        if case % 3 == 0:
+            E, F = zeros_like(p, s, N), zeros_like(s, m, N)
+        else:
+            E = _random_schedule(rng, p, s, N, scale=rng.uniform(0.01, 0.5))
+            F = _random_schedule(rng, s, m, N, scale=rng.uniform(0.01, 0.5))
+        report = check_lmi(D, Xi, E, F)
+        values, lambdas = _ref_check_lmi(D, Xi, E, F)
+        assert [v for _, v in report.per_k] == values
+        assert [k for k, _ in report.per_k] == list(range(N + 1))
+        assert list(report.best_lambda) == lambdas
+        chosen.extend(lam in grid for lam in lambdas)
+    # Both outcomes of the final grid-versus-refined choice are exercised.
+    assert any(chosen) and not all(chosen)
+
+
+def test_lmi_eigenvalue_failure_raises_no_convergence(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    zero = zeros_like(1, 1)
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        check_lmi(constant([[1.0]]), constant([[0.5]]), zero, zero)
+
+
 # --- realized norm condition ----------------------------------------------
 
 def test_norm_condition_on_sampled_realizations(example1):
@@ -209,6 +315,15 @@ def test_norm_condition_zero_gain(example1):
                                    MatrixSchedule.from_values(np.zeros((3, 2)), 100))
     assert report.worst == pytest.approx(1.0, abs=1e-12)
     assert not report.satisfied
+
+
+def test_norm_condition_matches_per_step_norms_exactly(example1):
+    sampled = [sample_iteration(example1.system, example1.uncertainty, l).D
+               for l in range(3)]
+    report = verify_norm_condition(sampled, example1.xi)
+    expected = [((l, k), spectral_norm(np.eye(2) - Dk @ example1.xi.at(k)))
+                for l, D_seq in enumerate(sampled) for k, Dk in enumerate(D_seq)]
+    assert list(report.per_k) == expected
 
 
 # --- budgets ---------------------------------------------------------------
@@ -245,6 +360,21 @@ def test_budget_benchmark_reference_peak(example1):
     assert b.beta_r == pytest.approx(peak + 0.0002, abs=1e-12)
     assert b.beta_r == pytest.approx(3.0002, abs=1e-12)
     assert b.beta_x0 == pytest.approx(4.0002, abs=1e-12)
+
+
+def test_budget_structured_feedthrough_bound_per_step_maximum():
+    rng = np.random.default_rng(31)
+    N, s = 12, 2
+    E = _random_schedule(rng, 2, s, N, scale=0.1)
+    F = _random_schedule(rng, s, 3, N, scale=0.1)
+    z = zeros_like(2, 3, N)
+    sys = NominalSystem(n=1, m=3, p=2, N=N, A=zeros_like(1, 1, N), B=zeros_like(1, 3, N),
+                        C=zeros_like(2, 1, N), D=z, w=zeros_like(1, 1, N),
+                        v=zeros_like(2, 1, N), r=zeros_like(2, 1, N), x0=np.zeros((1, 1)))
+    unc = UncertaintySpec(structured_D=StructuredD(E=E, F=F, s=s))
+    expected = max(inf_norm(E.at(k)) * np.sqrt(s) * inf_norm(F.at(k)) for k in range(N + 1))
+    assert budget(sys, unc).beta_D == expected
+    assert expected > 0.0
 
 
 def test_report_shape_invariants(example1):

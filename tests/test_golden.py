@@ -73,6 +73,7 @@ CASES = {
         ["run", "--config", "{config}", "--verify-set", "--out", "{out}"], "out"),
     "ex1_check.txt": (["check", "--preset", "example1"], "stdout"),
     "ex2_check.txt": (["check", "--preset", "example2"], "stdout"),
+    "structured_check.txt": (["check", "--config", "{config}"], "stdout"),
     "ex1_traj_all.csv": (
         ["run", "--preset", "example1", "--iterations", "4",
          "--record-trajectories", "all", "--out", "{out}"], "traj"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ilcset.errors import NonSquareError, SingularError
+from ilcset.errors import NoConvergenceError, NonSquareError, SingularError
 from ilcset import matrix_core as mc
 
 
@@ -163,8 +163,21 @@ def test_stacked_radii_and_norms_match_single_matrix_values_exactly():
     wide = rng.normal(size=(30, 2, 3))
     radii = mc.spectral_radii(square)
     norms = mc.spectral_norms(wide)
+    row_sums = mc.inf_norms(wide)
     for k in range(30):
         assert radii[k] == mc.spectral_radius(square[k])
         assert norms[k] == mc.spectral_norm(wide[k])
+        assert row_sums[k] == mc.inf_norm(wide[k])
     with pytest.raises(NonSquareError):
         mc.spectral_radii(wide)
+
+
+def test_symmetric_eigenvalue_failure_raises_no_convergence(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError):
+        mc.symmetric_eigvals(np.eye(2))
+    with pytest.raises(NoConvergenceError):
+        mc.spectral_norms(np.ones((3, 2, 2)))
