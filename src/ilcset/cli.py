@@ -151,25 +151,23 @@ def _traj_path(out: str) -> str:
     return stem + "_traj" + (ext or ".csv")
 
 
-def _trajectory_rows(cfg: ExperimentConfig, result: RunResult, which: str) -> tuple:
-    p = cfg.system.p
-    header = (["l", "k"] + [f"y{i + 1}" for i in range(p)]
-              + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
+def _trajectory_header(p: int) -> list:
+    return (["l", "k"] + [f"y{i + 1}" for i in range(p)]
+            + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
+
+
+def _trajectory_rows(cfg: ExperimentConfig, result: RunResult, which: str):
+    """One row per (recorded iteration, k), produced as the writer asks."""
     if which == "final":
         selected = [result.iterations - 1]
     else:
-        selected = list(range(0, result.iterations, cfg.record_every))
-    rows = []
+        selected = range(0, result.iterations, cfg.record_every)
     for l in selected:
         traj = result.trajectories[l]
-        realized = sample_iteration(cfg.system, cfg.uncertainty, l)
-        for k in range(cfg.system.N + 1):
-            row = [str(l), str(k)]
-            row.extend(_fmt(traj.y[k][i, 0]) for i in range(p))
-            row.extend(_fmt(realized.r[k][i, 0]) for i in range(p))
-            row.extend(_fmt(traj.e[k][i, 0]) for i in range(p))
-            rows.append(row)
-    return header, rows
+        columns = zip(traj.y[:, :, 0].tolist(), traj.r[:, :, 0].tolist(),
+                      traj.e[:, :, 0].tolist())
+        for k, (y, r, e) in enumerate(columns):
+            yield [str(l), str(k), *map(_fmt, y), *map(_fmt, r), *map(_fmt, e)]
 
 
 def _applicable_reports(cfg: ExperimentConfig) -> list:
@@ -252,8 +250,8 @@ def cmd_run(args) -> int:
     if args.record_trajectories != "none":
         if args.out is None:
             raise SchemaError("/out", "--record-trajectories needs --out")
-        header, rows = _trajectory_rows(cfg, result, args.record_trajectories)
-        _write_csv(_traj_path(args.out), header, rows)
+        _write_csv(_traj_path(args.out), _trajectory_header(cfg.system.p),
+                   _trajectory_rows(cfg, result, args.record_trajectories))
 
     info = sys.stdout if args.out is not None else sys.stderr
     for line in _summary_lines(result, err_report, in_report):

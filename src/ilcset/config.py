@@ -44,8 +44,9 @@ class _Collector:
 
     def raise_if_any(self) -> None:
         if self.problems:
-            detail = "; ".join(f"{p}: {m}" for p, m in self.problems)
-            raise SchemaError(self.problems[0][0], detail)
+            (path, message), *rest = self.problems
+            detail = message + "".join(f"; {p}: {m}" for p, m in rest)
+            raise SchemaError(path, detail)
 
 
 def _as_cell(value) -> Optional[str]:
@@ -99,11 +100,15 @@ def _schedule(doc: dict, key: str, shape: tuple, N: int, path: str,
     if (rows, cols) != shape:
         problems.add(f"{path}/{key}", f"shape {(rows, cols)} does not match expected {shape}")
         return None
+    return _build(grid, N, f"{path}/{key}", problems)
+
+
+def _build(grid, N: int, path: str, problems: _Collector) -> Optional[MatrixSchedule]:
     try:
         return build_schedule(grid, N)
     except ScheduleBuildError as exc:
         for i, j, detail in exc.failures:
-            problems.add(f"{path}/{key}/{i}/{j}", detail)
+            problems.add(f"{path}/{i}/{j}", detail)
         return None
 
 
@@ -211,12 +216,10 @@ def config_from_dict(doc) -> ExperimentConfig:
                     elif len(f_grid) != s or len(f_grid[0]) != m:
                         problems.add("/uncertainty/structured_D/F", f"expected shape {(s, m)}")
                     else:
-                        try:
-                            structured = StructuredD(E=build_schedule(e_grid, N),
-                                                     F=build_schedule(f_grid, N), s=s)
-                        except ScheduleBuildError as exc:
-                            for i, j, detail in exc.failures:
-                                problems.add(f"/uncertainty/structured_D/{i}/{j}", detail)
+                        E = _build(e_grid, N, "/uncertainty/structured_D/E", problems)
+                        F = _build(f_grid, N, "/uncertainty/structured_D/F", problems)
+                        if E is not None and F is not None:
+                            structured = StructuredD(E=E, F=F, s=s)
         if amps is not None:
             uncertainty = UncertaintySpec(
                 amp_A=amps["A"], amp_B=amps["B"], amp_C=amps["C"], amp_D=amps["D"],

@@ -83,29 +83,47 @@ def spectral_norm(m: Mat) -> float:
 
 
 def invert(m: Mat) -> Mat:
-    """Inverse via LU with partial pivoting.
+    """Inverse of each matrix in a (..., n, n) stack, by Gauss-Jordan
+    elimination with partial pivoting.
 
-    Raises SingularError when a pivot magnitude falls below
-    PIVOT_RTOL * ||m||_inf during factorization.
+    Every matrix goes through the same steps, column by column, as a
+    one-matrix elimination would, so each inverse is bit-equal to
+    inverting that matrix alone.  Raises SingularError when a pivot
+    magnitude falls below PIVOT_RTOL * ||m||_inf; in a stack the error
+    names the pivot of the first singular matrix in stack order.
     """
     _require_square(m)
-    n = m.shape[0]
+    n = m.shape[-1]
     if n == 0:
-        return np.zeros((0, 0))
-    threshold = PIVOT_RTOL * max(inf_norm(m), np.finfo(np.float64).tiny)
-    # Augmented Gauss-Jordan elimination; n <= 8 in practice.
-    aug = np.hstack([m.astype(np.float64, copy=True), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) < threshold:
-            raise SingularError(f"pivot {abs(pivot):.3e} below threshold {threshold:.3e}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        others = [r for r in range(n) if r != col]
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    return aug[:, n:]
+        return np.zeros(m.shape)
+    stack = m.reshape((-1, n, n))
+    count = len(stack)
+    threshold = PIVOT_RTOL * np.maximum(inf_norms(stack), np.finfo(np.float64).tiny)
+    aug = np.concatenate([stack.astype(np.float64), np.broadcast_to(np.eye(n), stack.shape)],
+                         axis=2)
+    every = np.arange(count)
+    singular = np.zeros(count, dtype=bool)
+    bad_pivot = np.zeros(count)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(n):
+            pivot_row = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
+            pivot = aug[every, pivot_row, col]
+            # A singular matrix's first small pivot is kept for the error;
+            # its elimination runs on harmlessly, as the others need theirs.
+            new = (np.abs(pivot) < threshold) & ~singular
+            bad_pivot[new] = np.abs(pivot[new])
+            singular |= new
+            pivot_rows = aug[every, pivot_row]
+            aug[every, pivot_row] = aug[:, col]
+            aug[:, col] = pivot_rows
+            aug[:, col] /= pivot[:, None]
+            others = [r for r in range(n) if r != col]
+            aug[:, others] -= aug[:, others, col][:, :, None] * aug[:, col][:, None, :]
+    if singular.any():
+        first = int(np.argmax(singular))
+        raise SingularError(f"pivot {bad_pivot[first]:.3e} below threshold "
+                            f"{threshold[first]:.3e}")
+    return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)
 
 
 def block2x2(m11: Mat, m12: Mat, m21: Mat, m22: Mat) -> Mat:

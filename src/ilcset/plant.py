@@ -135,7 +135,12 @@ class RealizedIteration:
 class Trajectory:
     x: np.ndarray  # (N+1, n, 1) states
     y: np.ndarray  # (N+1, p, 1) outputs
-    e: np.ndarray  # (N+1, p, 1) tracking errors
+    r: np.ndarray  # (N+1, p, 1) the realization's reference (not a copy)
+
+    @property
+    def e(self) -> np.ndarray:
+        """(N+1, p, 1) tracking errors r - y, formed on each access."""
+        return self.r - self.y
 
 
 def _stream(seed: int, l: int, tag: str) -> np.random.Generator:
@@ -223,14 +228,13 @@ def simulate(realized: RealizedIteration, u) -> Trajectory:
         for k in range(N):
             x[k + 1] = A[k] @ x[k] + Bu[k] + w[k]
         y = realized.C @ x + realized.D @ u + realized.v
-        e = realized.r - y
     bad_y = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
     bad_x = np.flatnonzero(~np.isfinite(x[1:]).all(axis=(1, 2)))
     if bad_x.size and (not bad_y.size or bad_x[0] < bad_y[0]):
         raise NonFiniteError("state diverged", k=int(bad_x[0]) + 1, iteration=realized.l)
     if bad_y.size:
         raise NonFiniteError("output diverged", k=int(bad_y[0]), iteration=realized.l)
-    return Trajectory(x=x, y=y, e=e)
+    return Trajectory(x=x, y=y, r=realized.r)
 
 
 def zero_input(m: int, N: int) -> np.ndarray:

@@ -13,6 +13,11 @@ per-horizon cache.  Grammar::
 Whitespace is ignored; operators are left-associative with the usual
 precedence.  Unary minus binds looser than ``^`` (so ``-2^2`` is ``-4``)
 and tighter than ``*``.
+
+`eval_expr` is the scalar reference: one tree walk per (cell, k).  A
+`MatrixSchedule` instead walks each cell's tree once over the whole
+horizon, with ``k`` as the vector ``0.0, 1.0, ..., N``, and stores exactly
+the bits `eval_expr` would give (see `MatrixSchedule`).
 """
 
 from __future__ import annotations
@@ -306,6 +311,74 @@ def to_source(e: EntryExpr) -> str:
     return emit(e.ast)
 
 
+# --- Whole-horizon evaluation ---------------------------------------------
+
+class _NotExact(Exception):
+    """The whole-array walk cannot reproduce the scalar walk at some k."""
+
+
+def _per_element(fn, x):
+    """fn applied with Python floats, element by element.
+
+    numpy's ``power``, ``exp`` (and, on some CPUs, ``sin``/``cos``) round
+    differently from Python's ``**`` and ``math``, so these nodes keep the
+    scalar operation over ``tolist()``.
+    """
+    try:
+        if isinstance(x, float):
+            return fn(x)
+        return np.array([fn(v) for v in x.tolist()])
+    except (OverflowError, ValueError) as exc:
+        raise _NotExact from exc
+
+
+def _eval_horizon(node: Node, k: np.ndarray):
+    """Evaluate a tree at every step at once: a Python float where the
+    subtree does not depend on k, a float64 vector over k where it does.
+
+    ``+ - * /`` and negation are correctly rounded IEEE operations in
+    numpy as in Python, so each element equals the scalar walk's value.
+    Raises _NotExact wherever the scalar walk would raise at some k.
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return k
+    if isinstance(node, Const):
+        return _CONSTANTS[node.name]
+    if isinstance(node, Neg):
+        return -_eval_horizon(node.child, k)
+    if isinstance(node, BinOp):
+        a = _eval_horizon(node.left, k)
+        b = _eval_horizon(node.right, k)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        # Checked here, not by the result: 1/(1/(k-3)) is finite at k = 3.
+        if np.any(b == 0.0):
+            raise _NotExact
+        return a / b
+    if isinstance(node, Pow):
+        exponent = node.exponent
+        return _per_element(lambda x: x ** exponent, _eval_horizon(node.base, k))
+    if isinstance(node, Call):
+        return _per_element(_FUNCTIONS[node.fn], _eval_horizon(node.arg, k))
+    raise _NotExact
+
+
+def _eval_cell(e: EntryExpr, k: np.ndarray):
+    """The cell's values at every k, bit-equal to eval_expr; raises
+    _NotExact if eval_expr fails at any k."""
+    with np.errstate(all="ignore"):
+        value = _eval_horizon(e.ast, k)
+        if not np.isfinite(value).all():
+            raise _NotExact
+    return value
+
+
 # --- Schedules -------------------------------------------------------------
 
 class MatrixSchedule:
@@ -313,6 +386,16 @@ class MatrixSchedule:
 
     ``values`` is the read-only (N+1, rows, cols) stack computed eagerly at
     construction; `at(k)` is a bounds-checked view of one step.
+
+    Each cell's tree is walked once on ``k = arange(N+1)`` as a float64
+    vector: ``+ - * /`` and negation become numpy operations, which round
+    exactly as Python's do, while ``^`` and ``sin``/``cos``/``exp`` run per
+    element with Python's ``**`` and ``math``, because numpy's versions can
+    differ in the last bit.  A cell that divides by zero, overflows in
+    ``^`` or a function, or ends non-finite at any k is evaluated again
+    with `eval_expr` step by step, so ``ScheduleBuildError.failures``
+    lists the same failures, in the same (k, row, col) order, as a per-step
+    evaluation of the whole grid would.
     """
 
     def __init__(self, exprs: Sequence[Sequence[EntryExpr]], N: int):
@@ -328,18 +411,23 @@ class MatrixSchedule:
         self.cols = cols
         self.N = N
         self.exprs = tuple(tuple(row) for row in exprs)
-        failures: list[tuple[int, int, str]] = []
+        steps = np.arange(N + 1, dtype=np.float64)
+        failures: list[tuple[int, int, int, str]] = []
         values = np.empty((N + 1, rows, cols))
-        for k in range(N + 1):
-            for i in range(rows):
-                for j in range(cols):
-                    try:
-                        values[k, i, j] = eval_expr(self.exprs[i][j], k)
-                    except EvalError as exc:
-                        failures.append((i, j, f"k={k}: {exc}"))
-                        values[k, i, j] = np.nan
+        for i in range(rows):
+            for j in range(cols):
+                expr = self.exprs[i][j]
+                try:
+                    values[:, i, j] = _eval_cell(expr, steps)
+                except _NotExact:
+                    for k in range(N + 1):
+                        try:
+                            values[k, i, j] = eval_expr(expr, k)
+                        except EvalError as exc:
+                            failures.append((k, i, j, f"k={k}: {exc}"))
         if failures:
-            raise ScheduleBuildError(failures)
+            failures.sort(key=lambda f: f[:3])
+            raise ScheduleBuildError([(i, j, detail) for _, i, j, detail in failures])
         values.flags.writeable = False
         self.values = values
 

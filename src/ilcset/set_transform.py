@@ -15,7 +15,7 @@ couples through C(k+1)B(k) with gain Gamma(k) and lives on k in 0..N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientError,
 )
 from .conditions import loop_radii
-from .matrix_core import Mat, block2x2, inf_norm, inf_norms, invert
+from .matrix_core import Mat, block2x2, inf_norms, invert
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
 
@@ -69,13 +69,13 @@ def select_nonsingular_block(M: Mat, rel_tol: float = RANK_RTOL):
     return perm, M[:, perm[:p]], M[:, perm[p:]]
 
 
-def _fixed_perm_is_valid(coupling: Sequence[Mat], perm: np.ndarray, p: int) -> bool:
-    for M in coupling:
-        M1 = M[:, perm[:p]]
-        scale = max(inf_norm(M1) ** p, np.finfo(np.float64).tiny)
-        if abs(np.linalg.det(M1)) < PERM_DET_RTOL * scale:
-            return False
-    return True
+def _fixed_perm_is_valid(coupling: np.ndarray, perm: np.ndarray, p: int) -> bool:
+    """Whether the columns perm[:p] stay nonsingular at every step."""
+    M1 = coupling[:, :, perm[:p]]
+    tiny = np.finfo(np.float64).tiny
+    # Python's ** per step: numpy's power can round differently.
+    scales = np.array([max(norm ** p, tiny) for norm in inf_norms(M1).tolist()])
+    return not np.any(np.abs(np.linalg.det(M1)) < PERM_DET_RTOL * scales)
 
 
 def _take_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -127,8 +127,8 @@ class InputTransform:
         Xi1 = _take_rows(self.gain, lead)
         Xi2 = _take_rows(self.gain, rest)
         G = self.coupling @ self.gain
-        Ginv = np.stack([invert(g) for g in G])
-        M1inv = np.stack([invert(m1) for m1 in M1])
+        Ginv = invert(G)
+        M1inv = invert(M1)
         X2G = Xi2 @ Ginv
         eye_rest = np.eye(self.m - p)
         t21, t22 = -X2G @ M1, eye_rest - X2G @ M2

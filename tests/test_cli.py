@@ -101,6 +101,27 @@ def test_trajectories_need_out_path(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_error_names_each_path_once(tmp_path, capsys):
+    doc = {
+        "system": {
+            "n": 1, "m": 2, "p": 1, "N": 3,
+            "A": [["1/(k-2)"]], "B": [["1", "0"]], "C": [["1"]], "D": [["1", "0.5"]],
+            "w": ["0"], "v": ["0"], "r": ["1"], "x0": [0.0],
+        },
+        "uncertainty": {"structured_D": {"E": [["1/(k-1)"]], "F": [["exp(1000)", "0"]]}},
+        "gains": {"Xi": [["0.5"], ["0"]]},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "config error: /system/A/0/0: k=2: division by zero (1.0 / 0); "
+        "/uncertainty/structured_D/E/0/0: k=1: division by zero (1.0 / 0); "
+        + "; ".join(f"/uncertainty/structured_D/F/0/0: k={k}: exp evaluation failed: "
+                    "math range error" for k in range(4))]
+
+
 def test_verify_set_reports_gap(tmp_path, capsys):
     out = tmp_path / "m.csv"
     code = main(["run", "--preset", "example1", "--iterations", "4",

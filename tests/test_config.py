@@ -171,6 +171,31 @@ def test_structured_feedthrough_shape_mismatch():
     assert "/uncertainty/structured_D/F" in str(exc.value)
 
 
+def test_structured_feedthrough_failures_name_each_grid():
+    doc = minimal_doc()
+    doc["uncertainty"]["structured_D"] = {"E": [["1/(k-1)", "0.2"]],
+                                          "F": [["1"], ["exp(exp(exp(k)))"]]}
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    message = str(exc.value)
+    assert exc.value.path == "/uncertainty/structured_D/E/0/0"
+    # F's failure is reported although E failed too.
+    assert ("/uncertainty/structured_D/F/1/0: k=2: exp evaluation failed: "
+            "math range error") in message
+    assert "/uncertainty/structured_D/0/0" not in message
+
+
+def test_each_problem_path_printed_once():
+    doc = minimal_doc()
+    doc["system"]["A"] = [["1/(k-1)"]]
+    doc["uncertainty"]["seed"] = -1
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == "/system/A/0/0"
+    assert str(exc.value) == ("/system/A/0/0: k=1: division by zero (1.0 / 0); "
+                              "/uncertainty/seed: expected a nonnegative integer, got -1")
+
+
 def test_u0_grid_accepted():
     doc = minimal_doc()
     doc["run"]["u0"] = [["0.5*k"]]

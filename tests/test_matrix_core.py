@@ -181,3 +181,73 @@ def test_symmetric_eigenvalue_failure_raises_no_convergence(monkeypatch):
         mc.symmetric_eigvals(np.eye(2))
     with pytest.raises(NoConvergenceError):
         mc.spectral_norms(np.ones((3, 2, 2)))
+
+
+def invert_one_matrix(m):
+    """The one-matrix Gauss-Jordan elimination that the stacked invert
+    replaced, verbatim: the reference for its bits and its error text."""
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    threshold = mc.PIVOT_RTOL * max(mc.inf_norm(m), np.finfo(np.float64).tiny)
+    aug = np.hstack([m.astype(np.float64, copy=True), np.eye(n)])
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
+        pivot = aug[pivot_row, col]
+        if abs(pivot) < threshold:
+            raise SingularError(f"pivot {abs(pivot):.3e} below threshold {threshold:.3e}")
+        if pivot_row != col:
+            aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        aug[col] /= aug[col, col]
+        others = [r for r in range(n) if r != col]
+        aug[others] -= np.outer(aug[others, col], aug[col])
+    return aug[:, n:]
+
+
+def test_stacked_invert_matches_one_matrix_elimination_exactly():
+    rng = np.random.default_rng(2026)
+    for _ in range(120):
+        n = int(rng.integers(1, 7))
+        stack = rng.normal(size=(int(rng.integers(1, 12)), n, n))
+        stack *= 10.0 ** rng.integers(-3, 4, size=(len(stack), 1, 1))
+        got = mc.invert(stack)
+        assert got.shape == stack.shape
+        for k, m in enumerate(stack):
+            assert got[k].tobytes() == np.ascontiguousarray(invert_one_matrix(m)).tobytes()
+
+
+def test_stacked_invert_names_the_first_singular_matrix():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(2, 6))
+        stack = rng.normal(size=(8, n, n))
+        # Singular members that fail at different elimination columns.
+        for k in rng.choice(8, size=int(rng.integers(1, 4)), replace=False):
+            col = int(rng.integers(1, n))
+            stack[k, :, col] = stack[k, :, :col] @ rng.normal(size=col)
+        if trial % 3 == 0:
+            stack[int(rng.integers(8))] = 0.0
+        messages = []
+        for m in stack:
+            try:
+                invert_one_matrix(m)
+            except SingularError as exc:
+                messages.append(str(exc))
+        assert messages
+        with pytest.raises(SingularError) as exc:
+            mc.invert(stack)
+        assert str(exc.value) == messages[0]
+    # Two small pivots that leave each other's columns untouched: the
+    # error names the first one.
+    with pytest.raises(SingularError) as exc:
+        mc.invert(np.stack([np.eye(3), np.diag([1.0, 1e-15, 3e-15])]))
+    assert str(exc.value) == "pivot 1.000e-15 below threshold 1.000e-12"
+
+
+def test_stacked_invert_keeps_leading_axes():
+    m = np.array([[2.0, 1.0], [-0.4, 0.8]])
+    stack = np.broadcast_to(m, (3, 2, 2, 2))
+    got = mc.invert(stack)
+    assert got.shape == (3, 2, 2, 2)
+    assert np.array_equal(got[2, 1], mc.invert(m))
+    assert mc.invert(np.zeros((4, 0, 0))).shape == (4, 0, 0)

@@ -1,12 +1,14 @@
 """Expression language: grammar, evaluation, and schedule caching."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from ilcset.errors import EvalError, ParseError, ScheduleBuildError, UnknownFunctionError
 from ilcset.schedule_lang import (
+    MAX_EXPONENT,
     BinOp,
     Call,
     EntryExpr,
@@ -196,3 +198,99 @@ def test_constant_helpers():
 def test_entry_expr_is_callable():
     expr = parse_expr("2*k+1")
     assert expr(4) == 9.0
+
+
+# --- Whole-horizon compile against the per-step walk -------------------------
+
+def per_step_build(grid, N):
+    """The per-(k, i, j) evaluation loop that MatrixSchedule replaced, kept
+    as the reference for its values and its failure list."""
+    exprs = [[parse_expr(cell) for cell in row] for row in grid]
+    values = np.empty((N + 1, len(exprs), len(exprs[0])))
+    failures = []
+    for k in range(N + 1):
+        for i, row in enumerate(exprs):
+            for j, expr in enumerate(row):
+                try:
+                    values[k, i, j] = eval_expr(expr, k)
+                except EvalError as exc:
+                    failures.append((i, j, f"k={k}: {exc}"))
+    return values, failures
+
+
+def assert_build_matches_per_step(grid, N):
+    values, failures = per_step_build(grid, N)
+    if failures:
+        with pytest.raises(ScheduleBuildError) as err:
+            build_schedule(grid, N)
+        assert err.value.failures == failures
+    else:
+        got = build_schedule(grid, N).values
+        # Bitwise, so that -0.0 against 0.0 counts as a difference.
+        assert got.view(np.uint64).tobytes() == values.view(np.uint64).tobytes(), grid
+
+
+_NUMBERS = ("0", "1", "2", "3", "0.1", "0.37", "1e200", "7.5e-3")
+
+
+def random_source(rnd: random.Random, depth: int) -> str:
+    if depth == 0 or rnd.random() < 0.2:
+        pick = rnd.random()
+        if pick < 0.45:
+            return "k"
+        if pick < 0.55:
+            return "pi"
+        if pick < 0.6:
+            return "(k-3)"
+        if pick < 0.75:
+            return rnd.choice(_NUMBERS)
+        return repr(rnd.uniform(0.0, 4.0))
+    a = random_source(rnd, depth - 1)
+    kind = rnd.choice(("op", "op", "op", "pow", "fn", "neg"))
+    if kind == "op":
+        return f"({a}{rnd.choice('+-*/')}{random_source(rnd, depth - 1)})"
+    if kind == "pow":
+        return f"({a})^{rnd.randint(0, MAX_EXPONENT)}"
+    if kind == "fn":
+        return f"{rnd.choice(('sin', 'cos', 'exp'))}({a})"
+    return f"-({a})"
+
+
+def test_whole_horizon_build_matches_per_step_on_random_expressions():
+    rnd = random.Random(20261018)
+    failing = 0
+    for _ in range(600):
+        grid = [[random_source(rnd, 4)]]
+        N = rnd.randint(1, 60)
+        failing += bool(per_step_build(grid, N)[1])
+        assert_build_matches_per_step(grid, N)
+    assert 30 <= failing <= 200  # both outcomes well exercised
+
+
+def test_whole_horizon_build_matches_per_step_on_random_grids():
+    rnd = random.Random(7)
+    for _ in range(100):
+        grid = [[random_source(rnd, 3) for _ in range(3)] for _ in range(2)]
+        assert_build_matches_per_step(grid, rnd.randint(1, 30))
+
+
+@pytest.mark.parametrize("grid", [
+    [[f"(0.37*k+0.1)^{e}" for e in range(MAX_EXPONENT + 1)]],
+    [[f"(k/7-13.3)^{e}" for e in range(MAX_EXPONENT + 1)]],
+    [["sin(0.37*k)", "cos(1.3*k+0.2)", "exp(0.0123*k-1.7)", "exp(k/13)"]],
+    [["sin(exp(0.01*k))*cos(k)^3", "-exp(-k/50)^2", "0", "pi"]],
+])
+def test_whole_horizon_powers_and_functions_are_bit_exact(grid):
+    assert_build_matches_per_step(grid, 400)
+
+
+@pytest.mark.parametrize("grid", [
+    [["1/(k-3)"]],
+    [["1/(1/(k-3))"]],  # finite at k = 3 in floating point, an error per step
+    [["exp(exp(exp(k)))"]],
+    [["(1e200*(k+1))^2"]],
+    [["1e300*1e300*(k-2)/(k-2)"]],
+    [["k", "1/(k-3)"], ["1/(k-2)", "exp(exp(exp(k)))"]],  # failures in (k, i, j) order
+])
+def test_whole_horizon_failures_match_per_step(grid):
+    assert_build_matches_per_step(grid, 12)
