@@ -69,6 +69,15 @@ CASES = {
     "ex2_verify_set_summary.txt": (
         ["run", "--preset", "example2", "--iterations", L, "--mode", "transformed-gamma",
          "--verify-set", "--out", "{out}"], "stdout"),
+    "ex2_direct_gamma_verify_set_summary.txt": (
+        ["run", "--preset", "example2", "--iterations", L, "--verify-set",
+         "--out", "{out}"], "stdout"),
+    "ex1_transformed_xi_verify_set_summary.txt": (
+        ["run", "--preset", "example1", "--iterations", L, "--mode", "transformed-xi",
+         "--verify-set", "--out", "{out}"], "stdout"),
+    "ex2_clean_repetitive_verify_set_summary.txt": (
+        ["run", "--preset", "example2-clean", "--iterations", L, "--mode", "repetitive",
+         "--verify-set", "--out", "{out}"], "stdout"),
     "structured_verify_set.csv": (
         ["run", "--config", "{config}", "--verify-set", "--out", "{out}"], "out"),
     "ex1_check.txt": (["check", "--preset", "example1"], "stdout"),
