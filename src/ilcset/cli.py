@@ -31,11 +31,8 @@ from .ilc_engine import (
     GAMMA_MODES,
     IlcConfig,
     RunResult,
-    realizations_for,
     run,
     run_transformed,
-    verify_error_recursion,
-    verify_input_recursion,
 )
 from .plant import sample_iteration
 from .presets import PRESET_NAMES, preset_config
@@ -101,8 +98,7 @@ def _build_transform(cfg: ExperimentConfig):
 
 
 def _engine_config(cfg: ExperimentConfig, mode: str) -> IlcConfig:
-    return IlcConfig(mode=mode, iterations=cfg.iterations, u0=cfg.u0,
-                     record_every=cfg.record_every)
+    return IlcConfig(mode=mode, iterations=cfg.iterations, u0=cfg.u0)
 
 
 def _execute(cfg: ExperimentConfig) -> RunResult:
@@ -113,21 +109,13 @@ def _execute(cfg: ExperimentConfig) -> RunResult:
                _engine_config(cfg, cfg.mode))
 
 
-def _residual_reports(cfg: ExperimentConfig, result: RunResult):
-    if result.iterations < 2:
-        return None, None
-    reals = realizations_for(cfg.system, cfg.uncertainty, result.iterations)
-    return (verify_error_recursion(result, reals),
-            verify_input_recursion(result, reals))
-
-
-def _metric_rows(result: RunResult, err_report, in_report) -> list:
+def _metric_rows(result: RunResult) -> list:
     rows = []
     for l in range(result.iterations):
         row = [str(l), _fmt(result.E_hist[l]), _fmt(result.U_hist[l])]
-        if err_report is not None and l >= 1:
-            row.append(_fmt(err_report.per_iteration[l - 1]))
-            row.append(_fmt(in_report.per_iteration[l - 1]))
+        if result.error_recursion is not None and l >= 1:
+            row.append(_fmt(result.error_recursion.per_iteration[l - 1]))
+            row.append(_fmt(result.input_recursion.per_iteration[l - 1]))
         else:
             row.extend(["", ""])
         rows.append(row)
@@ -186,7 +174,7 @@ def _applicable_reports(cfg: ExperimentConfig) -> list:
             check_lmi(sysm.D, cfg.xi, E, F)]
 
 
-def _summary_lines(result: RunResult, err_report, in_report) -> list:
+def _summary_lines(result: RunResult) -> list:
     lines = [f"mode: {result.mode}",
              f"iterations: {result.iterations}",
              f"final E_inf: {_fmt(result.E_hist[-1])}",
@@ -197,11 +185,11 @@ def _summary_lines(result: RunResult, err_report, in_report) -> list:
         verdict = "pass" if report.satisfied else "FAIL"
         lines.append(f"condition {report.name}: {verdict} "
                      f"(worst {report.worst:.6g} at k={report.worst_k})")
-    if err_report is not None:
+    if result.error_recursion is not None:
         lines.append(f"max residual (error recursion): "
-                     f"{_fmt(err_report.max_residual)}")
+                     f"{_fmt(result.error_recursion.max_residual)}")
         lines.append(f"max residual (input recursion): "
-                     f"{_fmt(in_report.max_residual)}")
+                     f"{_fmt(result.input_recursion.max_residual)}")
     lines.extend(f"warning: {w}" for w in result.warnings)
     return lines
 
@@ -224,10 +212,7 @@ def _parse_sweep(text: str) -> range:
 def _sweep_rows(args, seed: int) -> list:
     sub = argparse.Namespace(**vars(args))
     sub.seed = seed
-    cfg = _build_config(sub)
-    result = _execute(cfg)
-    err_report, in_report = _residual_reports(cfg, result)
-    return [[str(seed)] + row for row in _metric_rows(result, err_report, in_report)]
+    return [[str(seed)] + row for row in _metric_rows(_execute(_build_config(sub)))]
 
 
 def cmd_run(args) -> int:
@@ -244,8 +229,7 @@ def cmd_run(args) -> int:
 
     cfg = _build_config(args)
     result = _execute(cfg)
-    err_report, in_report = _residual_reports(cfg, result)
-    _write_csv(args.out, CSV_HEADER, _metric_rows(result, err_report, in_report))
+    _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":
         if args.out is None:
@@ -254,7 +238,7 @@ def cmd_run(args) -> int:
                    _trajectory_rows(cfg, result, args.record_trajectories))
 
     info = sys.stdout if args.out is not None else sys.stderr
-    for line in _summary_lines(result, err_report, in_report):
+    for line in _summary_lines(result):
         print(line, file=info)
 
     status = 0

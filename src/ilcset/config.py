@@ -9,7 +9,6 @@ violation before raising, each tagged with a JSON-pointer-style path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -287,15 +286,3 @@ def config_from_dict(doc) -> ExperimentConfig:
                             mode=mode, iterations=iterations, record_every=record_every,
                             u0=u0)
 
-
-def load_config(path) -> ExperimentConfig:
-    """Read, parse, and validate a JSON config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.strip():
-        raise SchemaError("/", "empty config file")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    return config_from_dict(doc)

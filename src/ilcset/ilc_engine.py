@@ -1,12 +1,14 @@
 """The iteration-domain loop.
 
-Each iteration realizes the uncertain plant, simulates one trial under the
-current input, records worst-case error/input metrics, and forms the next
-input from the tracking error.  Two families of runs exist: direct runs
-apply the update in original input coordinates; transformed runs iterate
-only the p active channels of the split input, keep the remaining channels
-frozen at their initial values, and map back through the closed-form
-inverse each trial — producing (up to roundoff) identical trajectories.
+Each iteration realizes the uncertain plant once, simulates one trial under
+the current input, records worst-case error/input metrics, checks the
+transition from the previous trial against the error and input recursions,
+and forms the next input from the tracking error.  One loop serves both
+coordinate systems; only the update law differs.  Direct runs apply the
+update in original input coordinates; transformed runs iterate only the p
+active channels of the split input, keep the remaining channels frozen at
+their initial values, and map back through the closed-form inverse each
+trial — producing (up to roundoff) identical trajectories.
 """
 
 from __future__ import annotations
@@ -59,15 +61,26 @@ class IlcConfig:
     mode: str
     iterations: int
     u0: np.ndarray         # (N+1, m, 1) input stack (N+1 (m, 1) arrays also work)
-    record_every: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise DimensionMismatchError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise DimensionMismatchError("iterations must be positive")
-        if self.record_every < 1:
-            raise DimensionMismatchError("record_every must be positive")
+
+
+@dataclass(frozen=True)
+class ResidualReport:
+    """Worst-case violation of an iteration-domain identity over a run.
+
+    per_iteration[i] is the worst residual of the transition from iteration
+    i to i + 1, so it has one entry fewer than the run has iterations.
+    """
+
+    name: str
+    max_residual: float
+    per_iteration: tuple = ()
+    max_state_residual: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,9 @@ class RunResult:
     re-checked against the iteration-domain recursions afterwards.
     inputs is the (L, N+1, m, 1) stack of applied inputs and the split
     histories are (L, steps, p, 1) and (L, steps, m-p, 1) stacks.
+    error_recursion / input_recursion are the residuals of both recursions,
+    checked transition by transition on the realizations the run drew;
+    they are None when the run has fewer than two iterations.
     """
 
     mode: str
@@ -98,6 +114,8 @@ class RunResult:
     warnings: tuple = ()
     u1star_history: Optional[np.ndarray] = None
     u2star_history: Optional[np.ndarray] = None
+    error_recursion: Optional[ResidualReport] = None
+    input_recursion: Optional[ResidualReport] = None
 
     @property
     def final_trajectory(self) -> Trajectory:
@@ -139,11 +157,118 @@ def _converged_value(E_hist: Sequence[float]) -> float:
 
 def _precheck(report: ConditionReport) -> tuple:
     if report.satisfied:
-        return report, ()
+        return ()
     message = (f"condition {report.name} violated: worst {report.worst:.6g} "
                f"at k={report.worst_k}; the run may diverge")
     log.warning(message)
-    return report, (message,)
+    return (message,)
+
+
+def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
+                     t_cur: Trajectory, t_nxt: Trajectory,
+                     u_cur: np.ndarray, u_nxt: np.ndarray, xi_seq: np.ndarray) -> tuple:
+    """Worst residuals of one transition l -> l+1 of the error recursion
+    e_{l+1} = (I - D_l Xi) e_l + tau_l and of the state difference in tau_l.
+
+    tau_l collects the iteration-to-iteration shifts: the propagated state
+    difference plus model, reference, and noise shifts.  The state
+    difference itself obeys a companion recursion, re-derived and checked
+    alongside.  All shifted-matrix products are taken in the dimensionally
+    meaningful order (matrix shift times vector), at every k at once.
+    """
+    N = len(t_cur.x) - 1
+    dx = t_nxt.x - t_cur.x
+    tau = (-cur.C @ dx - (nxt.C - cur.C) @ t_nxt.x - (nxt.D - cur.D) @ u_nxt
+           + (nxt.r - cur.r) - (nxt.v - cur.v))
+    loop = np.eye(t_cur.y.shape[1]) - cur.D @ xi_seq
+    residual = t_nxt.e - loop @ t_cur.e - tau
+    predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ t_nxt.x[:N]
+                 + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
+                 + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
+    return float(np.abs(residual).max()), float(np.abs(dx[1:] - predicted).max())
+
+
+def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
+                    u_cur: np.ndarray, u_nxt: np.ndarray,
+                    xi_seq: np.ndarray, gamma_seq: np.ndarray) -> float:
+    """Worst residual of one transition l -> l+1 of the input's own dynamics.
+
+    Current-error modes: u_{l+1} = (I - Xi D_l) u_l + Xi (r_l - C_l x_l - v_l).
+    Look-ahead modes eliminate e_l(k+1) through the one-step state update:
+    u_{l+1}(k) = (I - Gamma C_l(k+1) B_l(k)) u_l(k)
+    + Gamma [r_l(k+1) - C_l(k+1)(A_l(k) x_l(k) + w_l(k)) - v_l(k+1)]
+    for k in 0..N-1, while the final input is never updated.
+    """
+    N = len(u_cur) - 1
+    eye = np.eye(u_cur.shape[1])
+    if look_ahead:
+        G = gamma_seq[:N]
+        loop = eye - G @ cur.C[1:] @ cur.B[:N]
+        drive = G @ (cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N])
+                     - cur.v[1:])
+        residual = u_nxt[:N] - loop @ u_cur[:N] - drive
+        return max(float(np.abs(residual).max()),
+                   float(np.abs(u_nxt[N] - u_cur[N]).max()))
+    loop = eye - xi_seq @ cur.D
+    drive = xi_seq @ (cur.r - cur.C @ x - cur.v)
+    return float(np.abs(u_nxt - loop @ u_cur - drive).max())
+
+
+def _report(name: str, per_iteration: Sequence[float],
+            state: Optional[Sequence[float]] = None) -> Optional[ResidualReport]:
+    """The report of a run's transitions; None when it has none."""
+    if not per_iteration:
+        return None
+    return ResidualReport(name=name, max_residual=max(per_iteration),
+                          per_iteration=tuple(per_iteration),
+                          max_state_residual=None if state is None else max(0.0, *state))
+
+
+def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
+           report: ConditionReport, xi_seq: np.ndarray, gamma_seq: np.ndarray,
+           u: np.ndarray, advance, **histories) -> RunResult:
+    """The trial loop of both coordinate systems.
+
+    Trial l draws its realization once, simulates it under the input u,
+    records the metrics, the input and the trajectory, checks the
+    transition from trial l - 1 against the error and input recursions and
+    then lets the previous realization go.  advance(l, u, e) forms the
+    input of trial l + 1 from trial l's input and tracking error.
+    """
+    warnings = _precheck(report)
+    L = cfg.iterations
+    look_ahead = cfg.mode in GAMMA_MODES
+    E_hist, U_hist, trajectories = [], [], []
+    inputs = np.empty((L,) + u.shape)
+    errors, states, input_residuals = [], [], []
+    for l in range(L):
+        realized = sample_iteration(sys, unc, l)
+        traj = simulate(realized, u)
+        E, U = _metrics(cfg.mode, traj, u, sys.N)
+        E_hist.append(E)
+        U_hist.append(U)
+        inputs[l] = u
+        trajectories.append(traj)
+        if l:
+            t_prev, u_prev = trajectories[l - 1], inputs[l - 1]
+            error, state = _error_residuals(previous, realized, t_prev, traj,
+                                            u_prev, inputs[l], xi_seq)
+            errors.append(error)
+            states.append(state)
+            input_residuals.append(_input_residual(look_ahead, previous, t_prev.x,
+                                                   u_prev, inputs[l], xi_seq, gamma_seq))
+        previous = realized
+        if l + 1 < L:
+            u = advance(l, u, traj.e)
+    return RunResult(mode=cfg.mode, iterations=L,
+                     E_hist=tuple(E_hist), U_hist=tuple(U_hist),
+                     inputs=inputs, trajectories=tuple(trajectories),
+                     converged_value=_converged_value(E_hist),
+                     xi_seq=xi_seq, gamma_seq=gamma_seq,
+                     condition_report=report, warnings=warnings,
+                     error_recursion=_report("error_recursion", errors, states),
+                     input_recursion=_report("input_recursion", input_residuals),
+                     **histories)
 
 
 def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
@@ -156,27 +281,12 @@ def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
     """
     xi, gamma = gains
     if cfg.mode in GAMMA_MODES:
-        report, warnings = _precheck(check_rho_cb_gamma(sys.B, sys.C, gamma))
+        report = check_rho_cb_gamma(sys.B, sys.C, gamma)
     else:
-        report, warnings = _precheck(check_rho_dxi(sys.D, xi))
-    u = np.array(cfg.u0, dtype=np.float64)
-    E_hist, U_hist, trajectories = [], [], []
-    inputs = np.empty((cfg.iterations,) + u.shape)
-    for l in range(cfg.iterations):
-        realized = sample_iteration(sys, unc, l)
-        traj = simulate(realized, u)
-        E, U = _metrics(cfg.mode, traj, u, sys.N)
-        E_hist.append(E)
-        U_hist.append(U)
-        inputs[l] = u
-        trajectories.append(traj)
-        u = update_input(u, traj.e, xi, gamma)
-    return RunResult(mode=cfg.mode, iterations=cfg.iterations,
-                     E_hist=tuple(E_hist), U_hist=tuple(U_hist),
-                     inputs=inputs, trajectories=tuple(trajectories),
-                     converged_value=_converged_value(E_hist),
-                     xi_seq=xi.values, gamma_seq=gamma.values,
-                     condition_report=report, warnings=warnings)
+        report = check_rho_dxi(sys.D, xi)
+    return _learn(sys, unc, cfg, report, xi.values, gamma.values,
+                  np.array(cfg.u0, dtype=np.float64),
+                  lambda l, u, e: update_input(u, e, xi, gamma))
 
 
 def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
@@ -197,62 +307,35 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
                 "transformed-xi needs a feedthrough-coupled transform")
         active_steps = N + 1
         xi_seq, gamma_seq = transform.gain, zero_gains
-        report, warnings = _precheck(
-            contraction_report("rho_dxi", transform.gain_products))
+        report = contraction_report("rho_dxi", transform.gain_products)
     elif cfg.mode in ("transformed-gamma", "repetitive"):
         if not isinstance(transform, PTransform):
             raise DimensionMismatchError(
                 f"{cfg.mode} needs a state-coupled transform on k in 0..N-1")
         active_steps = N
         xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
-        report, warnings = _precheck(
-            contraction_report("rho_cbgamma", transform.gain_products))
+        report = contraction_report("rho_cbgamma", transform.gain_products)
     else:
         raise DimensionMismatchError(f"mode {cfg.mode!r} is not a transformed mode")
 
     u0 = np.asarray(cfg.u0, dtype=np.float64)
     u1, frozen = split_input(transform, u0[:active_steps])
     tail = u0[active_steps:]
-
-    E_hist, U_hist, trajectories = [], [], []
-    L = cfg.iterations
-    inputs = np.empty((L,) + u0.shape)
-    u1_hist = np.empty((L,) + u1.shape)
-    u2_hist = np.empty((L,) + frozen.shape)
+    u1_hist = np.empty((cfg.iterations,) + u1.shape)
+    u1_hist[0] = u1
     shift = 0 if cfg.mode == "transformed-xi" else 1
-    for l in range(L):
-        u = np.concatenate([assemble_input(transform, u1, frozen), tail])
-        realized = sample_iteration(sys, unc, l)
-        traj = simulate(realized, u)
-        E, U = _metrics(cfg.mode, traj, u, N)
-        E_hist.append(E)
-        U_hist.append(U)
-        inputs[l] = u
-        trajectories.append(traj)
-        u1_hist[l] = u1
-        u2_hist[l] = frozen
-        u1 = u1 + transform.gain_products @ traj.e[shift:shift + active_steps]
-    return RunResult(mode=cfg.mode, iterations=L,
-                     E_hist=tuple(E_hist), U_hist=tuple(U_hist),
-                     inputs=inputs, trajectories=tuple(trajectories),
-                     converged_value=_converged_value(E_hist),
-                     xi_seq=xi_seq, gamma_seq=gamma_seq,
-                     condition_report=report, warnings=warnings,
-                     u1star_history=u1_hist, u2star_history=u2_hist)
 
+    def assemble(active: np.ndarray) -> np.ndarray:
+        return np.concatenate([assemble_input(transform, active, frozen), tail])
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Worst-case violation of an iteration-domain identity over a run.
+    def advance(l, u, e):
+        u1_hist[l + 1] = (u1_hist[l]
+                          + transform.gain_products @ e[shift:shift + active_steps])
+        return assemble(u1_hist[l + 1])
 
-    per_iteration[i] is the worst residual of the transition from iteration
-    i to i + 1, so it has one entry fewer than the run has iterations.
-    """
-
-    name: str
-    max_residual: float
-    per_iteration: tuple = ()
-    max_state_residual: Optional[float] = None
+    return _learn(sys, unc, cfg, report, xi_seq, gamma_seq, assemble(u1_hist[0]),
+                  advance, u1star_history=u1_hist,
+                  u2star_history=np.repeat(frozen[None], cfg.iterations, axis=0))
 
 
 def _require_logged(result: RunResult) -> None:
@@ -268,77 +351,36 @@ def realizations_for(sys: NominalSystem, unc: UncertaintySpec,
 
 def verify_error_recursion(result: RunResult,
                            realizations: Sequence[RealizedIteration]) -> ResidualReport:
-    """Check e_{l+1} = (I - D_l Xi) e_l + tau_l on logged data.
+    """Check e_{l+1} = (I - D_l Xi) e_l + tau_l on recorded data.
 
-    tau_l collects the iteration-to-iteration shifts: the propagated state
-    difference plus model, reference, and noise shifts.  The state
-    difference itself obeys a companion recursion, re-derived and checked
-    alongside.  All shifted-matrix products are taken in the dimensionally
-    meaningful order (matrix shift times vector).  Each transition is
-    checked at every k at once.
+    The same per-transition check the run applies as it goes, here on data
+    a caller has kept or altered; see _error_residuals.
     """
     _require_logged(result)
     inputs = np.asarray(result.inputs, dtype=np.float64)
-    N = len(result.trajectories[0].e) - 1
-    eye = np.eye(result.trajectories[0].e.shape[1])
-    per_iteration = []
-    worst_state = 0.0
-    for l in range(len(result.trajectories) - 1):
-        cur, nxt = realizations[l], realizations[l + 1]
-        t_cur, t_nxt = result.trajectories[l], result.trajectories[l + 1]
-        u_cur, u_nxt = inputs[l], inputs[l + 1]
-        dx = t_nxt.x - t_cur.x
-        tau = (-cur.C @ dx - (nxt.C - cur.C) @ t_nxt.x - (nxt.D - cur.D) @ u_nxt
-               + (nxt.r - cur.r) - (nxt.v - cur.v))
-        loop = eye - cur.D @ result.xi_seq
-        residual = t_nxt.e - loop @ t_cur.e - tau
-        per_iteration.append(float(np.abs(residual).max()))
-        predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ t_nxt.x[:N]
-                     + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
-                     + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
-        worst_state = max(worst_state, float(np.abs(dx[1:] - predicted).max()))
-    return ResidualReport(name="error_recursion",
-                          max_residual=max(per_iteration),
-                          per_iteration=tuple(per_iteration),
-                          max_state_residual=worst_state)
+    T = result.trajectories
+    errors, states = zip(*(
+        _error_residuals(realizations[l], realizations[l + 1], T[l], T[l + 1],
+                         inputs[l], inputs[l + 1], result.xi_seq)
+        for l in range(len(T) - 1)))
+    return _report("error_recursion", errors, states)
 
 
 def verify_input_recursion(result: RunResult,
                            realizations: Sequence[RealizedIteration]) -> ResidualReport:
-    """Check the input's own iteration-domain dynamics on logged data.
+    """Check u_{l+1} = (I - Xi D_l) u_l + Xi (r_l - C_l x_l - v_l), or its
+    look-ahead form, on recorded data.
 
-    Current-error modes: u_{l+1} = (I - Xi D_l) u_l + Xi (r_l - C_l x_l - v_l).
-    Look-ahead modes eliminate e_l(k+1) through the one-step state update:
-    u_{l+1}(k) = (I - Gamma C_l(k+1) B_l(k)) u_l(k)
-    + Gamma [r_l(k+1) - C_l(k+1)(A_l(k) x_l(k) + w_l(k)) - v_l(k+1)]
-    for k in 0..N-1, while the final input is never updated.
+    The same per-transition check the run applies as it goes, here on data
+    a caller has kept or altered; see _input_residual.
     """
     _require_logged(result)
     inputs = np.asarray(result.inputs, dtype=np.float64)
-    N = len(result.trajectories[0].e) - 1
-    eye = np.eye(inputs.shape[2])
     look_ahead = result.mode in GAMMA_MODES
-    G, Xi = result.gamma_seq[:N], result.xi_seq
-    per_iteration = []
-    for l in range(len(inputs) - 1):
-        cur = realizations[l]
-        x = result.trajectories[l].x
-        u_cur, u_nxt = inputs[l], inputs[l + 1]
-        if look_ahead:
-            loop = eye - G @ cur.C[1:] @ cur.B[:N]
-            drive = G @ (cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N])
-                         - cur.v[1:])
-            residual = u_nxt[:N] - loop @ u_cur[:N] - drive
-            worst = max(float(np.abs(residual).max()),
-                        float(np.abs(u_nxt[N] - u_cur[N]).max()))
-        else:
-            loop = eye - Xi @ cur.D
-            drive = Xi @ (cur.r - cur.C @ x - cur.v)
-            worst = float(np.abs(u_nxt - loop @ u_cur - drive).max())
-        per_iteration.append(worst)
-    return ResidualReport(name="input_recursion",
-                          max_residual=max(per_iteration),
-                          per_iteration=tuple(per_iteration))
+    return _report("input_recursion", [
+        _input_residual(look_ahead, realizations[l], result.trajectories[l].x,
+                        inputs[l], inputs[l + 1], result.xi_seq, result.gamma_seq)
+        for l in range(len(inputs) - 1)])
 
 
 def limit_input(sys: NominalSystem, transform: PTransform, u0,

@@ -4,91 +4,40 @@ Two benchmark plants share one 4-state tracking task over N = 100 steps:
 a direct-feedthrough plant driven through Xi with three inputs and two
 outputs, and a feedthrough-free variant of the same plant driven through
 Gamma.  The ``*-clean`` versions zero every uncertainty amplitude so the
-asymptotically perfect-tracking regime is reachable exactly.
+asymptotically perfect-tracking regime is reachable exactly.  Each preset
+is defined once, as the shipped document ``data/<name>.json``, which can
+be copied out and edited as a config file.
 """
 
 from __future__ import annotations
 
-import copy
+import json
 from importlib import resources
 
 from .config import ExperimentConfig, config_from_dict
 
-DEFAULT_AMPLITUDE = 0.0002
-
-_SHARED_SYSTEM = {
-    "n": 4, "m": 3, "p": 2, "N": 100,
-    "A": [
-        ["0.16", "0", "0", "0"],
-        ["0.01*exp(0.01*k)", "-0.1", "-0.08", "0.01/(k+2)"],
-        ["0", "0.08", "0", "0.01*cos(2*k)"],
-        ["-0.01*k", "0", "0", "-0.3"],
-    ],
-    "B": [
-        ["0.5", "0", "0"],
-        ["0", "0.8", "-0.1*k"],
-        ["cos(0.1*k)", "0", "0.5"],
-        ["0", "4+5*sin(3*k)", "3*k+4"],
-    ],
-    "C": [
-        ["2", "0", "0.1*cos(0.1*(k-1))", "0"],
-        ["0.2*(k-1)", "2", "0", "0.1"],
-    ],
-    "w": ["0.8*cos(0.1*k)", "0.6*sin(0.3*k)", "0.4*cos(0.5*k)", "0.2*sin(0.7*k)"],
-    "v": ["0.2*sin(0.4*k)", "0.5*cos(0.6*k)"],
-    "r": ["20*(k/100)^2*(1-k/100)", "3*sin(0.02*pi*k)"],
-    "x0": [-1.0, 3.0, -2.0, 4.0],
-}
-
-_D_EXAMPLE1 = [
-    ["1+0.1*cos(0.1*k)^2", "0.5", "0.05*cos(0.1*k)"],
-    ["0", "2+0.5*sin(3*k)", "0.4+0.1*cos(k)"],
-]
-
-_XI_EXAMPLE1 = [
-    ["0.25+0.1*sin(0.1*k)", "-0.1"],
-    ["0", "0.15+0.1*cos(3*k)^2"],
-    ["0", "0"],
-]
-
-_GAMMA_EXAMPLE2 = [
-    ["0.3+0.1*sin(0.1*k)", "0"],
-    ["0", "0.2+0.1*cos(3*k)^2"],
-    ["0", "0"],
-]
+DEFAULT_AMPLITUDE = 0.0002  # the uncertainty level of the noisy presets
 
 PRESET_NAMES = ("example1", "example2", "example1-clean", "example2-clean")
 
 
 def preset_config(name: str, seed: int = 42, iterations: int = 300,
                   amplitude: float | None = None) -> dict:
-    """The JSON-shaped document for a named preset.
+    """The JSON document of a named preset with the overrides applied.
 
-    ``amplitude`` overrides the uncertainty level (clean presets default
-    to zero, the others to 0.0002).
+    ``amplitude`` overrides the uncertainty level of every channel the
+    preset perturbs (clean presets ship at zero, the others at 0.0002).
     """
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r} (expected one of {PRESET_NAMES})")
-    base = name.removesuffix("-clean")
-    clean = name.endswith("-clean")
-    amp = (0.0 if clean else DEFAULT_AMPLITUDE) if amplitude is None else amplitude
-
-    system = copy.deepcopy(_SHARED_SYSTEM)
-    doc = {"system": system, "uncertainty": {"seed": seed}, "gains": {}, "run": {}}
-    if base == "example1":
-        system["D"] = copy.deepcopy(_D_EXAMPLE1)
-        doc["gains"]["Xi"] = copy.deepcopy(_XI_EXAMPLE1)
-        doc["uncertainty"]["amplitudes"] = amp
-        doc["run"]["mode"] = "direct-xi"
-    else:
-        system["D"] = [["0", "0", "0"], ["0", "0", "0"]]
-        doc["gains"]["Gamma"] = copy.deepcopy(_GAMMA_EXAMPLE2)
-        # Feedthrough-free form: B and C stay repetitive, everything else
-        # keeps the shared amplitude.
-        doc["uncertainty"]["amplitudes"] = {
-            "A": amp, "w": amp, "v": amp, "r": amp, "x0": amp}
-        doc["run"]["mode"] = "direct-gamma"
+    source = resources.files(__package__) / "data" / f"{name}.json"
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    doc["uncertainty"]["seed"] = seed
     doc["run"]["iterations"] = iterations
+    if amplitude is not None:
+        amps = doc["uncertainty"]["amplitudes"]
+        doc["uncertainty"]["amplitudes"] = (dict.fromkeys(amps, amplitude)
+                                            if isinstance(amps, dict) else amplitude)
     return doc
 
 
@@ -97,14 +46,3 @@ def build_preset(name: str, seed: int = 42, iterations: int = 300,
     """Build a preset through the same validation path as a config file."""
     return config_from_dict(preset_config(name, seed=seed, iterations=iterations,
                                           amplitude=amplitude))
-
-
-def preset_resource(name: str):
-    """Handle to the shipped JSON document equivalent to ``preset_config``.
-
-    The files exist so configs can be copied out and edited; a unit test
-    keeps them in lockstep with the in-code documents.
-    """
-    if name not in PRESET_NAMES:
-        raise KeyError(f"unknown preset {name!r} (expected one of {PRESET_NAMES})")
-    return resources.files(__package__) / "data" / f"{name}.json"

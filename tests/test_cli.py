@@ -1,6 +1,7 @@
 """End-to-end command behaviour: CSV emission and reproducibility, exit
 codes, the condition table, transform dumps, and the seed sweep."""
 
+import collections
 import csv
 import json
 import subprocess
@@ -9,7 +10,11 @@ import sys
 import numpy as np
 import pytest
 
+import ilcset.cli
+import ilcset.ilc_engine
+import ilcset.plant
 from ilcset.cli import main
+from ilcset.plant import sample_iteration
 
 CSV_HEADER = "l,E_inf,U_inf,res_err_rec,res_in_rec"
 
@@ -214,6 +219,9 @@ def test_bad_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     assert main(["run", "--config", str(bad)]) == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text("")
+    assert main(["run", "--config", str(empty)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 
@@ -251,6 +259,33 @@ def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
                  "--sweep", "seeds=0..1", "--out", str(out), *flags]) == 2
     assert "cannot be combined" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, mode", [("example1", "direct-xi"),
+                                          ("example1", "transformed-xi"),
+                                          ("example2", "transformed-gamma")])
+def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, mode):
+    # The run checks both recursions on the realizations it draws, so each
+    # (seed, l) is sampled once; --verify-set's counterpart run draws once more.
+    draws = collections.Counter()
+
+    def counting(sys, unc, l):
+        draws[unc.seed, l] += 1
+        return sample_iteration(sys, unc, l)
+
+    for module in (ilcset.plant, ilcset.ilc_engine, ilcset.cli):
+        monkeypatch.setattr(module, "sample_iteration", counting)
+
+    def drawn(*flags):
+        draws.clear()
+        assert main(["run", "--preset", preset, "--mode", mode, "--iterations", "5",
+                     "--out", str(tmp_path / "m.csv"), *flags]) == 0
+        return dict(draws)
+
+    assert drawn() == {(42, l): 1 for l in range(5)}
+    assert drawn("--verify-set") == {(42, l): 2 for l in range(5)}
+    assert drawn("--sweep", "seeds=3..4") == {(s, l): 1 for s in (3, 4) for l in range(5)}
+    capsys.readouterr()
 
 
 def test_version_runs_as_module():

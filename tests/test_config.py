@@ -1,12 +1,10 @@
 """Config-document validation: accepted shapes, collected violations with
 document paths, and the mode cross-checks."""
 
-import json
-
 import numpy as np
 import pytest
 
-from ilcset.config import config_from_dict, load_config
+from ilcset.config import config_from_dict
 from ilcset.errors import SchemaError
 from ilcset.plant import UncertaintySpec
 
@@ -211,29 +209,3 @@ def test_defaults_without_optional_sections():
     assert cfg.iterations == 300
     assert np.all(cfg.xi.at(0) == 0.0)
 
-
-def test_load_config_empty_file(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text("")
-    with pytest.raises(SchemaError) as exc:
-        load_config(path)
-    assert exc.value.path == "/"
-
-
-def test_load_config_invalid_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(SchemaError):
-        load_config(path)
-
-
-def test_load_config_missing_file(tmp_path):
-    with pytest.raises(OSError):
-        load_config(tmp_path / "nope.json")
-
-
-def test_load_config_round_trip(tmp_path):
-    path = tmp_path / "ok.json"
-    path.write_text(json.dumps(minimal_doc()))
-    cfg = load_config(path)
-    assert cfg.iterations == 5

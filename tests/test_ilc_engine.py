@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ilcset.config import config_from_dict
 from ilcset.errors import (
     DimensionMismatchError,
     MissingDataError,
@@ -27,6 +28,7 @@ from ilcset.matrix_core import inf_norm
 from ilcset.plant import NominalSystem, UncertaintySpec, zero_input
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import split_input
+from test_golden import STRUCTURED_CONFIG
 
 
 def tiny_system(A="0", B="0", C="0", D="1", w="0", v="0", r="1",
@@ -68,8 +70,6 @@ def test_config_rejects_unknown_mode_and_bad_counts():
         IlcConfig(mode="sideways", iterations=5, u0=u0)
     with pytest.raises(DimensionMismatchError):
         IlcConfig(mode="direct-xi", iterations=0, u0=u0)
-    with pytest.raises(DimensionMismatchError):
-        IlcConfig(mode="direct-xi", iterations=5, u0=u0, record_every=0)
 
 
 def test_scalar_feedthrough_error_halves_exactly():
@@ -236,9 +236,45 @@ def test_verifiers_need_two_iterations(example1):
     cfg = example1
     result = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
                  IlcConfig(mode="direct-xi", iterations=1, u0=cfg.u0))
+    assert result.error_recursion is None and result.input_recursion is None
     with pytest.raises(MissingDataError):
         verify_error_recursion(result, realizations_for(cfg.system,
                                                         cfg.uncertainty, 1))
+
+
+# (config fixture, mode, transform fixture or None for the direct loop);
+# "structured" is the structured-D config of the golden cases.
+RECURSION_RUNS = [
+    ("example1", "direct-xi", None),
+    ("example2", "direct-gamma", None),
+    ("example1", "transformed-xi", "q_example1"),
+    ("example2", "transformed-gamma", "p_example2"),
+    ("example2_clean", "repetitive", None),
+    ("example2_clean", "repetitive", "p_example2"),
+    ("structured", "direct-xi", None),
+]
+
+
+@pytest.mark.parametrize("config, mode, transform", RECURSION_RUNS)
+def test_run_reports_equal_checks_on_a_fresh_draw(request, config, mode, transform):
+    # The residuals the run checks as it goes must be bit-equal to the
+    # after-the-fact check against an independent re-draw of every
+    # realization: the same realizations, paired the same way, for every
+    # transition.
+    if config == "structured":
+        cfg = config_from_dict(STRUCTURED_CONFIG)
+    else:
+        cfg = request.getfixturevalue(config)
+    engine = IlcConfig(mode=mode, iterations=12, u0=cfg.u0)
+    if transform is None:
+        result = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine)
+    else:
+        result = run_transformed(cfg.system, cfg.uncertainty,
+                                 request.getfixturevalue(transform), engine)
+    reals = realizations_for(cfg.system, cfg.uncertainty, 12)
+    assert len(result.error_recursion.per_iteration) == 11
+    assert result.error_recursion == verify_error_recursion(result, reals)
+    assert result.input_recursion == verify_input_recursion(result, reals)
 
 
 def test_clean_run_decays_in_blocks(example1_clean):

@@ -15,7 +15,6 @@ from ilcset.presets import (
     PRESET_NAMES,
     build_preset,
     preset_config,
-    preset_resource,
 )
 
 PROBE_STEPS = (0, 1, 50, 100)
@@ -154,14 +153,6 @@ def test_seed_and_iteration_overrides():
 def test_unknown_preset_rejected():
     with pytest.raises(KeyError):
         preset_config("example3")
-    with pytest.raises(KeyError):
-        preset_resource("example3")
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_shipped_documents_match_in_code_presets(name):
-    shipped = json.loads(preset_resource(name).read_text(encoding="utf-8"))
-    assert shipped == preset_config(name)
 
 
 def test_preset_documents_are_plain_json():
