@@ -62,7 +62,7 @@ def _setup_logging() -> None:
 
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips, for reproducible output."""
-    return repr(float(x))
+    return repr(x)
 
 
 def _load_doc(args) -> dict:
@@ -152,10 +152,10 @@ def _trajectory_rows(cfg: ExperimentConfig, result: RunResult, which: str):
         selected = range(0, result.iterations, cfg.record_every)
     for l in selected:
         traj = result.trajectories[l]
-        columns = zip(traj.y[:, :, 0].tolist(), traj.r[:, :, 0].tolist(),
-                      traj.e[:, :, 0].tolist())
-        for k, (y, r, e) in enumerate(columns):
-            yield [str(l), str(k), *map(_fmt, y), *map(_fmt, r), *map(_fmt, e)]
+        # Python floats: csv writes them with repr, the same text as _fmt.
+        columns = np.concatenate([traj.y, traj.r, traj.e], axis=1)[:, :, 0].tolist()
+        for k, values in enumerate(columns):
+            yield [l, k, *values]
 
 
 def _applicable_reports(cfg: ExperimentConfig) -> list:

@@ -116,7 +116,7 @@ def _lmi_stack(S: np.ndarray, E: np.ndarray, FXi: np.ndarray) -> np.ndarray:
     return M
 
 
-def _min_max_eig(work: np.ndarray, s: int, lambda_grid) -> tuple:
+def _min_max_eig(work: np.ndarray, s: int, lambda_grid: np.ndarray) -> tuple:
     """Minimize the top eigenvalue over the multiplier at every step at once:
     grid + golden section, elementwise over k.
 
@@ -124,6 +124,15 @@ def _min_max_eig(work: np.ndarray, s: int, lambda_grid) -> tuple:
     -lam(k) I into its two multiplier blocks and takes one stacked
     eigenvalue call.  The matrix is affine in lam, so the top eigenvalue is
     convex in lam and a bracketed 1-D search is sound.
+
+    When every coupling block (E and F Xi) is zero, the matrix is
+    M0 (+) -lam I, whose top eigenvalue is max(top(M0), -lam): one
+    evaluation at the largest grid point gives it for every k, the grid's
+    first strict minimum is the first lam >= -top (the largest point is one,
+    as top >= -lam there), and the golden section cannot go lower, so it is
+    skipped.  The value is read from that full (2p+2s)-square evaluation,
+    the same matrices the grid would take; the 2p-square block M0 alone, or
+    a singular-value norm, differs from it in the last bits.
     """
     steps, dim, _ = work.shape
     eye_s = np.eye(s)
@@ -135,6 +144,9 @@ def _min_max_eig(work: np.ndarray, s: int, lambda_grid) -> tuple:
         # A copy, not a view: a view keeps the whole (steps, dim) result alive.
         return symmetric_eigvals(work)[:, -1].copy()
 
+    if not work[:, dim - 2 * s:, :dim - 2 * s].any():
+        top = f(lambda_grid[-1])
+        return top, lambda_grid[np.searchsorted(lambda_grid, -top, side="left")]
     best = np.zeros(steps, dtype=np.intp)
     best_values = f(lambda_grid[0])
     for g in range(1, len(lambda_grid)):
@@ -178,19 +190,31 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
     The search runs on all N+1 steps together: a 40-point grid, then 60
     golden-section steps on log(lam), elementwise over k.  Every evaluation
     is one stacked eigenvalue call, so the search takes 103 calls whatever
-    the horizon.  Its memory is one reused (N+1, 2p+2s, 2p+2s) work stack
-    plus a few (N+1,) vectors; the grid keeps a running minimum, not a
-    table of every grid value.
+    the horizon.  When E and F Xi are zero at every step (no
+    ``structured_D``), the multiplier blocks decouple and one call at the
+    largest grid point gives the same values and multipliers bit for bit
+    (see `_min_max_eig`).  Its memory is one reused (N+1, 2p+2s, 2p+2s)
+    work stack plus a few (N+1,) vectors; the grid keeps a running minimum,
+    not a table of every grid value.
+
+    ``lambda_grid`` must be a nonempty 1-D array of finite, positive,
+    strictly increasing multipliers; anything else raises
+    DimensionMismatchError, since the search brackets on log(lam).
     """
     p, m = D.rows, D.cols
     if E.rows != p or F.cols != m or E.cols != F.rows:
         raise DimensionMismatchError(
             f"structure grids E {E.shape}, F {F.shape} do not fit D {D.shape}")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid()
+    grid = (default_lambda_grid() if lambda_grid is None
+            else np.asarray(lambda_grid, dtype=np.float64))
+    if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+            or not (grid > 0).all() or not (np.diff(grid) > 0).all()):
+        raise DimensionMismatchError(
+            f"lambda grid must be a nonempty 1-D array of finite, positive, "
+            f"strictly increasing values, got {grid!r}")
     S = np.eye(p) - D.values @ Xi.values
     work = _lmi_stack(S, E.values, F.values @ Xi.values)
-    values, lambdas = _min_max_eig(work, E.cols, np.asarray(lambda_grid))
+    values, lambdas = _min_max_eig(work, E.cols, grid)
     return ConditionReport.from_values("lmi", enumerate(values.tolist()),
                                        LMI_THRESHOLD,
                                        best_lambda=tuple(lambdas.tolist()))

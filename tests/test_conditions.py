@@ -15,7 +15,7 @@ from ilcset.conditions import (
     check_rho_xid,
     verify_norm_condition,
 )
-from ilcset.errors import NoConvergenceError
+from ilcset.errors import DimensionMismatchError, NoConvergenceError
 from ilcset.matrix_core import inf_norm, spectral_norm
 from ilcset.plant import NominalSystem, StructuredD, UncertaintySpec, sample_iteration
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
@@ -241,8 +241,7 @@ def _ref_min_max_eig(S, E, FXi, lambda_grid):
     return values[best], float(lambda_grid[best])
 
 
-def _ref_check_lmi(D, Xi, E, F):
-    lambda_grid = np.logspace(-4.0, 4.0, 40)
+def _ref_check_lmi(D, Xi, E, F, lambda_grid=np.logspace(-4.0, 4.0, 40)):
     values, lambdas = [], []
     for k in range(D.N + 1):
         S = np.eye(D.rows) - D.at(k) @ Xi.at(k)
@@ -284,6 +283,77 @@ def test_lmi_batched_search_matches_per_step_reference_exactly():
         chosen.extend(lam in grid for lam in lambdas)
     # Both outcomes of the final grid-versus-refined choice are exercised.
     assert any(chosen) and not all(chosen)
+
+
+def _schedule_around(rng, base, N, spread):
+    """Time-varying schedule base + spread sin(w k) per cell, as source text."""
+    grid = [[f"{float(b)!r} + {spread * rng.normal()!r}"
+             f"*sin({rng.uniform(0.05, 3.0)!r}*k)" for b in row] for row in base]
+    return build_schedule(grid, N)
+
+
+def test_lmi_decoupled_search_matches_per_step_reference_exactly():
+    # E = F = 0 takes one eigenvalue call instead of the grid and golden
+    # section; its values and multipliers must still be the reference's.
+    rng = np.random.default_rng(808)
+    short_grid = np.array([0.01, 0.1])  # on most plants -0.1 > top(M0), so -lam wins
+    satisfied = 0
+    for case in range(48):
+        p = int(rng.integers(1, 4))
+        m = p + int(rng.integers(0, 3))
+        s = int(rng.integers(1, 3))
+        N = int(rng.integers(1, 11))
+        D0 = rng.normal(size=(p, m))
+        right_inverse = D0.T @ np.linalg.inv(D0 @ D0.T)
+        D = _schedule_around(rng, D0, N, 0.02)
+        Xi = _schedule_around(rng, rng.uniform(0.2, 1.0) * right_inverse, N, 0.02)
+        E, F = zeros_like(p, s, N), zeros_like(s, m, N)
+        grids = [np.logspace(-4.0, 4.0, 40)] + [short_grid] * (case % 4 == 0)
+        for grid in grids:
+            report = check_lmi(D, Xi, E, F, lambda_grid=grid)
+            values, lambdas = _ref_check_lmi(D, Xi, E, F, lambda_grid=grid)
+            assert [v for _, v in report.per_k] == values
+            assert list(report.best_lambda) == lambdas
+        satisfied += report.satisfied
+    assert satisfied >= 24
+    # A grid point equal to -top: the first of the tied minima wins.
+    D, Xi, zero = constant([[1.0]]), constant([[0.5]]), zeros_like(1, 1)
+    grid = np.array([0.25, 0.5, 1.0])
+    report = check_lmi(D, Xi, zero, zero, lambda_grid=grid)
+    values, lambdas = _ref_check_lmi(D, Xi, zero, zero, lambda_grid=grid)
+    assert [v for _, v in report.per_k] == values == [-0.5, -0.5]
+    assert list(report.best_lambda) == lambdas == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("N", [3, 60])
+def test_lmi_eigenvalue_calls_per_search(monkeypatch, N):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(N)
+    D = _random_schedule(rng, 2, 3, N)
+    Xi = _random_schedule(rng, 3, 2, N, scale=0.3)
+    E0, F0 = zeros_like(2, 2, N), zeros_like(2, 3, N)
+    E = _random_schedule(rng, 2, 2, N, scale=0.1)
+    F = _random_schedule(rng, 2, 3, N, scale=0.1)
+    for E_k, F_k, expected in ((E0, F0, 1), (E, F0, 103), (E0, F, 103), (E, F, 103)):
+        calls.clear()
+        check_lmi(D, Xi, E_k, F_k)
+        assert len(calls) == expected
+        assert set(calls) == {(N + 1, 8, 8)}
+
+
+@pytest.mark.parametrize("grid", [[], [[0.1, 1.0]], [0.0, 1.0], [-1.0, 1.0],
+                                  [1.0, math.inf], [math.nan], [1.0, 1.0], [2.0, 1.0]])
+def test_lmi_rejects_bad_lambda_grid(grid):
+    zero = zeros_like(1, 1)
+    with pytest.raises(DimensionMismatchError, match="lambda grid"):
+        check_lmi(constant([[1.0]]), constant([[0.5]]), zero, zero, lambda_grid=grid)
 
 
 def test_lmi_eigenvalue_failure_raises_no_convergence(monkeypatch):
