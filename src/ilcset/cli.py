@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -48,6 +49,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = ("l", "E_inf", "U_inf", "res_err_rec", "res_in_rec")
 EQUIVALENCE_TOL = 1e-9
+_SWEEP_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
 _LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
                "info": logging.INFO, "debug": logging.DEBUG}
@@ -198,10 +200,10 @@ def _parse_sweep(text: str) -> range:
     prefix = "seeds="
     if not text.startswith(prefix):
         raise SchemaError("/sweep", "expected seeds=A..B")
-    lo, sep, hi = text[len(prefix):].partition("..")
-    if sep != ".." or not lo.lstrip("-").isdigit() or not hi.lstrip("-").isdigit():
+    bounds = _SWEEP_RE.fullmatch(text[len(prefix):])
+    if bounds is None:
         raise SchemaError("/sweep", "expected seeds=A..B with integers A <= B")
-    first, last = int(lo), int(hi)
+    first, last = int(bounds[1]), int(bounds[2])
     if first > last:
         raise SchemaError("/sweep", "sweep range is empty")
     if first < 0:
@@ -226,14 +228,14 @@ def cmd_run(args) -> int:
             rows.extend(_sweep_rows(args, seed))
         _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
         return 0
+    if args.record_trajectories != "none" and args.out is None:
+        raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
     result = _execute(cfg)
     _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":
-        if args.out is None:
-            raise SchemaError("/out", "--record-trajectories needs --out")
         _write_csv(_traj_path(args.out), _trajectory_header(cfg.system.p),
                    _trajectory_rows(cfg, result, args.record_trajectories))
 

@@ -1,9 +1,10 @@
-"""Convergence and boundedness condition checks.
+"""Design-condition checks: when they hold, the learning converges and
+every signal stays bounded.
 
 Four spectral-radius conditions (output-side and input-side, for the
-feedthrough-coupled and feedthrough-free plants), a structured-uncertainty
+feedthrough-coupled and feedthrough-free plants) and a structured-uncertainty
 feasibility test posed as a symmetric-eigenvalue problem in one scalar
-multiplier, a realized-norm check, and uncertainty budget bookkeeping.
+multiplier.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .matrix_core import (inf_norm, inf_norms, spectral_norms, spectral_radii,
-                          symmetric_eigvals)
-from .plant import NominalSystem, UncertaintySpec
+from .matrix_core import spectral_radii, symmetric_eigvals
 from .schedule_lang import MatrixSchedule
 
 SPECTRAL_THRESHOLD = 1.0
@@ -185,7 +184,7 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
     Reports, per step, the minimum over the multiplier of the top
     eigenvalue; satisfied iff every step's minimum is strictly negative.
     With E = F = 0 the test reduces exactly to
-    spectral_norm(I - D(k)Xi(k)) < 1.
+    ||I - D(k)Xi(k)||_2 < 1.
 
     The search runs on all N+1 steps together: a 40-point grid, then 60
     golden-section steps on log(lam), elementwise over k.  Every evaluation
@@ -219,61 +218,3 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
                                        LMI_THRESHOLD,
                                        best_lambda=tuple(lambdas.tolist()))
 
-
-def verify_norm_condition(D_realized, Xi: MatrixSchedule) -> ConditionReport:
-    """Spectral norm of I - D_l(k)Xi(k) across sampled realizations.
-
-    ``D_realized`` holds one (steps, p, m) stack per realization l, all of
-    the same length; step k pairs with Xi(k).
-    """
-    D = np.asarray(D_realized, dtype=np.float64)
-    steps = D.shape[1]
-    norms = spectral_norms(np.eye(D.shape[-2]) - D @ Xi.values[:steps])
-    return ConditionReport.from_values(
-        "norm_condition", zip(np.ndindex(*norms.shape), norms.ravel().tolist()),
-        SPECTRAL_THRESHOLD)
-
-
-@dataclass(frozen=True)
-class UncertaintyBudget:
-    """Worst-case infinity-norm bounds: amplitude share plus nominal peak."""
-
-    beta_A: float
-    beta_B: float
-    beta_C: float
-    beta_D: float
-    beta_w: float
-    beta_v: float
-    beta_r: float
-    beta_x0: float
-
-
-def budget(sys: NominalSystem, unc: UncertaintySpec) -> UncertaintyBudget:
-    """Combine amplitudes with nominal peaks, Remark-style: amplitude bounds
-    are entrywise, so a width-c matrix contributes amp * c to the row-sum
-    norm; a structured D perturbation contributes via the norm product of
-    its factor schedules.
-    """
-    def peak(sched: MatrixSchedule) -> float:
-        return float(inf_norms(sched.values).max())
-
-    def beta(sched: MatrixSchedule, amp: float) -> float:
-        return amp * sched.cols + peak(sched)
-
-    if unc.structured_D is not None:
-        sd = unc.structured_D
-        delta_d = float((inf_norms(sd.E.values) * np.sqrt(sd.s)
-                         * inf_norms(sd.F.values)).max())
-        beta_D = delta_d + peak(sys.D)
-    else:
-        beta_D = beta(sys.D, unc.amp_D)
-    return UncertaintyBudget(
-        beta_A=beta(sys.A, unc.amp_A),
-        beta_B=beta(sys.B, unc.amp_B),
-        beta_C=beta(sys.C, unc.amp_C),
-        beta_D=beta_D,
-        beta_w=beta(sys.w, unc.amp_w),
-        beta_v=beta(sys.v, unc.amp_v),
-        beta_r=beta(sys.r, unc.amp_r),
-        beta_x0=unc.amp_x0 + inf_norm(sys.x0),
-    )

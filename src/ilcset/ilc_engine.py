@@ -94,8 +94,7 @@ class RunResult:
     tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
     stacks the run effectively applied, retained so recorded data can be
     re-checked against the iteration-domain recursions afterwards.
-    inputs is the (L, N+1, m, 1) stack of applied inputs and the split
-    histories are (L, steps, p, 1) and (L, steps, m-p, 1) stacks.
+    inputs is the (L, N+1, m, 1) stack of applied inputs.
     error_recursion / input_recursion are the residuals of both recursions,
     checked transition by transition on the realizations the run drew;
     they are None when the run has fewer than two iterations.
@@ -112,14 +111,8 @@ class RunResult:
     gamma_seq: np.ndarray
     condition_report: Optional[ConditionReport] = None
     warnings: tuple = ()
-    u1star_history: Optional[np.ndarray] = None
-    u2star_history: Optional[np.ndarray] = None
     error_recursion: Optional[ResidualReport] = None
     input_recursion: Optional[ResidualReport] = None
-
-    @property
-    def final_trajectory(self) -> Trajectory:
-        return self.trajectories[-1]
 
     @property
     def final_input(self) -> np.ndarray:
@@ -226,7 +219,7 @@ def _report(name: str, per_iteration: Sequence[float],
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
            report: ConditionReport, xi_seq: np.ndarray, gamma_seq: np.ndarray,
-           u: np.ndarray, advance, **histories) -> RunResult:
+           u: np.ndarray, advance) -> RunResult:
     """The trial loop of both coordinate systems.
 
     Trial l draws its realization once, simulates it under the input u,
@@ -267,8 +260,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
                      xi_seq=xi_seq, gamma_seq=gamma_seq,
                      condition_report=report, warnings=warnings,
                      error_recursion=_report("error_recursion", errors, states),
-                     input_recursion=_report("input_recursion", input_residuals),
-                     **histories)
+                     input_recursion=_report("input_recursion", input_residuals))
 
 
 def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
@@ -321,21 +313,17 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
     u0 = np.asarray(cfg.u0, dtype=np.float64)
     u1, frozen = split_input(transform, u0[:active_steps])
     tail = u0[active_steps:]
-    u1_hist = np.empty((cfg.iterations,) + u1.shape)
-    u1_hist[0] = u1
     shift = 0 if cfg.mode == "transformed-xi" else 1
 
     def assemble(active: np.ndarray) -> np.ndarray:
         return np.concatenate([assemble_input(transform, active, frozen), tail])
 
     def advance(l, u, e):
-        u1_hist[l + 1] = (u1_hist[l]
-                          + transform.gain_products @ e[shift:shift + active_steps])
-        return assemble(u1_hist[l + 1])
+        nonlocal u1
+        u1 = u1 + transform.gain_products @ e[shift:shift + active_steps]
+        return assemble(u1)
 
-    return _learn(sys, unc, cfg, report, xi_seq, gamma_seq, assemble(u1_hist[0]),
-                  advance, u1star_history=u1_hist,
-                  u2star_history=np.repeat(frozen[None], cfg.iterations, axis=0))
+    return _learn(sys, unc, cfg, report, xi_seq, gamma_seq, assemble(u1), advance)
 
 
 def _require_logged(result: RunResult) -> None:
@@ -397,10 +385,7 @@ def limit_input(sys: NominalSystem, transform: PTransform, u0,
         raise NotConvergedError(
             f"final error {final_E:.3e} above {CONVERGENCE_THRESHOLD:.0e}")
     N = sys.N
-    if result.u1star_history is not None:
-        u1_inf = result.u1star_history[-1]
-    else:
-        u1_inf = split_input(transform, result.final_input[:N])[0]
+    u1_inf = split_input(transform, result.final_input[:N])[0]
     u0 = np.asarray(u0, dtype=np.float64)
     _, frozen = split_input(transform, u0[:N])
     return np.concatenate([assemble_input(transform, u1_inf, frozen), u0[N:]])

@@ -18,8 +18,6 @@ from .errors import (
 
 Mat = np.ndarray
 
-# Centralized tolerances: one tunable surface for downstream equality checks.
-IDENTITY_TOL = 1e-9       # ||M @ invert(M) - I||_inf allowance
 PIVOT_RTOL = 1e-12        # pivot magnitude below PIVOT_RTOL * ||M||_inf => singular
 
 
@@ -75,11 +73,6 @@ def spectral_norms(m: Mat) -> np.ndarray:
         return np.zeros(m.shape[:-2])
     gram_eigs = symmetric_eigvals(np.swapaxes(m, -1, -2) @ m)
     return np.sqrt(np.maximum(gram_eigs[..., -1], 0.0))
-
-
-def spectral_norm(m: Mat) -> float:
-    """Largest singular value of one matrix."""
-    return float(spectral_norms(m))
 
 
 def invert(m: Mat) -> Mat:

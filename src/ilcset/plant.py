@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
-from .matrix_core import Mat, spectral_norm, spectral_norms
+from .matrix_core import Mat, spectral_norms
 from .schedule_lang import MatrixSchedule
 
 _MASK64 = (1 << 64) - 1
@@ -61,15 +61,6 @@ class NominalSystem:
             raise DimensionMismatchError(
                 f"x0 has shape {self.x0.shape}, expected {(n, 1)}")
 
-    @classmethod
-    def from_parts(cls, A, B, C, D, w, v, r, x0) -> "NominalSystem":
-        """Infer dimensions and horizon from the schedules themselves."""
-        return cls(
-            n=A.rows, m=B.cols, p=C.rows, N=A.N,
-            A=A, B=B, C=C, D=D, w=w, v=v, r=r,
-            x0=np.asarray(x0, dtype=np.float64).reshape(-1, 1),
-        )
-
 
 @dataclass(frozen=True)
 class StructuredD:
@@ -100,16 +91,6 @@ class UncertaintySpec:
                      "amp_w", "amp_v", "amp_r", "amp_x0"):
             if getattr(self, name) < 0:
                 raise DimensionMismatchError(f"{name} must be nonnegative")
-
-    @classmethod
-    def none(cls, seed: int = 0) -> "UncertaintySpec":
-        return cls(seed=seed)
-
-    @classmethod
-    def uniform(cls, amp: float, seed: int) -> "UncertaintySpec":
-        """Same amplitude for every perturbed quantity."""
-        return cls(amp_A=amp, amp_B=amp, amp_C=amp, amp_D=amp,
-                   amp_w=amp, amp_v=amp, amp_r=amp, amp_x0=amp, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -198,15 +179,6 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     return RealizedIteration(l=l, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
 
 
-def sampled_sigma(sys: NominalSystem, unc: UncertaintySpec, l: int, k: int) -> Mat:
-    """The contraction matrix used for the structured D perturbation at (l, k)."""
-    if unc.structured_D is None:
-        raise DimensionMismatchError("no structured D perturbation configured")
-    s = unc.structured_D.s
-    raw = _unit_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
-    return raw / max(1.0, spectral_norm(raw))
-
-
 def simulate(realized: RealizedIteration, u) -> Trajectory:
     """Run one trial under the given (N+1, m, 1) input stack.
 
@@ -235,8 +207,3 @@ def simulate(realized: RealizedIteration, u) -> Trajectory:
     if bad_y.size:
         raise NonFiniteError("output diverged", k=int(bad_y[0]), iteration=realized.l)
     return Trajectory(x=x, y=y, r=realized.r)
-
-
-def zero_input(m: int, N: int) -> np.ndarray:
-    """The all-zeros initial input stack u_0, shape (N+1, m, 1)."""
-    return np.zeros((N + 1, m, 1))

@@ -90,9 +90,6 @@ Node = Union[Num, Var, Const, Neg, BinOp, Pow, Call]
 class EntryExpr:
     ast: Node
 
-    def __call__(self, k: int) -> float:
-        return eval_expr(self, k)
-
 
 # --- Tokenizer -------------------------------------------------------------
 
@@ -286,29 +283,6 @@ def eval_expr(e: EntryExpr, k: int) -> float:
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value} at k={k}")
     return value
-
-
-def to_source(e: EntryExpr) -> str:
-    """Fully parenthesized source that reparses to an equivalent tree."""
-
-    def emit(node: Node) -> str:
-        if isinstance(node, Num):
-            return repr(node.value)
-        if isinstance(node, Var):
-            return "k"
-        if isinstance(node, Const):
-            return node.name
-        if isinstance(node, Neg):
-            return f"(-{emit(node.child)})"
-        if isinstance(node, BinOp):
-            return f"({emit(node.left)}{node.op}{emit(node.right)})"
-        if isinstance(node, Pow):
-            return f"({emit(node.base)})^{node.exponent}"
-        if isinstance(node, Call):
-            return f"{node.fn}({emit(node.arg)})"
-        raise ValueError(f"unknown node {node!r}")
-
-    return emit(e.ast)
 
 
 # --- Whole-horizon evaluation ---------------------------------------------

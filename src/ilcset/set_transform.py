@@ -114,12 +114,11 @@ class InputTransform:
 
     kind = "generic"
 
-    def __init__(self, coupling, gain, perms, label: str):
+    def __init__(self, coupling, gain, perms):
         self.coupling = np.asarray(coupling, dtype=np.float64)
         self.gain = np.asarray(gain, dtype=np.float64)
         self.col_perm = np.asarray(perms, dtype=np.intp)
         self.steps, self.p, self.m = self.coupling.shape
-        self.label = label
         p = self.p
         lead, rest = self.col_perm[:, :p], self.col_perm[:, p:]
         M1 = _take_columns(self.coupling, lead)
@@ -142,14 +141,6 @@ class InputTransform:
         # The first p columns of the inverse: what u1* drives.
         self.active_columns = np.ascontiguousarray(self.Tinv[:, :, :p])
 
-    def matrix(self, k: int) -> Mat:
-        """The m x m forward transform at step k."""
-        return self.T[k]
-
-    def inverse(self, k: int) -> Mat:
-        """The closed-form inverse at step k."""
-        return self.Tinv[k]
-
 
 class QTransform(InputTransform):
     """Feedthrough-coupled transform: coupling D(k), gain Xi(k), k in 0..N."""
@@ -166,7 +157,7 @@ class PTransform(InputTransform):
     kind = "gamma"
 
     def __init__(self, coupling, gain, perms, b_cache, c_cache):
-        super().__init__(coupling, gain, perms, label="coupling-gain")
+        super().__init__(coupling, gain, perms)
         self.b_cache = b_cache
         self.c_cache = c_cache
 
@@ -198,7 +189,7 @@ def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> QTransform:
         raise DimensionMismatchError(
             f"D {D.shape} and gain {Xi.shape} do not conform")
     perms = _build(D.values, Xi.values, "feedthrough-gain")
-    return QTransform(D.values, Xi.values, perms, label="feedthrough-gain")
+    return QTransform(D.values, Xi.values, perms)
 
 
 def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
@@ -219,7 +210,6 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
 class TransformedSystem:
     """The equivalent square system driven only by the p updated channels."""
 
-    kind: str                   # "xi" or "gamma"
     Bstar: np.ndarray           # (steps, n, p)
     Dstar: Optional[np.ndarray]  # (steps, p, p), absent for the feedthrough-free case
     wstar: np.ndarray
@@ -250,7 +240,7 @@ def apply_q_transform(realized: RealizedIteration, q: QTransform,
     Bk = _take_columns(realized.B, q.col_perm)
     Dk = _take_columns(realized.D, q.col_perm)
     correction = _initial_input_correction(q, np.asarray(u0, dtype=np.float64))
-    return TransformedSystem(kind="xi", Bstar=Bk @ q.active_columns,
+    return TransformedSystem(Bstar=Bk @ q.active_columns,
                              Dstar=Dk @ q.active_columns,
                              wstar=realized.w + Bk @ correction,
                              vstar=realized.v + Dk @ correction,
@@ -296,7 +286,7 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
         raise ModelMismatchError(
             f"coupling inverse residual {residuals[k]:.3e} at k={k}")
     correction = _initial_input_correction(p, np.asarray(u0, dtype=np.float64)[:N])
-    return TransformedSystem(kind="gamma", Bstar=Bstar, Dstar=None,
+    return TransformedSystem(Bstar=Bstar, Dstar=None,
                              wstar=realized.w[:N] + Bk @ correction,
                              vstar=realized.v, gain_star=p.gain_products)
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ilcset import cli
+from ilcset import cli, ilc_engine
 from ilcset.conditions import (
     check_lmi,
     check_rho_cb_gamma,
@@ -29,18 +29,42 @@ from ilcset.ilc_engine import (
     verify_error_recursion,
     verify_input_recursion,
 )
-from ilcset.matrix_core import inf_norm, spectral_norm
+from ilcset.matrix_core import inf_norm, spectral_norms
 from ilcset.plant import sample_iteration, simulate
 from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule
-from ilcset.set_transform import build_p_transform
+from ilcset.set_transform import assemble_input, build_p_transform, split_input
 
 
 RECURSION_TOL = 1e-8
 
 
 @pytest.fixture(scope="module")
-def equivalence_runs(example1, example2, q_example1, p_example2):
+def frozen_shares():
+    """label -> (split of u0, every frozen share the split run of that label
+    handed to assemble_input), filled by the fixtures that run them."""
+    return {}
+
+
+def _split_run(label, cfg, transform, mode, iterations, frozen_shares):
+    """run_transformed, recording the frozen share of each assembled input."""
+    shares = []
+
+    def spy(t, u1star, u2star):
+        shares.append(u2star.copy())
+        return assemble_input(t, u1star, u2star)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ilc_engine, "assemble_input", spy)
+        result = run_transformed(cfg.system, cfg.uncertainty, transform,
+                                 IlcConfig(mode=mode, iterations=iterations, u0=cfg.u0))
+    u0 = np.asarray(cfg.u0)[:transform.steps]
+    frozen_shares[label] = (split_input(transform, u0)[1], shares)
+    return result
+
+
+@pytest.fixture(scope="module")
+def equivalence_runs(example1, example2, q_example1, p_example2, frozen_shares):
     """Direct/split pairs for both benchmarks: seed 42, 50 iterations."""
     start = time.perf_counter()
     pairs = {}
@@ -49,8 +73,7 @@ def equivalence_runs(example1, example2, q_example1, p_example2):
             ("example2", example2, p_example2, "direct-gamma", "transformed-gamma")):
         direct = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
                      IlcConfig(mode=direct_mode, iterations=50, u0=cfg.u0))
-        split = run_transformed(cfg.system, cfg.uncertainty, transform,
-                                IlcConfig(mode=split_mode, iterations=50, u0=cfg.u0))
+        split = _split_run(f"{name} split", cfg, transform, split_mode, 50, frozen_shares)
         pairs[name] = (cfg, direct, split)
     return pairs, time.perf_counter() - start
 
@@ -68,7 +91,7 @@ def robust_runs(example1):
 
 
 @pytest.fixture(scope="module")
-def clean_runs(example1_clean, example2_clean):
+def clean_runs(example1_clean, example2_clean, frozen_shares):
     """Noise-free runs: both benchmarks direct, plus the split run used to
     evaluate the limit-input formula."""
     transform = build_p_transform(example2_clean.system.B, example2_clean.system.C,
@@ -87,10 +110,9 @@ def clean_runs(example1_clean, example2_clean):
         IlcConfig(mode="direct-gamma", iterations=150, u0=example2_clean.u0)),
         time.perf_counter() - start)
     start = time.perf_counter()
-    out["example2-clean split"] = (example2_clean, run_transformed(
-        example2_clean.system, example2_clean.uncertainty, transform,
-        IlcConfig(mode="transformed-gamma", iterations=150, u0=example2_clean.u0)),
-        time.perf_counter() - start)
+    out["example2-clean split"] = (example2_clean, _split_run(
+        "example2-clean split", example2_clean, transform, "transformed-gamma", 150,
+        frozen_shares), time.perf_counter() - start)
     out["transform"] = transform
     return out
 
@@ -125,20 +147,21 @@ def test_direct_and_transformed_outputs_agree(equivalence_runs):
     assert elapsed < 10.0
 
 
-def test_frozen_channels_never_change_across_iterations(all_acceptance_runs):
+def test_frozen_channels_never_change_across_iterations(all_acceptance_runs,
+                                                       frozen_shares):
     """The m - p frozen input channels of a split run stay bit-identical to
-    their initial values, with no tolerance."""
+    the split of the initial input, with no tolerance: every input the run
+    assembles gets exactly that frozen share."""
     seen = 0
     for label, _, _, result in all_acceptance_runs:
-        if result.u2star_history is None:
+        if not result.mode.startswith("transformed"):
             continue
         seen += 1
-        reference = result.u2star_history[0]
-        for l, stored in enumerate(result.u2star_history):
-            for k, u2 in enumerate(stored):
-                assert np.array_equal(u2, reference[k]), (
-                    f"{label}: frozen channel moved at l={l}, k={k}")
-        print(f"{label}: {len(result.u2star_history)} iterations frozen exactly")
+        frozen, shares = frozen_shares[label]
+        assert len(shares) == result.iterations
+        for l, u2 in enumerate(shares):
+            assert np.array_equal(u2, frozen), f"{label}: frozen channel moved at l={l}"
+        print(f"{label}: {len(shares)} iterations frozen exactly")
     assert seen == 3
 
 
@@ -146,12 +169,12 @@ def test_closed_form_inverses_match(q_example1, p_example2):
     """The block-form inverse is a true inverse and agrees with a numeric one."""
     for transform in (q_example1, p_example2):
         identity_gap = max(
-            inf_norm(transform.matrix(k) @ transform.inverse(k) - np.eye(transform.m))
+            inf_norm(transform.T[k] @ transform.Tinv[k] - np.eye(transform.m))
             for k in range(transform.steps))
         numeric_gap = max(
-            inf_norm(transform.inverse(k) - np.linalg.inv(transform.matrix(k)))
+            inf_norm(transform.Tinv[k] - np.linalg.inv(transform.T[k]))
             for k in range(transform.steps))
-        print(f"{transform.label}: ||T Tinv - I|| = {identity_gap:.3e}, "
+        print(f"{transform.kind}: ||T Tinv - I|| = {identity_gap:.3e}, "
               f"closed-form vs numeric = {numeric_gap:.3e}")
         assert identity_gap <= 1e-9
         assert numeric_gap <= 1e-8
@@ -239,7 +262,7 @@ def _predicted_error_rms(cfg, limit):
     assert unc.structured_D is None
     n, m, p, N = system.n, system.m, system.p, system.N
     G, H, _ = _lifted_plant(system)
-    x2 = np.array([np.sum(x ** 2) for x in limit.final_trajectory.x])
+    x2 = np.array([np.sum(x ** 2) for x in limit.trajectories[-1].x])
     u2 = np.array([np.sum(u ** 2) for u in limit.final_input])
     state_var = np.concatenate([
         [unc.amp_x0 ** 2],
@@ -393,7 +416,7 @@ def test_lmi_verdict_matches_spectral_norm_test():
             Xi = rng.uniform(-1.0, 1.0, (m, p))
         Ds = MatrixSchedule.constant(D, 1)
         Xis = MatrixSchedule.constant(Xi, 1)
-        direct = spectral_norm(np.eye(p) - D @ Xi) < 1.0
+        direct = spectral_norms(np.eye(p) - D @ Xi) < 1.0
         report = check_lmi(Ds, Xis,
                            MatrixSchedule.constant(np.zeros((p, 1)), 1),
                            MatrixSchedule.constant(np.zeros((1, m)), 1))

@@ -99,11 +99,18 @@ def test_trajectory_file_all(tmp_path):
     assert len(rows) == 1 + 3 * 101
 
 
-def test_trajectories_need_out_path(capsys):
+def test_trajectories_need_out_path(monkeypatch, capsys):
+    # Rejected before the config is built: no trial runs, no CSV on stdout.
+    def no_config(args):
+        raise AssertionError("config built")
+
+    monkeypatch.setattr(ilcset.cli, "_build_config", no_config)
     code = main(["run", "--preset", "example1", "--iterations", "2",
                  "--record-trajectories", "final"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    assert captured.out == ""
+    assert captured.err == "config error: /out: --record-trajectories needs --out\n"
 
 
 def test_config_error_names_each_path_once(tmp_path, capsys):
@@ -249,6 +256,14 @@ def test_sweep_merges_in_seed_order(tmp_path):
 def test_sweep_bad_spec_exits_two(capsys):
     assert main(["run", "--preset", "example1", "--sweep", "3..5"]) == 2
     capsys.readouterr()
+    for spec in ("seeds=--1..2", "seeds=0..--2", "seeds=1..2-", "seeds=0..1..2",
+                 "seeds=\u00b2..3"):
+        assert main(["run", "--preset", "example1", "--iterations", "2",
+                     "--sweep", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: /sweep: expected seeds=A..B "
+                                "with integers A <= B\n"), spec
 
 
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],

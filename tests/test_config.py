@@ -204,7 +204,7 @@ def test_u0_grid_accepted():
 def test_defaults_without_optional_sections():
     doc = {"system": minimal_doc()["system"]}
     cfg = config_from_dict(doc)
-    assert cfg.uncertainty == UncertaintySpec.none(seed=0)
+    assert cfg.uncertainty == UncertaintySpec(seed=0)
     assert cfg.mode == "direct-xi"
     assert cfg.iterations == 300
     assert np.all(cfg.xi.at(0) == 0.0)

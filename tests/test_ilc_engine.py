@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ilcset.ilc_engine
 from ilcset.config import config_from_dict
 from ilcset.errors import (
     DimensionMismatchError,
@@ -25,18 +26,18 @@ from ilcset.ilc_engine import (
     verify_input_recursion,
 )
 from ilcset.matrix_core import inf_norm
-from ilcset.plant import NominalSystem, UncertaintySpec, zero_input
+from ilcset.plant import NominalSystem, UncertaintySpec
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
-from ilcset.set_transform import split_input
+from ilcset.set_transform import assemble_input, split_input
 from test_golden import STRUCTURED_CONFIG
 
 
 def tiny_system(A="0", B="0", C="0", D="1", w="0", v="0", r="1",
                 x0=0.0, N=4) -> NominalSystem:
     build = lambda src: build_schedule([[src]], N)
-    return NominalSystem.from_parts(
-        A=build(A), B=build(B), C=build(C), D=build(D),
-        w=build(w), v=build(v), r=build(r), x0=[x0])
+    return NominalSystem(
+        n=1, m=1, p=1, N=N, A=build(A), B=build(B), C=build(C), D=build(D),
+        w=build(w), v=build(v), r=build(r), x0=np.array([[x0]]))
 
 
 def const_gain(value, N):
@@ -44,7 +45,7 @@ def const_gain(value, N):
 
 
 def no_uncertainty():
-    return UncertaintySpec.none(seed=0)
+    return UncertaintySpec(seed=0)
 
 
 def test_update_input_hand_example():
@@ -65,7 +66,7 @@ def test_update_input_length_mismatch():
 
 
 def test_config_rejects_unknown_mode_and_bad_counts():
-    u0 = tuple(zero_input(1, 2))
+    u0 = tuple(np.zeros((3, 1, 1)))
     with pytest.raises(DimensionMismatchError):
         IlcConfig(mode="sideways", iterations=5, u0=u0)
     with pytest.raises(DimensionMismatchError):
@@ -78,7 +79,7 @@ def test_scalar_feedthrough_error_halves_exactly():
     # so the histories are exact in floating point.
     sys = tiny_system(A="0", B="0", C="0", D="1", r="1", N=4)
     cfg = IlcConfig(mode="direct-xi", iterations=12,
-                    u0=tuple(zero_input(1, 4)))
+                    u0=tuple(np.zeros((5, 1, 1))))
     result = run(sys, no_uncertainty(), (const_gain(0.5, 4), const_gain(0.0, 4)), cfg)
     assert result.E_hist == tuple(0.5 ** l for l in range(12))
     assert result.U_hist == tuple(1.0 - 0.5 ** l for l in range(12))
@@ -92,7 +93,7 @@ def test_scalar_look_ahead_decay_exact():
     # error: each time step is an independent loop contracting by 0.5.
     sys = tiny_system(A="0", B="1", C="1", D="0", r="1", N=4)
     cfg = IlcConfig(mode="direct-gamma", iterations=10,
-                    u0=tuple(zero_input(1, 4)))
+                    u0=tuple(np.zeros((5, 1, 1))))
     result = run(sys, no_uncertainty(), (const_gain(0.0, 4), const_gain(0.5, 4)), cfg)
     assert result.E_hist == tuple(0.5 ** l for l in range(10))
     # The final input is outside the metric window and never updated.
@@ -106,13 +107,13 @@ def test_look_ahead_metrics_skip_time_zero():
     sys = tiny_system(A="0", B="1", C="1", D="0",
                       r="5*(1-k)*(2-k)/2", N=2)
     cfg = IlcConfig(mode="direct-gamma", iterations=3,
-                    u0=tuple(zero_input(1, 2)))
+                    u0=tuple(np.zeros((3, 1, 1))))
     result = run(sys, no_uncertainty(), (const_gain(0.0, 2), const_gain(0.5, 2)), cfg)
     assert result.trajectories[0].e[0][0, 0] == 5.0
     assert result.E_hist[0] == 0.0
 
     cfg_xi = IlcConfig(mode="direct-xi", iterations=3,
-                       u0=tuple(zero_input(1, 2)))
+                       u0=tuple(np.zeros((3, 1, 1))))
     res_xi = run(sys, no_uncertainty(), (const_gain(0.0, 2), const_gain(0.0, 2)),
                  cfg_xi)
     assert res_xi.E_hist[0] == 5.0
@@ -123,7 +124,7 @@ def test_divergent_gain_warns_and_blows_up():
     # geometrically until the simulation reports non-finite values.
     sys = tiny_system(A="0", B="0", C="0", D="1", r="1", N=1)
     cfg = IlcConfig(mode="direct-xi", iterations=700,
-                    u0=tuple(zero_input(1, 1)))
+                    u0=tuple(np.zeros((2, 1, 1))))
     with pytest.raises(NonFiniteError) as exc:
         run(sys, no_uncertainty(), (const_gain(-3.0, 1), const_gain(0.0, 1)), cfg)
     assert exc.value.iteration is not None
@@ -133,7 +134,7 @@ def test_divergent_gain_warns_and_blows_up():
 def test_divergence_flagged_without_abort_when_finite():
     sys = tiny_system(A="0", B="0", C="0", D="1", r="1", N=1)
     cfg = IlcConfig(mode="direct-xi", iterations=30,
-                    u0=tuple(zero_input(1, 1)))
+                    u0=tuple(np.zeros((2, 1, 1))))
     result = run(sys, no_uncertainty(), (const_gain(-3.0, 1), const_gain(0.0, 1)), cfg)
     assert not result.condition_report.satisfied
     assert len(result.warnings) == 1
@@ -171,20 +172,33 @@ def test_split_run_matches_direct_run_look_ahead(example2, p_example2):
     assert gap <= 1e-9
 
 
-def test_frozen_channels_bitwise_constant(example1, q_example1):
-    cfg = example1
-    result = run_transformed(cfg.system, cfg.uncertainty, q_example1,
-                             IlcConfig(mode="transformed-xi", iterations=6,
-                                       u0=cfg.u0))
-    first = result.u2star_history[0]
-    for record in result.u2star_history[1:]:
-        for a, b in zip(first, record):
-            assert np.array_equal(a, b)
-    # The frozen share recomputed from the applied inputs agrees to roundoff.
-    for l in range(6):
-        _, u2 = split_input(q_example1, result.inputs[l])
-        for k in range(cfg.system.N + 1):
-            assert inf_norm(u2[k] - first[k]) <= 1e-9
+def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
+                                          example2, p_example2):
+    # Every frozen share a run hands to assemble_input is the split of u0,
+    # bit for bit, in both transformed modes and the repetitive counterpart.
+    shares = []
+
+    def spy(transform, u1star, u2star):
+        shares.append(u2star.copy())
+        return assemble_input(transform, u1star, u2star)
+
+    monkeypatch.setattr(ilcset.ilc_engine, "assemble_input", spy)
+    for cfg, transform, mode in ((example1, q_example1, "transformed-xi"),
+                                 (example2, p_example2, "transformed-gamma"),
+                                 (example2, p_example2, "repetitive")):
+        shares.clear()
+        result = run_transformed(cfg.system, cfg.uncertainty, transform,
+                                 IlcConfig(mode=mode, iterations=6, u0=cfg.u0))
+        steps = transform.steps
+        frozen = split_input(transform, np.asarray(cfg.u0)[:steps])[1]
+        assert len(shares) == 6
+        for share in shares:
+            assert np.array_equal(share, frozen)
+        # The frozen share recomputed from the applied inputs agrees to roundoff.
+        for l in range(6):
+            _, u2 = split_input(transform, result.inputs[l][:steps])
+            for k in range(steps):
+                assert inf_norm(u2[k] - frozen[k]) <= 1e-9
 
 
 def test_recursion_residuals_small_with_uncertainty(example1):

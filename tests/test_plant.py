@@ -7,19 +7,25 @@ import numpy as np
 import pytest
 
 from ilcset.errors import DimensionMismatchError, NonFiniteError
-from ilcset.matrix_core import spectral_norm
+from ilcset.matrix_core import spectral_norms
 from ilcset.plant import (
     NominalSystem,
     StructuredD,
     Trajectory,
     UncertaintySpec,
+    _unit_noise,
     sample_iteration,
-    sampled_sigma,
     simulate,
-    zero_input,
 )
 from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
+
+
+def sampled_sigma(sys, unc, l, k):
+    """Per-step reference for the structured D contraction matrix at (l, k)."""
+    s = unc.structured_D.s
+    raw = _unit_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
+    return raw / max(1.0, float(spectral_norms(raw)))
 
 
 def scalar_system(a=0.5, b=1.0, c=1.0, d=0.0, w=0.0, v=0.0, r=0.0, x0=1.0, N=2):
@@ -119,7 +125,7 @@ def test_structured_sigma_is_contractive_and_consistent():
         realized = sample_iteration(sys, unc, l)
         for k in range(N + 1):
             sigma = sampled_sigma(sys, unc, l, k)
-            assert spectral_norm(sigma) <= 1.0 + 1e-12
+            assert spectral_norms(sigma) <= 1.0 + 1e-12
             expected = sys.D.at(k) + structured.E.at(k) @ sigma @ structured.F.at(k)
             np.testing.assert_allclose(realized.D[k], expected, atol=1e-15)
 
@@ -142,7 +148,7 @@ def test_simulate_zero_system_returns_reference_as_error():
                         w=zeros, v=zeros,
                         r=MatrixSchedule.from_values([[2.0]], N),
                         x0=np.zeros((1, 1)))
-    traj = simulate(sample_iteration(sys, UncertaintySpec.none(), 0), zero_input(1, N))
+    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((N + 1, 1, 1)))
     for k in range(N + 1):
         assert traj.x[k][0, 0] == 0.0
         assert traj.y[k][0, 0] == 0.0
@@ -151,7 +157,7 @@ def test_simulate_zero_system_returns_reference_as_error():
 
 def test_simulate_scalar_decay_by_hand():
     sys = scalar_system(a=0.5, x0=1.0, N=2)
-    traj = simulate(sample_iteration(sys, UncertaintySpec.none(), 0), zero_input(1, 2))
+    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((3, 1, 1)))
     assert [x[0, 0] for x in traj.x] == [1.0, 0.5, 0.25]
     assert [y[0, 0] for y in traj.y] == [1.0, 0.5, 0.25]
 
@@ -186,7 +192,7 @@ def test_benchmark_trajectory_matches_independent_recursion():
             x = [sum(Ak[i][j] * x[j] for j in range(4)) + wk[i] for i in range(4)]
 
     cfg = build_preset("example1-clean")
-    traj = simulate(sample_iteration(cfg.system, cfg.uncertainty, 0), zero_input(3, 100))
+    traj = simulate(sample_iteration(cfg.system, cfg.uncertainty, 0), np.zeros((101, 3, 1)))
     for k in range(101):
         np.testing.assert_allclose(traj.y[k][:, 0], expected_y[k], atol=1e-12)
 
@@ -208,7 +214,7 @@ def test_superposition_of_forced_response():
     u1 = [rng.normal(size=(3, 1)) for _ in range(101)]
     u2 = [rng.normal(size=(3, 1)) for _ in range(101)]
     u12 = [a + b for a, b in zip(u1, u2)]
-    y0 = simulate(realized, zero_input(3, 100)).y
+    y0 = simulate(realized, np.zeros((101, 3, 1))).y
     f1 = [a - b for a, b in zip(simulate(realized, u1).y, y0)]
     f2 = [a - b for a, b in zip(simulate(realized, u2).y, y0)]
     f12 = [a - b for a, b in zip(simulate(realized, u12).y, y0)]
@@ -234,8 +240,8 @@ def test_batched_simulation_matches_per_step_recursion_exactly():
 
 def test_final_input_feeds_output_only():
     sys = scalar_system(a=0.5, b=1.0, c=1.0, d=2.0, x0=1.0, N=2)
-    realized = sample_iteration(sys, UncertaintySpec.none(), 0)
-    u = zero_input(1, 2)
+    realized = sample_iteration(sys, UncertaintySpec(), 0)
+    u = np.zeros((3, 1, 1))
     base = simulate(realized, u)
     u[2] = np.array([[1.0]])
     bumped = simulate(realized, u)
@@ -246,7 +252,7 @@ def test_final_input_feeds_output_only():
 def test_divergence_raises_non_finite_with_location():
     sys = scalar_system(a=1e200, x0=1.0, N=3)
     with pytest.raises(NonFiniteError) as err:
-        simulate(sample_iteration(sys, UncertaintySpec.none(), 7), zero_input(1, 3))
+        simulate(sample_iteration(sys, UncertaintySpec(), 7), np.zeros((4, 1, 1)))
     assert err.value.k == 2
     assert err.value.iteration == 7
 
@@ -255,10 +261,10 @@ def test_output_divergence_reports_its_step():
     # A huge feedthrough at k = 2 only: y(2) overflows while every state
     # stays finite, so the output is blamed at that step.
     sys = scalar_system(a=0.5, x0=1.0, N=4)
-    realized = sample_iteration(sys, UncertaintySpec.none(), 3)
+    realized = sample_iteration(sys, UncertaintySpec(), 3)
     D = realized.D.copy()
     D[2] = 1e300
-    u = zero_input(1, 4) + 1e10
+    u = np.zeros((5, 1, 1)) + 1e10
     with pytest.raises(NonFiniteError) as err:
         simulate(dataclasses.replace(realized, D=D), u)
     assert str(err.value).startswith("output diverged")
@@ -271,7 +277,7 @@ def test_state_is_blamed_before_the_output_of_the_same_step():
     # state is reported at k+1.
     sys = scalar_system(a=1e200, c=1.0, x0=1.0, N=3)
     with pytest.raises(NonFiniteError) as err:
-        simulate(sample_iteration(sys, UncertaintySpec.none(), 5), zero_input(1, 3))
+        simulate(sample_iteration(sys, UncertaintySpec(), 5), np.zeros((4, 1, 1)))
     assert str(err.value).startswith("state diverged")
     assert err.value.k == 2
     assert err.value.iteration == 5
@@ -280,7 +286,7 @@ def test_state_is_blamed_before_the_output_of_the_same_step():
 def test_simulate_checks_input_length():
     sys = scalar_system()
     with pytest.raises(DimensionMismatchError):
-        simulate(sample_iteration(sys, UncertaintySpec.none(), 0), zero_input(1, 5))
+        simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((6, 1, 1)))
 
 
 def test_negative_amplitude_rejected():
@@ -290,6 +296,6 @@ def test_negative_amplitude_rejected():
 
 def test_trajectory_error_definition():
     sys = scalar_system(c=1.0, r=3.0, x0=1.0, N=1)
-    traj = simulate(sample_iteration(sys, UncertaintySpec.none(), 0), zero_input(1, 1))
+    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((2, 1, 1)))
     assert isinstance(traj, Trajectory)
     assert traj.e[0][0, 0] == 3.0 - 1.0

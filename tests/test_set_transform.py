@@ -10,7 +10,7 @@ from ilcset.errors import (
     RankDeficientError,
 )
 from ilcset.matrix_core import inf_norm, invert, spectral_radius
-from ilcset.plant import UncertaintySpec, sample_iteration, zero_input
+from ilcset.plant import UncertaintySpec, sample_iteration
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import (
     assemble_input,
@@ -62,10 +62,10 @@ def test_square_case_blocks():
     q = build_q_transform(MatrixSchedule.constant(np.eye(2), N),
                           MatrixSchedule.constant(0.5 * np.eye(2), N))
     for k in range(N + 1):
-        np.testing.assert_allclose(q.matrix(k), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(q.inverse(k), np.eye(2), atol=1e-12)
-        assert q.matrix(k)[:2, 2:].shape == (2, 0)
-        assert q.matrix(k)[2:, :2].shape == (0, 2)
+        np.testing.assert_allclose(q.T[k], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(q.Tinv[k], np.eye(2), atol=1e-12)
+        assert q.T[k][:2, 2:].shape == (2, 0)
+        assert q.T[k][2:, :2].shape == (0, 2)
 
 
 def test_wide_case_closed_form_by_hand():
@@ -75,9 +75,9 @@ def test_wide_case_closed_form_by_hand():
     q = build_q_transform(MatrixSchedule.from_values([[2.0, 1.0]], N),
                           MatrixSchedule.from_values([[0.2], [0.1]], N))
     for k in range(N + 1):
-        np.testing.assert_allclose(q.matrix(k), [[2.0, 1.0], [-0.4, 0.8]], atol=1e-12)
-        np.testing.assert_allclose(q.inverse(k), [[0.4, -0.5], [0.2, 1.0]], atol=1e-12)
-        np.testing.assert_allclose(q.matrix(k) @ q.inverse(k), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(q.T[k], [[2.0, 1.0], [-0.4, 0.8]], atol=1e-12)
+        np.testing.assert_allclose(q.Tinv[k], [[0.4, -0.5], [0.2, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(q.T[k] @ q.Tinv[k], np.eye(2), atol=1e-12)
 
 
 def test_second_kind_matches_first_kind_algebra():
@@ -90,29 +90,29 @@ def test_second_kind_matches_first_kind_algebra():
     )
     assert p.steps == N
     for k in range(N):
-        np.testing.assert_allclose(p.matrix(k), [[2.0, 1.0], [-0.4, 0.8]], atol=1e-12)
-        np.testing.assert_allclose(p.inverse(k), [[0.4, -0.5], [0.2, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(p.T[k], [[2.0, 1.0], [-0.4, 0.8]], atol=1e-12)
+        np.testing.assert_allclose(p.Tinv[k], [[0.4, -0.5], [0.2, 1.0]], atol=1e-12)
 
 
 def test_benchmark_q_identity_residuals(q_example1):
     assert q_example1.steps == 101
     for k in range(101):
         assert list(q_example1.col_perm[k]) == [0, 1, 2]
-        residual = inf_norm(q_example1.matrix(k) @ q_example1.inverse(k) - np.eye(3))
+        residual = inf_norm(q_example1.T[k] @ q_example1.Tinv[k] - np.eye(3))
         assert residual <= 1e-9
 
 
 def test_benchmark_p_identity_residuals(p_example2):
     assert p_example2.steps == 100
     for k in range(100):
-        residual = inf_norm(p_example2.matrix(k) @ p_example2.inverse(k) - np.eye(3))
+        residual = inf_norm(p_example2.T[k] @ p_example2.Tinv[k] - np.eye(3))
         assert residual <= 1e-9
 
 
 def test_closed_form_inverse_vs_numeric(q_example1, p_example2):
     for transform in (q_example1, p_example2):
         for k in range(transform.steps):
-            gap = inf_norm(transform.inverse(k) - invert(transform.matrix(k)))
+            gap = inf_norm(transform.Tinv[k] - invert(transform.T[k]))
             assert gap <= 1e-8
 
 
@@ -122,7 +122,7 @@ def test_gain_annihilation(q_example1, p_example2):
     for transform in (q_example1, p_example2):
         p = transform.p
         for k in range(transform.steps):
-            pushed = transform.matrix(k) @ transform.gain[k][transform.col_perm[k], :]
+            pushed = transform.T[k] @ transform.gain[k][transform.col_perm[k], :]
             assert inf_norm(pushed[:p, :] - transform.gain_products[k]) <= 1e-10
             assert inf_norm(pushed[p:, :]) <= 1e-10
 
@@ -131,7 +131,7 @@ def test_inverse_hat_bottom_right_is_exact_identity(q_example1, p_example2):
     for transform in (q_example1, p_example2):
         for k in range(transform.steps):
             p = transform.p
-            assert np.array_equal(transform.inverse(k)[p:, p:], np.eye(transform.m - p))
+            assert np.array_equal(transform.Tinv[k][p:, p:], np.eye(transform.m - p))
 
 
 def test_contraction_precondition_enforced():
@@ -152,7 +152,7 @@ def test_fixed_permutation_with_per_step_fallback():
     assert list(q.col_perm[0]) == [0, 1]
     assert list(q.col_perm[1]) == [1, 0]
     for k in range(2):
-        np.testing.assert_allclose(q.matrix(k) @ q.inverse(k), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(q.T[k] @ q.Tinv[k], np.eye(2), atol=1e-12)
 
 
 def test_conforming_shapes_required():
@@ -189,7 +189,7 @@ def test_full_rank_coupling_always_admits_a_gain():
 
 def test_squared_feedthrough_is_identity_when_clean(example1_clean, q_example1):
     realized = sample_iteration(example1_clean.system, example1_clean.uncertainty, 0)
-    ts = apply_q_transform(realized, q_example1, zero_input(3, 100))
+    ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
     for k in range(101):
         assert inf_norm(ts.Dstar[k] - np.eye(2)) <= 1e-9
         np.testing.assert_array_equal(ts.wstar[k], realized.w[k])
@@ -198,7 +198,7 @@ def test_squared_feedthrough_is_identity_when_clean(example1_clean, q_example1):
 
 def test_squared_feedthrough_shift_equals_pushed_delta(example1, q_example1):
     realized = sample_iteration(example1.system, example1.uncertainty, 4)
-    ts = apply_q_transform(realized, q_example1, zero_input(3, 100))
+    ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
     for k in range(101):
         delta_D = realized.D[k] - example1.system.D.at(k)
         pushed = delta_D[:, q_example1.col_perm[k]] @ q_example1.active_columns[k]
@@ -214,8 +214,8 @@ def test_initial_input_correction_two_routes(example1, q_example1):
         perm = q_example1.col_perm[k]
         u0p = u0[k][perm, :]
         # Compact route: land in the frozen channels first, then map back.
-        frozen = q_example1.matrix(k)[2:, :] @ u0p
-        back = q_example1.inverse(k)[:, 2:] @ frozen
+        frozen = q_example1.T[k][2:, :] @ u0p
+        back = q_example1.Tinv[k][:, 2:] @ frozen
         expected_w = realized.w[k] + realized.B[k][:, perm] @ back
         np.testing.assert_allclose(ts.wstar[k], expected_w, atol=1e-12)
 
@@ -225,7 +225,7 @@ def test_spectrum_agreement_under_squaring(example1, q_example1):
     # and I - D_l @ Xi share a spectrum.
     for l in (0, 3, 11):
         realized = sample_iteration(example1.system, example1.uncertainty, l)
-        ts = apply_q_transform(realized, q_example1, zero_input(3, 100))
+        ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
         for k in (0, 17, 50, 100):
             gain_star = ts.gain_star[k]
             eigs = [
@@ -240,7 +240,7 @@ def test_spectrum_agreement_under_squaring(example1, q_example1):
 
 def test_feedthrough_free_squaring_unit_coupling(example2, p_example2):
     realized = sample_iteration(example2.system, example2.uncertainty, 2)
-    ts = apply_p_transform(realized, p_example2, zero_input(3, 100))
+    ts = apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
     assert ts.Dstar is None
     for k in range(100):
         residual = inf_norm(example2.system.C.at(k + 1) @ ts.Bstar[k] - np.eye(2))
@@ -269,7 +269,7 @@ def test_scalar_chain_unit_coupling():
         Gamma=MatrixSchedule.from_values([[0.8]], N),
     )
     sys_like = sample_iteration_scalar_chain(N)
-    ts = apply_p_transform(sys_like, p, zero_input(1, N))
+    ts = apply_p_transform(sys_like, p, np.zeros((N + 1, 1, 1)))
     for k in range(N):
         assert ts.Bstar[k][0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -280,17 +280,17 @@ def sample_iteration_scalar_chain(N):
     ones = MatrixSchedule.from_values([[1.0]], N)
     sys = NominalSystem(n=1, m=1, p=1, N=N, A=zeros, B=ones, C=ones, D=zeros,
                         w=zeros, v=zeros, r=zeros, x0=np.zeros((1, 1)))
-    return sample_iteration(sys, UncertaintySpec.none(), 0)
+    return sample_iteration(sys, UncertaintySpec(), 0)
 
 
 def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_example2):
     noisy_b = UncertaintySpec(amp_B=0.01, seed=1)
     realized = sample_iteration(example2.system, noisy_b, 0)
     with pytest.raises(ModelMismatchError):
-        apply_p_transform(realized, p_example2, zero_input(3, 100))
+        apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
     with_feedthrough = sample_iteration(example1.system, example1.uncertainty, 0)
     with pytest.raises(ModelMismatchError):
-        apply_p_transform(with_feedthrough, p_example2, zero_input(3, 100))
+        apply_p_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
 
 
 # --- split / assemble ------------------------------------------------------
@@ -328,7 +328,7 @@ def test_split_assemble_round_trip(q_example1, p_example2):
         np.testing.assert_allclose(back, u, atol=1e-10)
         # The stack matches the per-step matrices, permutation included.
         for k in (0, 13, transform.steps - 1):
-            star = transform.matrix(k) @ u[k][transform.col_perm[k], :]
+            star = transform.T[k] @ u[k][transform.col_perm[k], :]
             np.testing.assert_allclose(np.vstack([u1[k], u2[k]]), star, atol=1e-12)
 
 
@@ -365,7 +365,8 @@ def test_stacked_squaring_matches_per_step_products_exactly():
 
 def sample_iteration_wide_plant(N):
     from ilcset.plant import NominalSystem
-    return NominalSystem.from_parts(
+    return NominalSystem(
+        n=2, m=4, p=1, N=N,
         A=MatrixSchedule.from_values([[0.5, 0.1], [0.0, 0.3]], N),
         B=build_schedule([["1", "0.5", "cos(k)", "0.2"], ["0", "1", "0.3", "k"]], N),
         C=MatrixSchedule.from_values([[1.0, 0.0]], N),
@@ -373,4 +374,4 @@ def sample_iteration_wide_plant(N):
         w=MatrixSchedule.from_values(np.zeros((2, 1)), N),
         v=MatrixSchedule.from_values([[0.0]], N),
         r=MatrixSchedule.from_values([[1.0]], N),
-        x0=[0.0, 0.0])
+        x0=np.zeros((2, 1)))
