@@ -9,7 +9,9 @@ dumps the per-step transform blocks and transformed system as JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import json
 import logging
 import os
@@ -99,16 +101,14 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _engine_config(cfg: ExperimentConfig, mode: str) -> IlcConfig:
-    return IlcConfig(mode=mode, iterations=cfg.iterations, u0=cfg.u0)
-
-
-def _execute(cfg: ExperimentConfig) -> RunResult:
+def _execute(cfg: ExperimentConfig, verify_set: bool = False) -> RunResult:
+    engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
+    gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
-        return run_transformed(cfg.system, cfg.uncertainty, _build_transform(cfg),
-                               _engine_config(cfg, cfg.mode))
-    return run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
-               _engine_config(cfg, cfg.mode))
+        return run_transformed(cfg.system, cfg.uncertainty, _build_transform(cfg), engine,
+                               counterpart=gains if verify_set else None)
+    return run(cfg.system, cfg.uncertainty, gains, engine,
+               counterpart=_build_transform(cfg) if verify_set else None)
 
 
 def _metric_rows(result: RunResult) -> list:
@@ -125,12 +125,8 @@ def _metric_rows(result: RunResult) -> list:
 
 
 def _write_csv(path, header, rows) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -218,6 +214,9 @@ def _sweep_rows(args, seed: int) -> list:
 
 
 def cmd_run(args) -> int:
+    # Fail before any trial runs when --out names a missing directory.
+    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
         if args.verify_set or args.record_trajectories != "none":
@@ -232,7 +231,7 @@ def cmd_run(args) -> int:
         raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
-    result = _execute(cfg)
+    result = _execute(cfg, args.verify_set)
     _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":
@@ -248,30 +247,10 @@ def cmd_run(args) -> int:
         print("run diverged: final error is not finite", file=info)
         status = 1
     if args.verify_set:
-        gap = _equivalence_gap(cfg, result)
-        print(f"set-equivalence max output gap: {_fmt(gap)}", file=info)
-        if not gap <= EQUIVALENCE_TOL:
+        print(f"set-equivalence max output gap: {_fmt(result.equivalence_gap)}", file=info)
+        if not result.equivalence_gap <= EQUIVALENCE_TOL:
             status = 1
     return status
-
-
-def _equivalence_gap(cfg: ExperimentConfig, result: RunResult) -> float:
-    """Worst output difference between the direct and split-coordinate runs."""
-    transform = _build_transform(cfg)
-    if cfg.mode == "repetitive":
-        other = run_transformed(cfg.system, cfg.uncertainty, transform,
-                                _engine_config(cfg, "repetitive"))
-    elif cfg.mode.startswith("transformed"):
-        direct_mode = "direct-gamma" if cfg.mode in GAMMA_MODES else "direct-xi"
-        other = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
-                    _engine_config(cfg, direct_mode))
-    else:
-        split_mode = ("transformed-gamma" if cfg.mode in GAMMA_MODES
-                      else "transformed-xi")
-        other = run_transformed(cfg.system, cfg.uncertainty, transform,
-                                _engine_config(cfg, split_mode))
-    return max(float(np.abs(a.y - b.y).max())
-               for a, b in zip(result.trajectories, other.trajectories))
 
 
 def cmd_check(args) -> int:
@@ -334,12 +313,9 @@ def cmd_transform(args) -> int:
             "gain_star": _grid_list(star.gain_star),
         },
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else open(args.out, "w", encoding="utf-8")) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -32,7 +32,7 @@ class ConditionReport:
     """
 
     name: str
-    per_k: tuple           # (key, value) pairs; key is k or (l, k)
+    per_k: tuple           # (k, value) pairs
     worst_k: object
     worst: float
     threshold: float

@@ -98,6 +98,8 @@ class RunResult:
     error_recursion / input_recursion are the residuals of both recursions,
     checked transition by transition on the realizations the run drew;
     they are None when the run has fewer than two iterations.
+    equivalence_gap is the worst output gap to the counterpart run in the
+    other coordinate system, or None when the run had none.
     """
 
     mode: str
@@ -113,6 +115,7 @@ class RunResult:
     warnings: tuple = ()
     error_recursion: Optional[ResidualReport] = None
     input_recursion: Optional[ResidualReport] = None
+    equivalence_gap: Optional[float] = None
 
     @property
     def final_input(self) -> np.ndarray:
@@ -218,25 +221,33 @@ def _report(name: str, per_iteration: Sequence[float],
 
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
-           report: ConditionReport, xi_seq: np.ndarray, gamma_seq: np.ndarray,
-           u: np.ndarray, advance) -> RunResult:
+           law: tuple, counterpart: Optional[tuple] = None) -> RunResult:
     """The trial loop of both coordinate systems.
 
+    law is (report, xi_seq, gamma_seq, u0, advance); advance(l, u, e) forms
+    the input of trial l + 1 from trial l's input and tracking error.
     Trial l draws its realization once, simulates it under the input u,
     records the metrics, the input and the trajectory, checks the
     transition from trial l - 1 against the error and input recursions and
-    then lets the previous realization go.  advance(l, u, e) forms the
-    input of trial l + 1 from trial l's input and tracking error.
+    then lets the previous realization go.  A counterpart law is simulated
+    on the same realization after the main one; only its worst output gap
+    to the main run is kept.
     """
+    report, xi_seq, gamma_seq, u, advance = law
     warnings = _precheck(report)
     L = cfg.iterations
     look_ahead = cfg.mode in GAMMA_MODES
     E_hist, U_hist, trajectories = [], [], []
     inputs = np.empty((L,) + u.shape)
     errors, states, input_residuals = [], [], []
+    if counterpart is not None:
+        gap, u_other, advance_other = 0.0, counterpart[3], counterpart[4]
     for l in range(L):
         realized = sample_iteration(sys, unc, l)
         traj = simulate(realized, u)
+        if counterpart is not None:
+            other = simulate(realized, u_other)
+            gap = max(gap, float(np.abs(traj.y - other.y).max()))
         E, U = _metrics(cfg.mode, traj, u, sys.N)
         E_hist.append(E)
         U_hist.append(U)
@@ -253,6 +264,8 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
         previous = realized
         if l + 1 < L:
             u = advance(l, u, traj.e)
+            if counterpart is not None:
+                u_other = advance_other(l, u_other, other.e)
     return RunResult(mode=cfg.mode, iterations=L,
                      E_hist=tuple(E_hist), U_hist=tuple(U_hist),
                      inputs=inputs, trajectories=tuple(trajectories),
@@ -260,60 +273,43 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
                      xi_seq=xi_seq, gamma_seq=gamma_seq,
                      condition_report=report, warnings=warnings,
                      error_recursion=_report("error_recursion", errors, states),
-                     input_recursion=_report("input_recursion", input_residuals))
+                     input_recursion=_report("input_recursion", input_residuals),
+                     equivalence_gap=None if counterpart is None else gap)
 
 
-def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
-        cfg: IlcConfig) -> RunResult:
-    """Direct loop in original input coordinates.
-
-    A violated contraction condition logs a warning but does not abort, so
-    divergent configurations stay runnable; numerical blow-up surfaces as
-    NonFinite carrying the offending step and iteration.
-    """
+def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig) -> tuple:
+    """The update law in original input coordinates."""
     xi, gamma = gains
     if cfg.mode in GAMMA_MODES:
         report = check_rho_cb_gamma(sys.B, sys.C, gamma)
     else:
         report = check_rho_dxi(sys.D, xi)
-    return _learn(sys, unc, cfg, report, xi.values, gamma.values,
-                  np.array(cfg.u0, dtype=np.float64),
-                  lambda l, u, e: update_input(u, e, xi, gamma))
+    return (report, xi.values, gamma.values, np.array(cfg.u0, dtype=np.float64),
+            lambda l, u, e: update_input(u, e, xi, gamma))
 
 
-def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
-                    transform: InputTransform, cfg: IlcConfig) -> RunResult:
-    """Split-coordinate loop: update the p active channels only.
-
-    The frozen channels keep their initial split values for the whole run;
-    the applied input is reassembled through the closed-form inverse each
-    iteration and drives the original uncertain plant.  The active update
-    uses the collapsed square gain, so its loop matrix coincides with the
-    direct one and the same contraction condition applies.
-    """
+def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig) -> tuple:
+    """The update law of the p active channels of the split input."""
     m, p, N = sys.m, sys.p, sys.N
     zero_gains = np.zeros((N + 1, m, p))
-    if cfg.mode == "transformed-xi":
-        if not isinstance(transform, QTransform):
-            raise DimensionMismatchError(
-                "transformed-xi needs a feedthrough-coupled transform")
-        active_steps = N + 1
-        xi_seq, gamma_seq = transform.gain, zero_gains
-        report = contraction_report("rho_dxi", transform.gain_products)
-    elif cfg.mode in ("transformed-gamma", "repetitive"):
-        if not isinstance(transform, PTransform):
-            raise DimensionMismatchError(
-                f"{cfg.mode} needs a state-coupled transform on k in 0..N-1")
+    look_ahead = cfg.mode in GAMMA_MODES
+    if not isinstance(transform, PTransform if look_ahead else QTransform):
+        raise DimensionMismatchError(f"{cfg.mode} needs a " + (
+            "state-coupled transform on k in 0..N-1" if look_ahead
+            else "feedthrough-coupled transform"))
+    if look_ahead:
         active_steps = N
         xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
         report = contraction_report("rho_cbgamma", transform.gain_products)
     else:
-        raise DimensionMismatchError(f"mode {cfg.mode!r} is not a transformed mode")
+        active_steps = N + 1
+        xi_seq, gamma_seq = transform.gain, zero_gains
+        report = contraction_report("rho_dxi", transform.gain_products)
 
     u0 = np.asarray(cfg.u0, dtype=np.float64)
     u1, frozen = split_input(transform, u0[:active_steps])
     tail = u0[active_steps:]
-    shift = 0 if cfg.mode == "transformed-xi" else 1
+    shift = int(look_ahead)
 
     def assemble(active: np.ndarray) -> np.ndarray:
         return np.concatenate([assemble_input(transform, active, frozen), tail])
@@ -323,7 +319,36 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
         u1 = u1 + transform.gain_products @ e[shift:shift + active_steps]
         return assemble(u1)
 
-    return _learn(sys, unc, cfg, report, xi_seq, gamma_seq, assemble(u1), advance)
+    return report, xi_seq, gamma_seq, assemble(u1), advance
+
+
+def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
+        cfg: IlcConfig, counterpart: Optional[InputTransform] = None) -> RunResult:
+    """Direct loop in original input coordinates.
+
+    A violated contraction condition logs a warning but does not abort, so
+    divergent configurations stay runnable; numerical blow-up surfaces as
+    NonFinite carrying the offending step and iteration.  Given a transform
+    as counterpart, the split-coordinate loop runs beside it on the same draws.
+    """
+    return _learn(sys, unc, cfg, _direct_law(sys, gains, cfg),
+                  None if counterpart is None else _split_law(sys, counterpart, cfg))
+
+
+def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
+                    transform: InputTransform, cfg: IlcConfig,
+                    counterpart: Optional[tuple] = None) -> RunResult:
+    """Split-coordinate loop: update the p active channels only.
+
+    The frozen channels keep their initial split values for the whole run;
+    the applied input is reassembled through the closed-form inverse each
+    iteration and drives the original uncertain plant.  The active update
+    uses the collapsed square gain, so its loop matrix coincides with the
+    direct one and the same contraction condition applies.  Given (Xi,
+    Gamma) as counterpart, the direct loop runs beside it on the same draws.
+    """
+    return _learn(sys, unc, cfg, _split_law(sys, transform, cfg),
+                  None if counterpart is None else _direct_law(sys, counterpart, cfg))
 
 
 def _require_logged(result: RunResult) -> None:

@@ -188,7 +188,7 @@ class _Parser:
     def factor(self) -> Node:
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.advance()
+            self.advance()
             tok = self.peek()
             if tok.kind != "number" or not tok.text.isdigit():
                 raise ParseError("exponent must be a plain nonnegative integer",
@@ -198,7 +198,6 @@ class _Parser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}",
                                  tok.offset, expected=(f"integer <= {MAX_EXPONENT}",))
-            del caret
             return Pow(base, exponent)
         return base
 

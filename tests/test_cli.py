@@ -281,7 +281,8 @@ def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
                                           ("example2", "transformed-gamma")])
 def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, mode):
     # The run checks both recursions on the realizations it draws, so each
-    # (seed, l) is sampled once; --verify-set's counterpart run draws once more.
+    # (seed, l) is sampled once; --verify-set's counterpart runs in the same
+    # loop on the same draws.
     draws = collections.Counter()
 
     def counting(sys, unc, l):
@@ -298,9 +299,72 @@ def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, m
         return dict(draws)
 
     assert drawn() == {(42, l): 1 for l in range(5)}
-    assert drawn("--verify-set") == {(42, l): 2 for l in range(5)}
+    assert drawn("--verify-set") == {(42, l): 1 for l in range(5)}
     assert drawn("--sweep", "seeds=3..4") == {(s, l): 1 for s in (3, 4) for l in range(5)}
     capsys.readouterr()
+
+
+def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
+    # One draw per trial, two simulations of it (main and counterpart), one
+    # split of u0 and one assembly per trial for the split-coordinate side.
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(ilcset.ilc_engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ilcset.ilc_engine, name, counted)
+
+    for name in ("sample_iteration", "simulate", "assemble_input", "split_input"):
+        spy(name)
+    assert main(["run", "--preset", "example1", "--iterations", "30", "--verify-set",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert calls == {"sample_iteration": 30, "simulate": 60,
+                     "assemble_input": 30, "split_input": 1}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [[], ["--sweep", "seeds=0..1"]])
+def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, capsys, flags):
+    def no_draw(sys, unc, l):
+        raise AssertionError("trial ran")
+
+    for module in (ilcset.plant, ilcset.ilc_engine, ilcset.cli):
+        monkeypatch.setattr(module, "sample_iteration", no_draw)
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--preset", "example1", "--out", "missing-dir/m.csv", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("io error: [Errno 2] No such file or directory: "
+                            "'missing-dir/m.csv'\n")
+
+
+def test_verify_set_unbuildable_transform_fails_before_any_trial(tmp_path, capsys):
+    # rho(I - D Xi) = |1 - 3| = 2: the direct run is allowed (it only warns),
+    # but the counterpart's transform cannot be built.
+    doc = {
+        "system": {
+            "n": 1, "m": 2, "p": 1, "N": 3,
+            "A": [["0.5"]], "B": [["1", "0"]], "C": [["1"]], "D": [["1", "0.5"]],
+            "w": ["0"], "v": ["0"], "r": ["1"], "x0": [0.0],
+        },
+        "gains": {"Xi": [["3"], ["0"]]},
+        "run": {"mode": "direct-xi"},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "m.csv"
+    code = main(["run", "--config", str(path), "--iterations", "3", "--verify-set",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: feedthrough-gain contraction precondition "
+                            "fails: rho=2 at k=0\n")
+    assert not out.exists()
 
 
 def test_version_runs_as_module():

@@ -142,34 +142,45 @@ def test_divergence_flagged_without_abort_when_finite():
     assert result.E_hist[-1] > 1e3
 
 
+def _output_gap(a, b):
+    """Worst output difference between two runs, trial by trial."""
+    return max(float(np.abs(ta.y - tb.y).max())
+               for ta, tb in zip(a.trajectories, b.trajectories))
+
+
+def _check_counterparts(cfg, transform, mode, iterations=8):
+    # Each mode runs in both coordinate systems, each side once as the main
+    # run with the other as counterpart.  The gap the loop keeps must equal
+    # the gap between two separate runs, and the counterpart must leave the
+    # main run's record bit for bit as it is without one.
+    engine = IlcConfig(mode=mode, iterations=iterations, u0=cfg.u0)
+    gains = (cfg.xi, cfg.gamma)
+    direct = run(cfg.system, cfg.uncertainty, gains, engine)
+    split = run_transformed(cfg.system, cfg.uncertainty, transform, engine)
+    for alone, other, paired in (
+            (direct, split, run(cfg.system, cfg.uncertainty, gains, engine,
+                                counterpart=transform)),
+            (split, direct, run_transformed(cfg.system, cfg.uncertainty, transform,
+                                            engine, counterpart=gains))):
+        assert alone.equivalence_gap is None
+        assert paired.equivalence_gap == _output_gap(alone, other)
+        assert paired.equivalence_gap <= 1e-9
+        assert paired.E_hist == alone.E_hist and paired.U_hist == alone.U_hist
+        assert np.array_equal(paired.inputs, alone.inputs)
+        assert paired.error_recursion == alone.error_recursion
+        assert paired.input_recursion == alone.input_recursion
+    assert np.abs(direct.inputs - split.inputs).max() <= 1e-9
+
+
 def test_split_run_matches_direct_run_feedthrough(example1, q_example1):
-    cfg = example1
-    direct = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
-                 IlcConfig(mode="direct-xi", iterations=8, u0=cfg.u0))
-    split = run_transformed(cfg.system, cfg.uncertainty, q_example1,
-                            IlcConfig(mode="transformed-xi", iterations=8,
-                                      u0=cfg.u0))
-    gap = max(inf_norm(a.y[k] - b.y[k])
-              for a, b in zip(direct.trajectories, split.trajectories)
-              for k in range(cfg.system.N + 1))
-    assert gap <= 1e-9
-    input_gap = max(inf_norm(ua - ub)
-                    for la, lb in zip(direct.inputs, split.inputs)
-                    for ua, ub in zip(la, lb))
-    assert input_gap <= 1e-9
+    for mode in ("direct-xi", "transformed-xi"):
+        _check_counterparts(example1, q_example1, mode)
 
 
-def test_split_run_matches_direct_run_look_ahead(example2, p_example2):
-    cfg = example2
-    direct = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
-                 IlcConfig(mode="direct-gamma", iterations=8, u0=cfg.u0))
-    split = run_transformed(cfg.system, cfg.uncertainty, p_example2,
-                            IlcConfig(mode="transformed-gamma", iterations=8,
-                                      u0=cfg.u0))
-    gap = max(inf_norm(a.y[k] - b.y[k])
-              for a, b in zip(direct.trajectories, split.trajectories)
-              for k in range(cfg.system.N + 1))
-    assert gap <= 1e-9
+def test_split_run_matches_direct_run_look_ahead(example2, example2_clean, p_example2):
+    for cfg, mode in ((example2, "direct-gamma"), (example2, "transformed-gamma"),
+                      (example2_clean, "repetitive")):
+        _check_counterparts(cfg, p_example2, mode)
 
 
 def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
