@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import errno
 import json
 import logging
@@ -101,13 +102,15 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _execute(cfg: ExperimentConfig, verify_set: bool = False) -> RunResult:
+def _execute(cfg: ExperimentConfig, unc, verify_set: bool = False) -> RunResult | list:
+    """Run cfg's loop under unc: one UncertaintySpec, or a list of them that
+    run side by side and give one RunResult each."""
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
-        return run_transformed(cfg.system, cfg.uncertainty, _build_transform(cfg), engine,
+        return run_transformed(cfg.system, unc, _build_transform(cfg), engine,
                                counterpart=gains if verify_set else None)
-    return run(cfg.system, cfg.uncertainty, gains, engine,
+    return run(cfg.system, unc, gains, engine,
                counterpart=_build_transform(cfg) if verify_set else None)
 
 
@@ -207,31 +210,36 @@ def _parse_sweep(text: str) -> range:
     return range(first, last + 1)
 
 
-def _sweep_rows(args, seed: int) -> list:
-    sub = argparse.Namespace(**vars(args))
-    sub.seed = seed
-    return [[str(seed)] + row for row in _metric_rows(_execute(_build_config(sub)))]
+def _sweep_rows(args, seeds: range) -> list:
+    """The metric rows of every seed in order, behind a seed column; the
+    config is built once and the seeds share one trial loop."""
+    cfg = _build_config(args)
+    results = _execute(cfg, [dataclasses.replace(cfg.uncertainty, seed=seed)
+                             for seed in seeds])
+    return [[str(seed)] + row
+            for seed, result in zip(seeds, results) for row in _metric_rows(result)]
 
 
 def cmd_run(args) -> int:
-    # Fail before any trial runs when --out names a missing directory.
-    if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    # Fail before any trial runs when --out cannot be opened for writing
+    # because its directory is missing or it names a directory.
+    if args.out is not None:
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
         if args.verify_set or args.record_trajectories != "none":
             raise SchemaError("/sweep", "--sweep cannot be combined with "
                                         "--verify-set or --record-trajectories")
-        rows = []
-        for seed in seeds:
-            rows.extend(_sweep_rows(args, seed))
-        _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
+        _write_csv(args.out, ("seed",) + CSV_HEADER, _sweep_rows(args, seeds))
         return 0
     if args.record_trajectories != "none" and args.out is None:
         raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
-    result = _execute(cfg, args.verify_set)
+    result = _execute(cfg, cfg.uncertainty, args.verify_set)
     _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":

@@ -81,7 +81,19 @@ class ModelMismatchError(IlcsetError):
 
 
 class NonFiniteError(IlcsetError):
-    """Simulation state or output left the finite range (divergence)."""
+    """Simulation state or output left the finite range (divergence).
+
+    Attributes:
+        k: offending time step.
+        iteration: offending iteration, when known.
+        faults: for a simulation of several trials side by side, each
+            trial's own error (None where it stayed finite), in batch order;
+            the error raised is the first of them.
+        trajectory: that simulation's Trajectory, finite trials included.
+    """
+
+    faults = ()
+    trajectory = None
 
     def __init__(self, message, k, iteration=None):
         where = f"k={k}" if iteration is None else f"l={iteration}, k={k}"

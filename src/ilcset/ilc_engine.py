@@ -8,14 +8,16 @@ coordinate systems; only the update law differs.  Direct runs apply the
 update in original input coordinates; transformed runs iterate only the p
 active channels of the split input, keep the remaining channels frozen at
 their initial values, and map back through the closed-form inverse each
-trial — producing (up to roundoff) identical trajectories.
+trial — producing (up to roundoff) identical trajectories.  Several seeds
+share the loop on a seed axis, each rounding exactly as it would alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +30,10 @@ from .conditions import (
 from .errors import (
     DimensionMismatchError,
     MissingDataError,
+    NonFiniteError,
     NotConvergedError,
 )
+from .matrix_core import per_step
 from .plant import (
     NominalSystem,
     RealizedIteration,
@@ -135,15 +139,22 @@ def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
     # Divergent configurations are allowed to overflow here; the next
     # simulation reports the non-finite values with their iteration.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = u + Xi.values @ e
-        out[:N] = out[:N] + Gamma.values[:N] @ e[1:]
+        out = u + per_step(Xi.values, e) @ e
+        out[:N] = out[:N] + per_step(Gamma.values[:N], e) @ e[1:]
     return out
+
+
+def _worst(stack: np.ndarray) -> np.ndarray:
+    """max |entry| over the steps and the matrix axes: one value per seed
+    (a 0-d array without a seed axis).  Reducing the step axis on its own
+    first is several times faster than one reduction over all three."""
+    return np.abs(stack).max(axis=0).max(axis=(-2, -1))
 
 
 def _metrics(mode: str, traj: Trajectory, u: np.ndarray, N: int) -> tuple:
     if mode in GAMMA_MODES:
-        return float(np.abs(traj.e[1:]).max()), float(np.abs(u[:N]).max())
-    return float(np.abs(traj.e).max()), float(np.abs(u).max())
+        return _worst(traj.e[1:]), _worst(u[:N])
+    return _worst(traj.e), _worst(u)
 
 
 def _converged_value(E_hist: Sequence[float]) -> float:
@@ -171,17 +182,18 @@ def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
     difference itself obeys a companion recursion, re-derived and checked
     alongside.  All shifted-matrix products are taken in the dimensionally
     meaningful order (matrix shift times vector), at every k at once.
+    Returns both worst residuals per seed (see _worst).
     """
     N = len(t_cur.x) - 1
     dx = t_nxt.x - t_cur.x
     tau = (-cur.C @ dx - (nxt.C - cur.C) @ t_nxt.x - (nxt.D - cur.D) @ u_nxt
            + (nxt.r - cur.r) - (nxt.v - cur.v))
-    loop = np.eye(t_cur.y.shape[1]) - cur.D @ xi_seq
+    loop = np.eye(t_cur.y.shape[-2]) - cur.D @ per_step(xi_seq, cur.D)
     residual = t_nxt.e - loop @ t_cur.e - tau
     predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ t_nxt.x[:N]
                  + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
                  + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
-    return float(np.abs(residual).max()), float(np.abs(dx[1:] - predicted).max())
+    return _worst(residual), _worst(dx[1:] - predicted)
 
 
 def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
@@ -194,20 +206,21 @@ def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
     u_{l+1}(k) = (I - Gamma C_l(k+1) B_l(k)) u_l(k)
     + Gamma [r_l(k+1) - C_l(k+1)(A_l(k) x_l(k) + w_l(k)) - v_l(k+1)]
     for k in 0..N-1, while the final input is never updated.
+    Returns the worst residual per seed (see _worst).
     """
     N = len(u_cur) - 1
-    eye = np.eye(u_cur.shape[1])
+    eye = np.eye(u_cur.shape[-2])
     if look_ahead:
-        G = gamma_seq[:N]
+        G = per_step(gamma_seq[:N], u_cur)
         loop = eye - G @ cur.C[1:] @ cur.B[:N]
         drive = G @ (cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N])
                      - cur.v[1:])
         residual = u_nxt[:N] - loop @ u_cur[:N] - drive
-        return max(float(np.abs(residual).max()),
-                   float(np.abs(u_nxt[N] - u_cur[N]).max()))
-    loop = eye - xi_seq @ cur.D
-    drive = xi_seq @ (cur.r - cur.C @ x - cur.v)
-    return float(np.abs(u_nxt - loop @ u_cur - drive).max())
+        return np.maximum(_worst(residual), _worst(u_nxt[N:] - u_cur[N:]))
+    xi = per_step(xi_seq, u_cur)
+    loop = eye - xi @ cur.D
+    drive = xi @ (cur.r - cur.C @ x - cur.v)
+    return _worst(u_nxt - loop @ u_cur - drive)
 
 
 def _report(name: str, per_iteration: Sequence[float],
@@ -220,75 +233,139 @@ def _report(name: str, per_iteration: Sequence[float],
                           max_state_residual=None if state is None else max(0.0, *state))
 
 
-def _learn(sys: NominalSystem, unc: UncertaintySpec, cfg: IlcConfig,
-           law: tuple, counterpart: Optional[tuple] = None) -> RunResult:
+def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> RealizedIteration:
+    """Trial l's realization of every spec, stacked on a seed axis after the
+    step axis; a single spec's draw is returned as it is, without one."""
+    draws = [sample_iteration(sys, unc, l) for unc in uncs]
+    if len(draws) == 1:
+        return draws[0]
+
+    def stack(name: str, axis: int) -> np.ndarray:
+        fields = [getattr(draw, name) for draw in draws]
+        if all(field is fields[0] for field in fields):  # unperturbed: one nominal stack
+            return np.expand_dims(fields[0], axis)
+        return np.stack(fields, axis=axis)
+
+    return RealizedIteration(l=l, N=sys.N, x0=stack("x0", 0),
+                             **{name: stack(name, 1) for name in "ABCDwvr"})
+
+
+def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> Trajectory:
+    """simulate, keeping each seed's first blow-up in faults and going on
+    with the others; only the first seed's stops the loop, as no other can
+    then come before it in seed order."""
+    try:
+        return simulate(realized, u)
+    except NonFiniteError as exc:
+        faults[:] = [new if old is None else old for old, new in zip(faults, exc.faults)]
+        if faults[0] is not None:
+            raise faults[0]
+        return exc.trajectory
+
+
+def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
+           cfg: IlcConfig, law: Callable,
+           counterpart: Optional[Callable] = None) -> RunResult | list:
     """The trial loop of both coordinate systems.
 
-    law is (report, xi_seq, gamma_seq, u0, advance); advance(l, u, e) forms
-    the input of trial l + 1 from trial l's input and tracking error.
-    Trial l draws its realization once, simulates it under the input u,
-    records the metrics, the input and the trajectory, checks the
-    transition from trial l - 1 against the error and input recursions and
-    then lets the previous realization go.  A counterpart law is simulated
-    on the same realization after the main one; only its worst output gap
-    to the main run is kept.
+    unc is one UncertaintySpec, or a sequence of them (seeds) that run side
+    by side: every per-trial array then carries a seed axis after the step
+    axis, (N+1, S, rows, cols).  law(S) builds (report, xi_seq, gamma_seq,
+    u0, advance) for S seeds; advance(l, u, e) forms the input of trial
+    l + 1 from trial l's input and tracking error.  Trial l draws its
+    realizations once, simulates them under the input u, records the
+    metrics, the input and the trajectory, checks the transition from trial
+    l - 1 against the error and input recursions and then lets the previous
+    realization go.  A counterpart law is simulated on the same realization
+    after the main one; only its worst output gap to the main run is kept.
+    Returns a RunResult, or a list of them for a sequence.  A seed that
+    blows up raises its NonFiniteError once every seed before it has
+    finished, so the first failing seed in order is reported.
     """
-    report, xi_seq, gamma_seq, u, advance = law
+    uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
+    if not uncs:
+        raise DimensionMismatchError("no uncertainty spec to run")
+    report, xi_seq, gamma_seq, u, advance = law(len(uncs))
+    other = None if counterpart is None else counterpart(len(uncs))
     warnings = _precheck(report)
     L = cfg.iterations
     look_ahead = cfg.mode in GAMMA_MODES
-    E_hist, U_hist, trajectories = [], [], []
+    seeds = u.shape[1:-2]
+    E_hist, U_hist = np.empty((L,) + seeds), np.empty((L,) + seeds)
+    errors, states, input_residuals = (np.empty((L - 1,) + seeds) for _ in range(3))
     inputs = np.empty((L,) + u.shape)
-    errors, states, input_residuals = [], [], []
-    if counterpart is not None:
-        gap, u_other, advance_other = 0.0, counterpart[3], counterpart[4]
-    for l in range(L):
-        realized = sample_iteration(sys, unc, l)
-        traj = simulate(realized, u)
-        if counterpart is not None:
-            other = simulate(realized, u_other)
-            gap = max(gap, float(np.abs(traj.y - other.y).max()))
-        E, U = _metrics(cfg.mode, traj, u, sys.N)
-        E_hist.append(E)
-        U_hist.append(U)
-        inputs[l] = u
-        trajectories.append(traj)
-        if l:
-            t_prev, u_prev = trajectories[l - 1], inputs[l - 1]
-            error, state = _error_residuals(previous, realized, t_prev, traj,
-                                            u_prev, inputs[l], xi_seq)
-            errors.append(error)
-            states.append(state)
-            input_residuals.append(_input_residual(look_ahead, previous, t_prev.x,
-                                                   u_prev, inputs[l], xi_seq, gamma_seq))
-        previous = realized
-        if l + 1 < L:
-            u = advance(l, u, traj.e)
-            if counterpart is not None:
-                u_other = advance_other(l, u_other, other.e)
-    return RunResult(mode=cfg.mode, iterations=L,
-                     E_hist=tuple(E_hist), U_hist=tuple(U_hist),
-                     inputs=inputs, trajectories=tuple(trajectories),
-                     converged_value=_converged_value(E_hist),
-                     xi_seq=xi_seq, gamma_seq=gamma_seq,
-                     condition_report=report, warnings=warnings,
-                     error_recursion=_report("error_recursion", errors, states),
-                     input_recursion=_report("input_recursion", input_residuals),
-                     equivalence_gap=None if counterpart is None else gap)
+    trajectories = []
+    faults = [None] * len(uncs)
+    if other is not None:
+        gap, u_other, advance_other = np.zeros(seeds), other[3], other[4]
+    # A seed that blew up runs on beside the others; its NonFiniteError, not
+    # numpy's overflow warnings, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(L):
+            realized = _draw(sys, uncs, l)
+            traj = _simulate(realized, u, faults)
+            if other is not None:
+                t_other = _simulate(realized, u_other, faults)
+                gap = np.maximum(gap, _worst(traj.y - t_other.y))
+            E_hist[l], U_hist[l] = _metrics(cfg.mode, traj, u, sys.N)
+            inputs[l] = u
+            trajectories.append(traj)
+            if l:
+                t_prev, u_prev = trajectories[l - 1], inputs[l - 1]
+                errors[l - 1], states[l - 1] = _error_residuals(
+                    previous, realized, t_prev, traj, u_prev, inputs[l], xi_seq)
+                input_residuals[l - 1] = _input_residual(
+                    look_ahead, previous, t_prev.x, u_prev, inputs[l], xi_seq, gamma_seq)
+            previous = realized
+            if l + 1 < L:
+                u = advance(l, u, traj.e)
+                if other is not None:
+                    u_other = advance_other(l, u_other, t_other.e)
+    failed = next((fault for fault in faults if fault is not None), None)
+    if failed is not None:
+        raise failed
+
+    def result(seed: tuple) -> RunResult:
+        at = (slice(None),) + seed
+        E = tuple(E_hist[at].tolist())
+        trials = tuple(Trajectory(x=t.x[at], y=t.y[at],
+                                  r=np.broadcast_to(t.r, t.y.shape)[at])
+                       for t in trajectories)
+        return RunResult(mode=cfg.mode, iterations=L,
+                         E_hist=E, U_hist=tuple(U_hist[at].tolist()),
+                         inputs=inputs[(slice(None),) + at], trajectories=trials,
+                         converged_value=_converged_value(E),
+                         xi_seq=xi_seq, gamma_seq=gamma_seq,
+                         condition_report=report, warnings=warnings,
+                         error_recursion=_report("error_recursion", errors[at].tolist(),
+                                                 states[at].tolist()),
+                         input_recursion=_report("input_recursion",
+                                                 input_residuals[at].tolist()),
+                         equivalence_gap=None if other is None else float(gap[seed]))
+
+    results = [result(seed) for seed in np.ndindex(*seeds)]
+    return results[0] if isinstance(unc, UncertaintySpec) else results
 
 
-def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig) -> tuple:
+def _initial_input(cfg: IlcConfig, seeds: int) -> np.ndarray:
+    """cfg.u0 as a float stack, repeated on a seed axis for several seeds."""
+    u0 = np.asarray(cfg.u0, dtype=np.float64)
+    return u0 if seeds == 1 else np.repeat(u0[:, None], seeds, axis=1)
+
+
+def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig, seeds: int) -> tuple:
     """The update law in original input coordinates."""
     xi, gamma = gains
     if cfg.mode in GAMMA_MODES:
         report = check_rho_cb_gamma(sys.B, sys.C, gamma)
     else:
         report = check_rho_dxi(sys.D, xi)
-    return (report, xi.values, gamma.values, np.array(cfg.u0, dtype=np.float64),
+    return (report, xi.values, gamma.values, _initial_input(cfg, seeds),
             lambda l, u, e: update_input(u, e, xi, gamma))
 
 
-def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig) -> tuple:
+def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
+               seeds: int) -> tuple:
     """The update law of the p active channels of the split input."""
     m, p, N = sys.m, sys.p, sys.N
     zero_gains = np.zeros((N + 1, m, p))
@@ -306,7 +383,7 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig) ->
         xi_seq, gamma_seq = transform.gain, zero_gains
         report = contraction_report("rho_dxi", transform.gain_products)
 
-    u0 = np.asarray(cfg.u0, dtype=np.float64)
+    u0 = _initial_input(cfg, seeds)
     u1, frozen = split_input(transform, u0[:active_steps])
     tail = u0[active_steps:]
     shift = int(look_ahead)
@@ -316,28 +393,31 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig) ->
 
     def advance(l, u, e):
         nonlocal u1
-        u1 = u1 + transform.gain_products @ e[shift:shift + active_steps]
+        u1 = u1 + per_step(transform.gain_products, e) @ e[shift:shift + active_steps]
         return assemble(u1)
 
     return report, xi_seq, gamma_seq, assemble(u1), advance
 
 
-def run(sys: NominalSystem, unc: UncertaintySpec, gains: tuple,
-        cfg: IlcConfig, counterpart: Optional[InputTransform] = None) -> RunResult:
+def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], gains: tuple,
+        cfg: IlcConfig, counterpart: Optional[InputTransform] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
     A violated contraction condition logs a warning but does not abort, so
     divergent configurations stay runnable; numerical blow-up surfaces as
     NonFinite carrying the offending step and iteration.  Given a transform
     as counterpart, the split-coordinate loop runs beside it on the same draws.
+    unc may also be a sequence of UncertaintySpecs (one per seed, say): they
+    run side by side through the one loop, and a list of RunResults, one
+    per spec in order, comes back.
     """
-    return _learn(sys, unc, cfg, _direct_law(sys, gains, cfg),
-                  None if counterpart is None else _split_law(sys, counterpart, cfg))
+    return _learn(sys, unc, cfg, partial(_direct_law, sys, gains, cfg),
+                  None if counterpart is None else partial(_split_law, sys, counterpart, cfg))
 
 
-def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
+def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                     transform: InputTransform, cfg: IlcConfig,
-                    counterpart: Optional[tuple] = None) -> RunResult:
+                    counterpart: Optional[tuple] = None) -> RunResult | list:
     """Split-coordinate loop: update the p active channels only.
 
     The frozen channels keep their initial split values for the whole run;
@@ -346,9 +426,10 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec,
     uses the collapsed square gain, so its loop matrix coincides with the
     direct one and the same contraction condition applies.  Given (Xi,
     Gamma) as counterpart, the direct loop runs beside it on the same draws.
+    A sequence of specs as unc runs them side by side, as in run.
     """
-    return _learn(sys, unc, cfg, _split_law(sys, transform, cfg),
-                  None if counterpart is None else _direct_law(sys, counterpart, cfg))
+    return _learn(sys, unc, cfg, partial(_split_law, sys, transform, cfg),
+                  None if counterpart is None else partial(_direct_law, sys, counterpart, cfg))
 
 
 def _require_logged(result: RunResult) -> None:
@@ -373,8 +454,8 @@ def verify_error_recursion(result: RunResult,
     inputs = np.asarray(result.inputs, dtype=np.float64)
     T = result.trajectories
     errors, states = zip(*(
-        _error_residuals(realizations[l], realizations[l + 1], T[l], T[l + 1],
-                         inputs[l], inputs[l + 1], result.xi_seq)
+        map(float, _error_residuals(realizations[l], realizations[l + 1], T[l], T[l + 1],
+                                    inputs[l], inputs[l + 1], result.xi_seq))
         for l in range(len(T) - 1)))
     return _report("error_recursion", errors, states)
 
@@ -391,8 +472,8 @@ def verify_input_recursion(result: RunResult,
     inputs = np.asarray(result.inputs, dtype=np.float64)
     look_ahead = result.mode in GAMMA_MODES
     return _report("input_recursion", [
-        _input_residual(look_ahead, realizations[l], result.trajectories[l].x,
-                        inputs[l], inputs[l + 1], result.xi_seq, result.gamma_seq)
+        float(_input_residual(look_ahead, realizations[l], result.trajectories[l].x,
+                              inputs[l], inputs[l + 1], result.xi_seq, result.gamma_seq))
         for l in range(len(inputs) - 1)])
 
 

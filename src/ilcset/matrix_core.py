@@ -119,6 +119,16 @@ def invert(m: Mat) -> Mat:
     return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)
 
 
+def per_step(stack: Mat, like: Mat) -> Mat:
+    """View a per-step (steps, ...) stack with one unit axis after the step
+    axis for each batch axis ``like`` has, so the two broadcast step by step.
+
+    Batch axes sit between the step axis and the matrix axes: S seeds run
+    side by side as (steps, S, rows, cols) stacks.
+    """
+    return stack.reshape(stack.shape[:1] + (1,) * (like.ndim - stack.ndim) + stack.shape[1:])
+
+
 def block2x2(m11: Mat, m12: Mat, m21: Mat, m22: Mat) -> Mat:
     """Assemble [[m11, m12], [m21, m22]]; blocks may have zero rows/columns.
 

@@ -97,7 +97,9 @@ class UncertaintySpec:
 class RealizedIteration:
     """One iteration's fully sampled plant: nominal + perturbation at every k.
 
-    Every per-step field is a stacked (N+1, rows, cols) array.
+    Every per-step field is a stacked (N+1, rows, cols) array; S seeds drawn
+    side by side stack as (N+1, S, rows, cols), with a unit seed axis on
+    the fields no seed perturbs, and x0 as (S or 1, n, 1).
     """
 
     l: int
@@ -179,31 +181,53 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     return RealizedIteration(l=l, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
 
 
+def _first_fault(bad_x: np.ndarray, bad_y: np.ndarray, l: int) -> Optional[NonFiniteError]:
+    """One trial's first non-finite quantity in step order y(0), x(1), y(1),
+    x(2), ..., given the flags of x(1..N) and y(0..N); None if there is none."""
+    bad_x, bad_y = np.flatnonzero(bad_x), np.flatnonzero(bad_y)
+    if bad_x.size and (not bad_y.size or bad_x[0] < bad_y[0]):
+        return NonFiniteError("state diverged", k=int(bad_x[0]) + 1, iteration=l)
+    if bad_y.size:
+        return NonFiniteError("output diverged", k=int(bad_y[0]), iteration=l)
+    return None
+
+
 def simulate(realized: RealizedIteration, u) -> Trajectory:
     """Run one trial under the given (N+1, m, 1) input stack.
 
     The state recursion stops at k = N-1; u[N] feeds only the output
     equation at the final step.  Only the state recursion loops over k;
-    the input and output terms are batched matmuls over the horizon.  A
-    blow-up is reported at the first non-finite quantity in step order
-    y(0), x(1), y(1), x(2), ...
+    the input and output terms are batched matmuls over the horizon.
+
+    Axes between the step axis and the matrix axes are batch axes: an
+    (N+1, S, m, 1) input on a realization whose fields are (N+1, S or 1,
+    rows, cols) runs S independent trials side by side, each rounding as
+    it would alone.  A blow-up is reported at each trial's first non-finite
+    quantity in step order y(0), x(1), y(1), x(2), ...: the NonFiniteError
+    raised is the first trial's in batch order, and carries every trial's
+    as ``faults`` and the whole batch as ``trajectory``.
     """
     N = realized.N
     if len(u) != N + 1:
         raise DimensionMismatchError(f"input sequence has {len(u)} entries, expected {N + 1}")
     u = np.asarray(u, dtype=np.float64)
-    A, w = realized.A, realized.w
-    x = np.empty((N + 1,) + realized.x0.shape)
-    x[0] = realized.x0
+    A, w, x0 = realized.A, realized.w, realized.x0
+    batch = np.broadcast_shapes(x0.shape[:-2], *(a.shape[1:-2] for a in (
+        A, realized.B, realized.C, realized.D, w, realized.v, realized.r, u)))
+    x = np.empty((N + 1,) + batch + x0.shape[-2:])
+    x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         Bu = realized.B[:N] @ u[:N]
         for k in range(N):
             x[k + 1] = A[k] @ x[k] + Bu[k] + w[k]
         y = realized.C @ x + realized.D @ u + realized.v
-    bad_y = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2)))
-    bad_x = np.flatnonzero(~np.isfinite(x[1:]).all(axis=(1, 2)))
-    if bad_x.size and (not bad_y.size or bad_x[0] < bad_y[0]):
-        raise NonFiniteError("state diverged", k=int(bad_x[0]) + 1, iteration=realized.l)
-    if bad_y.size:
-        raise NonFiniteError("output diverged", k=int(bad_y[0]), iteration=realized.l)
-    return Trajectory(x=x, y=y, r=realized.r)
+    traj = Trajectory(x=x, y=y, r=realized.r)
+    if np.isfinite(x[1:]).all() and np.isfinite(y).all():
+        return traj
+    bad_x = ~np.isfinite(x[1:]).all(axis=(-2, -1))
+    bad_y = ~np.isfinite(y).all(axis=(-2, -1))
+    faults = tuple(_first_fault(bad_x[(slice(None),) + i], bad_y[(slice(None),) + i],
+                                realized.l) for i in np.ndindex(*batch))
+    first = next(f for f in faults if f is not None)
+    first.faults, first.trajectory = faults, traj
+    raise first

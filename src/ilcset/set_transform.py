@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientError,
 )
 from .conditions import loop_radii
-from .matrix_core import Mat, block2x2, inf_norms, invert
+from .matrix_core import Mat, block2x2, inf_norms, invert, per_step
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
 
@@ -90,8 +90,8 @@ def _take_columns(stack: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _take_rows(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """stack[k][rows[k], :] for every k, as one contiguous stack."""
-    return np.take_along_axis(stack, rows[:, :, None], axis=1)
+    """stack[k][..., rows[k], :] for every k, as one contiguous stack."""
+    return np.take_along_axis(stack, per_step(rows[:, :, None], stack), axis=-2)
 
 
 class InputTransform:
@@ -293,23 +293,28 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
 
 def split_input(transform: InputTransform, u):
     """Map an input stack (steps, m, 1) through the forward transform and
-    split it into the active (steps, p, 1) and frozen (steps, m-p, 1) parts."""
+    split it into the active (steps, p, 1) and frozen (steps, m-p, 1) parts.
+
+    Batch axes between the step and matrix axes, (steps, S, m, 1) for S
+    seeds, carry through to both parts.
+    """
     u = np.asarray(u, dtype=np.float64)
-    if u.shape != (transform.steps, transform.m, 1):
+    if u.ndim < 3 or u.shape[0] != transform.steps or u.shape[-2:] != (transform.m, 1):
         raise DimensionMismatchError(
             f"input shape {u.shape}, expected {(transform.steps, transform.m, 1)}")
-    star = transform.T @ _take_rows(u, transform.col_perm)
-    return star[:, :transform.p], star[:, transform.p:]
+    star = per_step(transform.T, u) @ _take_rows(u, transform.col_perm)
+    return star[..., :transform.p, :], star[..., transform.p:, :]
 
 
 def assemble_input(transform: InputTransform, u1star, u2star) -> np.ndarray:
     """Invert split_input: recover the original-coordinate input stack."""
     steps, p, m = transform.steps, transform.p, transform.m
-    if u1star.shape != (steps, p, 1) or u2star.shape != (steps, m - p, 1):
+    batch = u1star.shape[1:-2]
+    if u1star.shape != (steps,) + batch + (p, 1) or u2star.shape != (steps,) + batch + (m - p, 1):
         raise DimensionMismatchError(
             f"split shapes {u1star.shape}, {u2star.shape} do not match "
             f"steps={steps}, p={p}, m={m}")
-    permuted = transform.Tinv @ np.concatenate([u1star, u2star], axis=1)
-    u = np.empty((steps, m, 1))
-    np.put_along_axis(u, transform.col_perm[:, :, None], permuted, axis=1)
+    permuted = per_step(transform.Tinv, u1star) @ np.concatenate([u1star, u2star], axis=-2)
+    u = np.empty(permuted.shape)
+    np.put_along_axis(u, per_step(transform.col_perm[:, :, None], u), permuted, axis=-2)
     return u

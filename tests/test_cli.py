@@ -14,6 +14,7 @@ import ilcset.cli
 import ilcset.ilc_engine
 import ilcset.plant
 from ilcset.cli import main
+from ilcset.ilc_engine import GAMMA_MODES, MODES
 from ilcset.plant import sample_iteration
 
 CSV_HEADER = "l,E_inf,U_inf,res_err_rec,res_in_rec"
@@ -24,13 +25,15 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def make_divergent_config(tmp_path, iterations):
+def make_divergent_config(tmp_path, iterations, amp_D=0.0):
+    # Loop factor 1 + 3 D_l: with amp_D = 0 the error grows as 4^l.
     doc = {
         "system": {
             "n": 1, "m": 1, "p": 1, "N": 1,
             "A": [["0"]], "B": [["0"]], "C": [["0"]], "D": [["1"]],
             "w": ["0"], "v": ["0"], "r": ["1"], "x0": [0.0],
         },
+        "uncertainty": {"amplitudes": {"D": amp_D}},
         "gains": {"Xi": [["-3"]]},
         "run": {"mode": "direct-xi", "iterations": iterations},
     }
@@ -240,17 +243,45 @@ def test_preset_and_config_mutually_exclusive(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_merges_in_seed_order(tmp_path):
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_merges_in_seed_order(tmp_path, mode):
+    # Each seed's block of the sweep, seed column dropped, is the bytes of
+    # the single-seed run.
+    preset = ("example2-clean" if mode == "repetitive"
+              else "example2" if mode in GAMMA_MODES else "example1")
+    argv = ["run", "--preset", preset, "--mode", mode, "--iterations", "3"]
     out = tmp_path / "sweep.csv"
-    assert main(["run", "--preset", "example1", "--iterations", "3",
-                 "--sweep", "seeds=3..5", "--out", str(out)]) == 0
+    assert main(argv + ["--sweep", "seeds=3..5", "--out", str(out)]) == 0
     rows = read_rows(out)
     assert rows[0] == ["seed"] + CSV_HEADER.split(",")
     assert [row[0] for row in rows[1:]] == ["3"] * 3 + ["4"] * 3 + ["5"] * 3
+    lines = out.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    for seed in (3, 4, 5):
+        single = tmp_path / f"seed{seed}.csv"
+        assert main(argv + ["--seed", str(seed), "--out", str(single)]) == 0
+        prefix = f"{seed},".encode()
+        block = [line[len(prefix):] for line in lines[1:-1] if line.startswith(prefix)]
+        assert b"\r\n".join([CSV_HEADER.encode()] + block + [b""]) == single.read_bytes()
     again = tmp_path / "sweep2.csv"
-    assert main(["run", "--preset", "example1", "--iterations", "3",
-                 "--sweep", "seeds=3..5", "--out", str(again)]) == 0
+    assert main(argv + ["--sweep", "seeds=3..5", "--out", str(again)]) == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+# With amp_D = 1.2 over 600 trials seed 2 stays finite, while seeds 0, 1
+# and 3 diverge at l = 587, 582 and 577: later seeds blow up first.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec, first", [("seeds=0..3", "l=587, k=1"),
+                                         ("seeds=2..3", "l=577, k=1")],
+                         ids=["first-seed-fails-last", "finite-seed-first"])
+def test_sweep_reports_first_diverging_seed(tmp_path, capsys, spec, first):
+    path = make_divergent_config(tmp_path, 600, amp_D=1.2)
+    out = tmp_path / "sweep.csv"
+    assert main(["run", "--config", path, "--sweep", spec, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: output diverged ({first})\n")
+    assert not out.exists()
 
 
 def test_sweep_bad_spec_exits_two(capsys):
@@ -327,19 +358,24 @@ def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [[], ["--sweep", "seeds=0..1"]])
-def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, capsys, flags):
+@pytest.mark.parametrize("out, message", [
+    ("missing-dir/m.csv", "[Errno 2] No such file or directory: 'missing-dir/m.csv'"),
+    ("out-dir", "[Errno 21] Is a directory: 'out-dir'"),
+], ids=["missing", "directory"])
+def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, capsys,
+                                                     flags, out, message):
     def no_draw(sys, unc, l):
         raise AssertionError("trial ran")
 
     for module in (ilcset.plant, ilcset.ilc_engine, ilcset.cli):
         monkeypatch.setattr(module, "sample_iteration", no_draw)
     monkeypatch.chdir(tmp_path)
-    code = main(["run", "--preset", "example1", "--out", "missing-dir/m.csv", *flags])
+    (tmp_path / "out-dir").mkdir()
+    code = main(["run", "--preset", "example1", "--out", out, *flags])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == ("io error: [Errno 2] No such file or directory: "
-                            "'missing-dir/m.csv'\n")
+    assert captured.err == f"io error: {message}\n"
 
 
 def test_verify_set_unbuildable_transform_fails_before_any_trial(tmp_path, capsys):

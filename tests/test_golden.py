@@ -63,6 +63,12 @@ CASES = {
     "ex1_sweep_0_2.csv": (
         ["run", "--preset", "example1", "--iterations", L, "--sweep", "seeds=0..2",
          "--out", "{out}"], "out"),
+    "ex2_sweep_0_3.csv": (
+        ["run", "--preset", "example2", "--iterations", L, "--sweep", "seeds=0..3",
+         "--out", "{out}"], "out"),
+    "ex1_sweep_transformed_xi_0_2.csv": (
+        ["run", "--preset", "example1", "--iterations", L, "--mode", "transformed-xi",
+         "--sweep", "seeds=0..2", "--out", "{out}"], "out"),
     "ex1_verify_set_summary.txt": (
         ["run", "--preset", "example1", "--iterations", L, "--verify-set",
          "--out", "{out}"], "stdout"),

@@ -183,6 +183,31 @@ def test_split_run_matches_direct_run_look_ahead(example2, example2_clean, p_exa
         _check_counterparts(cfg, p_example2, mode)
 
 
+@pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi"])
+def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
+    # Three seeds through one loop, with a counterpart: each seed's record
+    # is bit for bit its own run's, trajectories and gap included.
+    engine = IlcConfig(mode=mode, iterations=5, u0=example1.u0)
+    gains = (example1.xi, example1.gamma)
+    go = ((lambda unc: run(example1.system, unc, gains, engine, counterpart=q_example1))
+          if mode == "direct-xi" else
+          (lambda unc: run_transformed(example1.system, unc, q_example1, engine,
+                                       counterpart=gains)))
+    specs = [dataclasses.replace(example1.uncertainty, seed=seed) for seed in (3, 4, 5)]
+    side_by_side = go(specs)
+    assert len(side_by_side) == 3
+    for spec, result in zip(specs, side_by_side):
+        alone = go(spec)
+        assert result.E_hist == alone.E_hist and result.U_hist == alone.U_hist
+        assert np.array_equal(result.inputs, alone.inputs)
+        for t, t_alone in zip(result.trajectories, alone.trajectories, strict=True):
+            assert np.array_equal(t.x, t_alone.x) and np.array_equal(t.y, t_alone.y)
+            assert np.array_equal(t.r, t_alone.r)
+        assert result.error_recursion == alone.error_recursion
+        assert result.input_recursion == alone.input_recursion
+        assert result.equivalence_gap == alone.equivalence_gap
+
+
 def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
                                           example2, p_example2):
     # Every frozen share a run hands to assemble_input is the split of u0,

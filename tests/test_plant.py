@@ -238,6 +238,31 @@ def test_batched_simulation_matches_per_step_recursion_exactly():
         x = realized.A[k] @ x + realized.B[k] @ u[k] + realized.w[k]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seed_axis_runs_each_trial_as_alone_and_reports_each_blow_up():
+    # Three inputs side by side on one realization (a unit seed axis on
+    # every field): each slice rounds as it would alone, and each trial's
+    # blow-up is reported on its own while the others' values are kept.
+    cfg = build_preset("example1", seed=11)
+    realized = sample_iteration(cfg.system, cfg.uncertainty, l=4)
+    batch = dataclasses.replace(realized, **{name: getattr(realized, name)[:, None]
+                                             for name in "ABCDwvr"})
+    u = np.random.default_rng(3).normal(size=(101, 3, 3, 1))
+    alone = [simulate(realized, u[:, s]) for s in range(3)]
+    traj = simulate(batch, u)
+    for s in range(3):
+        assert np.array_equal(traj.x[:, s], alone[s].x)
+        assert np.array_equal(traj.y[:, s], alone[s].y)
+    u[40, 1] = np.inf
+    u[10, 2] = np.inf
+    with pytest.raises(NonFiniteError) as err:
+        simulate(batch, u)
+    assert [None if f is None else str(f) for f in err.value.faults] == [
+        None, "output diverged (l=4, k=40)", "output diverged (l=4, k=10)"]
+    assert err.value is err.value.faults[1]
+    assert np.array_equal(err.value.trajectory.y[:, 0], alone[0].y)
+
+
 def test_final_input_feeds_output_only():
     sys = scalar_system(a=0.5, b=1.0, c=1.0, d=2.0, x0=1.0, N=2)
     realized = sample_iteration(sys, UncertaintySpec(), 0)
