@@ -152,9 +152,9 @@ def _trajectory_rows(cfg: ExperimentConfig, result: RunResult, which: str):
     else:
         selected = range(0, result.iterations, cfg.record_every)
     for l in selected:
-        traj = result.trajectories[l]
+        y, r = result.outputs[l], result.references[l]
         # Python floats: csv writes them with repr, the same text as _fmt.
-        columns = np.concatenate([traj.y, traj.r, traj.e], axis=1)[:, :, 0].tolist()
+        columns = np.concatenate([y, r, r - y], axis=1)[:, :, 0].tolist()
         for k, values in enumerate(columns):
             yield [l, k, *values]
 
@@ -230,9 +230,9 @@ def cmd_run(args) -> int:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
-        if args.verify_set or args.record_trajectories != "none":
+        if args.verify_set or args.record_trajectories != "none" or args.seed is not None:
             raise SchemaError("/sweep", "--sweep cannot be combined with "
-                                        "--verify-set or --record-trajectories")
+                                        "--verify-set, --record-trajectories or --seed")
         _write_csv(args.out, ("seed",) + CSV_HEADER, _sweep_rows(args, seeds))
         return 0
     if args.record_trajectories != "none" and args.out is None:

@@ -9,6 +9,7 @@ violation before raising, each tagged with a JSON-pointer-style path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +57,18 @@ def _as_cell(value) -> Optional[str]:
     if isinstance(value, (int, float)):
         return repr(float(value))
     return None
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that is a finite float: not a bool, not the NaN and
+    infinities json.load makes of NaN, Infinity and 1e309, and not an
+    integer too large to be a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _normalize_grid(value, path: str, problems: _Collector):
@@ -130,8 +143,8 @@ def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
     if doc is None:
         return amps
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
-        if doc < 0:
-            problems.add(path, "amplitude must be nonnegative")
+        if not _finite_number(doc) or doc < 0:
+            problems.add(path, f"amplitude must be a finite nonnegative number, got {doc!r}")
             return None
         return dict.fromkeys(_AMP_KEYS, float(doc))
     if isinstance(doc, dict):
@@ -141,8 +154,9 @@ def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
                 problems.add(f"{path}/{key}", f"unknown quantity (expected one of {_AMP_KEYS})")
                 ok = False
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                problems.add(f"{path}/{key}", f"amplitude must be a nonnegative number, got {value!r}")
+            if not _finite_number(value) or value < 0:
+                problems.add(f"{path}/{key}",
+                             f"amplitude must be a finite nonnegative number, got {value!r}")
                 ok = False
                 continue
             amps[key] = float(value)
@@ -184,9 +198,9 @@ def config_from_dict(doc) -> ExperimentConfig:
 
     x0 = None
     x0_doc = sys_doc.get("x0")
-    if not isinstance(x0_doc, list) or len(x0_doc) != n or any(
-            isinstance(c, bool) or not isinstance(c, (int, float)) for c in x0_doc):
-        problems.add("/system/x0", f"expected a list of {n} numbers")
+    if not isinstance(x0_doc, list) or len(x0_doc) != n or not all(
+            map(_finite_number, x0_doc)):
+        problems.add("/system/x0", f"expected a list of {n} finite numbers")
     else:
         x0 = np.array(x0_doc, dtype=np.float64).reshape(n, 1)
 

@@ -89,7 +89,8 @@ class NonFiniteError(IlcsetError):
         faults: for a simulation of several trials side by side, each
             trial's own error (None where it stayed finite), in batch order;
             the error raised is the first of them.
-        trajectory: that simulation's Trajectory, finite trials included.
+        trajectory: that simulation's states and outputs (x, y), finite
+            trials included.
     """
 
     faults = ()

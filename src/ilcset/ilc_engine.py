@@ -37,7 +37,6 @@ from .matrix_core import per_step
 from .plant import (
     NominalSystem,
     RealizedIteration,
-    Trajectory,
     UncertaintySpec,
     sample_iteration,
     simulate,
@@ -98,7 +97,9 @@ class RunResult:
     tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
     stacks the run effectively applied, retained so recorded data can be
     re-checked against the iteration-domain recursions afterwards.
-    inputs is the (L, N+1, m, 1) stack of applied inputs.
+    inputs, states, outputs and references stack each trial's (N+1, rows, 1)
+    signal by trial; trial l's tracking error is references[l] - outputs[l].
+    The results of specs run side by side are views into shared stacks.
     error_recursion / input_recursion are the residuals of both recursions,
     checked transition by transition on the realizations the run drew;
     they are None when the run has fewer than two iterations.
@@ -110,8 +111,10 @@ class RunResult:
     iterations: int
     E_hist: tuple
     U_hist: tuple
-    inputs: np.ndarray     # inputs[l][k]: the input applied on iteration l
-    trajectories: tuple    # one Trajectory per iteration
+    inputs: np.ndarray      # inputs[l][k]: the input applied on iteration l
+    states: np.ndarray      # states[l][k]: x_l(k)
+    outputs: np.ndarray     # outputs[l][k]: y_l(k)
+    references: np.ndarray  # references[l][k]: r_l(k)
     converged_value: float
     xi_seq: np.ndarray
     gamma_seq: np.ndarray
@@ -146,15 +149,16 @@ def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
 
 def _worst(stack: np.ndarray) -> np.ndarray:
     """max |entry| over the steps and the matrix axes: one value per seed
-    (a 0-d array without a seed axis).  Reducing the step axis on its own
-    first is several times faster than one reduction over all three."""
+    in the trial loop, a 0-d array on one seed's recorded data.  Reducing
+    the step axis on its own first is several times faster than one
+    reduction over all three."""
     return np.abs(stack).max(axis=0).max(axis=(-2, -1))
 
 
-def _metrics(mode: str, traj: Trajectory, u: np.ndarray, N: int) -> tuple:
+def _metrics(mode: str, e: np.ndarray, u: np.ndarray, N: int) -> tuple:
     if mode in GAMMA_MODES:
-        return _worst(traj.e[1:]), _worst(u[:N])
-    return _worst(traj.e), _worst(u)
+        return _worst(e[1:]), _worst(u[:N])
+    return _worst(e), _worst(u)
 
 
 def _converged_value(E_hist: Sequence[float]) -> float:
@@ -172,8 +176,9 @@ def _precheck(report: ConditionReport) -> tuple:
 
 
 def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
-                     t_cur: Trajectory, t_nxt: Trajectory,
-                     u_cur: np.ndarray, u_nxt: np.ndarray, xi_seq: np.ndarray) -> tuple:
+                     x_cur: np.ndarray, x_nxt: np.ndarray, e_cur: np.ndarray,
+                     e_nxt: np.ndarray, u_cur: np.ndarray, u_nxt: np.ndarray,
+                     xi_seq: np.ndarray) -> tuple:
     """Worst residuals of one transition l -> l+1 of the error recursion
     e_{l+1} = (I - D_l Xi) e_l + tau_l and of the state difference in tau_l.
 
@@ -184,13 +189,13 @@ def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
     meaningful order (matrix shift times vector), at every k at once.
     Returns both worst residuals per seed (see _worst).
     """
-    N = len(t_cur.x) - 1
-    dx = t_nxt.x - t_cur.x
-    tau = (-cur.C @ dx - (nxt.C - cur.C) @ t_nxt.x - (nxt.D - cur.D) @ u_nxt
+    N = len(x_cur) - 1
+    dx = x_nxt - x_cur
+    tau = (-cur.C @ dx - (nxt.C - cur.C) @ x_nxt - (nxt.D - cur.D) @ u_nxt
            + (nxt.r - cur.r) - (nxt.v - cur.v))
-    loop = np.eye(t_cur.y.shape[-2]) - cur.D @ per_step(xi_seq, cur.D)
-    residual = t_nxt.e - loop @ t_cur.e - tau
-    predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ t_nxt.x[:N]
+    loop = np.eye(e_cur.shape[-2]) - cur.D @ per_step(xi_seq, cur.D)
+    residual = e_nxt - loop @ e_cur - tau
+    predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ x_nxt[:N]
                  + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
                  + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
     return _worst(residual), _worst(dx[1:] - predicted)
@@ -235,14 +240,12 @@ def _report(name: str, per_iteration: Sequence[float],
 
 def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> RealizedIteration:
     """Trial l's realization of every spec, stacked on a seed axis after the
-    step axis; a single spec's draw is returned as it is, without one."""
+    step axis."""
     draws = [sample_iteration(sys, unc, l) for unc in uncs]
-    if len(draws) == 1:
-        return draws[0]
 
     def stack(name: str, axis: int) -> np.ndarray:
         fields = [getattr(draw, name) for draw in draws]
-        if all(field is fields[0] for field in fields):  # unperturbed: one nominal stack
+        if all(field is fields[0] for field in fields):  # one spec, or unperturbed
             return np.expand_dims(fields[0], axis)
         return np.stack(fields, axis=axis)
 
@@ -250,7 +253,7 @@ def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> Realiz
                              **{name: stack(name, 1) for name in "ABCDwvr"})
 
 
-def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> Trajectory:
+def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple:
     """simulate, keeping each seed's first blow-up in faults and going on
     with the others; only the first seed's stops the loop, as no other can
     then come before it in seed order."""
@@ -268,89 +271,86 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
            counterpart: Optional[Callable] = None) -> RunResult | list:
     """The trial loop of both coordinate systems.
 
-    unc is one UncertaintySpec, or a sequence of them (seeds) that run side
-    by side: every per-trial array then carries a seed axis after the step
-    axis, (N+1, S, rows, cols).  law(S) builds (report, xi_seq, gamma_seq,
-    u0, advance) for S seeds; advance(l, u, e) forms the input of trial
-    l + 1 from trial l's input and tracking error.  Trial l draws its
-    realizations once, simulates them under the input u, records the
-    metrics, the input and the trajectory, checks the transition from trial
-    l - 1 against the error and input recursions and then lets the previous
-    realization go.  A counterpart law is simulated on the same realization
-    after the main one; only its worst output gap to the main run is kept.
-    Returns a RunResult, or a list of them for a sequence.  A seed that
-    blows up raises its NonFiniteError once every seed before it has
-    finished, so the first failing seed in order is reported.
+    unc is one UncertaintySpec, or a sequence of S of them (seeds) that run
+    side by side; one spec runs as S = 1.  Every per-trial array carries
+    the seed axis after the step axis, (N+1, S, rows, cols).  law(S) builds
+    (report, xi_seq, gamma_seq, u0, advance) for S seeds; advance(l, u, e)
+    forms the input of trial l + 1 from trial l's input and tracking error.
+    Trial l draws its realizations once, simulates them under the input u,
+    writes the input, states, outputs and reference into the run's stacks
+    and forms the tracking error once, for the metrics, the checks of the
+    transition from trial l - 1 against both recursions, and the update.
+    A counterpart law is simulated on the same realization after the main
+    one; only its worst output gap to the main run is kept.  Returns a
+    RunResult, or a list of them for a sequence.  A seed that blows up
+    raises its NonFiniteError once every seed before it has finished, so
+    the first failing seed in order is reported.
     """
     uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
     if not uncs:
         raise DimensionMismatchError("no uncertainty spec to run")
-    report, xi_seq, gamma_seq, u, advance = law(len(uncs))
-    other = None if counterpart is None else counterpart(len(uncs))
+    S = len(uncs)
+    report, xi_seq, gamma_seq, u, advance = law(S)
+    other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
-    L = cfg.iterations
-    look_ahead = cfg.mode in GAMMA_MODES
-    seeds = u.shape[1:-2]
-    E_hist, U_hist = np.empty((L,) + seeds), np.empty((L,) + seeds)
-    errors, states, input_residuals = (np.empty((L - 1,) + seeds) for _ in range(3))
+    L, steps, look_ahead = cfg.iterations, sys.N + 1, cfg.mode in GAMMA_MODES
+    E_hist, U_hist = np.empty((L, S)), np.empty((L, S))
+    error_res, state_res, input_res = (np.empty((L - 1, S)) for _ in range(3))
     inputs = np.empty((L,) + u.shape)
-    trajectories = []
-    faults = [None] * len(uncs)
+    states = np.empty((L, steps, S, sys.n, 1))
+    outputs, references = (np.empty((L, steps, S, sys.p, 1)) for _ in range(2))
+    faults = [None] * S
     if other is not None:
-        gap, u_other, advance_other = np.zeros(seeds), other[3], other[4]
+        gap, u_other, advance_other = np.zeros(S), other[3], other[4]
     # A seed that blew up runs on beside the others; its NonFiniteError, not
     # numpy's overflow warnings, reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(L):
             realized = _draw(sys, uncs, l)
-            traj = _simulate(realized, u, faults)
+            x, y = _simulate(realized, u, faults)
+            inputs[l], states[l], outputs[l], references[l] = u, x, y, realized.r
+            e = realized.r - y
             if other is not None:
-                t_other = _simulate(realized, u_other, faults)
-                gap = np.maximum(gap, _worst(traj.y - t_other.y))
-            E_hist[l], U_hist[l] = _metrics(cfg.mode, traj, u, sys.N)
-            inputs[l] = u
-            trajectories.append(traj)
+                y_other = _simulate(realized, u_other, faults)[1]
+                gap = np.maximum(gap, _worst(y - y_other))
+            E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
             if l:
-                t_prev, u_prev = trajectories[l - 1], inputs[l - 1]
-                errors[l - 1], states[l - 1] = _error_residuals(
-                    previous, realized, t_prev, traj, u_prev, inputs[l], xi_seq)
-                input_residuals[l - 1] = _input_residual(
-                    look_ahead, previous, t_prev.x, u_prev, inputs[l], xi_seq, gamma_seq)
-            previous = realized
+                error_res[l - 1], state_res[l - 1] = _error_residuals(
+                    previous, realized, states[l - 1], x, e_previous, e,
+                    inputs[l - 1], u, xi_seq)
+                input_res[l - 1] = _input_residual(
+                    look_ahead, previous, states[l - 1], inputs[l - 1], u, xi_seq, gamma_seq)
+            previous, e_previous = realized, e
             if l + 1 < L:
-                u = advance(l, u, traj.e)
+                u = advance(l, u, e)
                 if other is not None:
-                    u_other = advance_other(l, u_other, t_other.e)
+                    u_other = advance_other(l, u_other, realized.r - y_other)
     failed = next((fault for fault in faults if fault is not None), None)
     if failed is not None:
         raise failed
 
-    def result(seed: tuple) -> RunResult:
-        at = (slice(None),) + seed
-        E = tuple(E_hist[at].tolist())
-        trials = tuple(Trajectory(x=t.x[at], y=t.y[at],
-                                  r=np.broadcast_to(t.r, t.y.shape)[at])
-                       for t in trajectories)
+    def result(s: int) -> RunResult:
+        E = tuple(E_hist[:, s].tolist())
         return RunResult(mode=cfg.mode, iterations=L,
-                         E_hist=E, U_hist=tuple(U_hist[at].tolist()),
-                         inputs=inputs[(slice(None),) + at], trajectories=trials,
+                         E_hist=E, U_hist=tuple(U_hist[:, s].tolist()),
+                         inputs=inputs[:, :, s], states=states[:, :, s],
+                         outputs=outputs[:, :, s], references=references[:, :, s],
                          converged_value=_converged_value(E),
                          xi_seq=xi_seq, gamma_seq=gamma_seq,
                          condition_report=report, warnings=warnings,
-                         error_recursion=_report("error_recursion", errors[at].tolist(),
-                                                 states[at].tolist()),
+                         error_recursion=_report("error_recursion", error_res[:, s].tolist(),
+                                                 state_res[:, s].tolist()),
                          input_recursion=_report("input_recursion",
-                                                 input_residuals[at].tolist()),
-                         equivalence_gap=None if other is None else float(gap[seed]))
+                                                 input_res[:, s].tolist()),
+                         equivalence_gap=None if other is None else float(gap[s]))
 
-    results = [result(seed) for seed in np.ndindex(*seeds)]
+    results = [result(s) for s in range(S)]
     return results[0] if isinstance(unc, UncertaintySpec) else results
 
 
 def _initial_input(cfg: IlcConfig, seeds: int) -> np.ndarray:
-    """cfg.u0 as a float stack, repeated on a seed axis for several seeds."""
-    u0 = np.asarray(cfg.u0, dtype=np.float64)
-    return u0 if seeds == 1 else np.repeat(u0[:, None], seeds, axis=1)
+    """cfg.u0 as a float stack, repeated on a seed axis."""
+    return np.repeat(np.asarray(cfg.u0, dtype=np.float64)[:, None], seeds, axis=1)
 
 
 def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig, seeds: int) -> tuple:
@@ -433,7 +433,7 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[Uncertai
 
 
 def _require_logged(result: RunResult) -> None:
-    if len(result.trajectories) < 2 or len(result.inputs) < 2:
+    if len(result.states) < 2 or len(result.inputs) < 2:
         raise MissingDataError("run must retain at least two iterations of data")
 
 
@@ -452,11 +452,11 @@ def verify_error_recursion(result: RunResult,
     """
     _require_logged(result)
     inputs = np.asarray(result.inputs, dtype=np.float64)
-    T = result.trajectories
+    x, e = result.states, result.references - result.outputs
     errors, states = zip(*(
-        map(float, _error_residuals(realizations[l], realizations[l + 1], T[l], T[l + 1],
-                                    inputs[l], inputs[l + 1], result.xi_seq))
-        for l in range(len(T) - 1)))
+        map(float, _error_residuals(realizations[l], realizations[l + 1], x[l], x[l + 1],
+                                    e[l], e[l + 1], inputs[l], inputs[l + 1], result.xi_seq))
+        for l in range(len(x) - 1)))
     return _report("error_recursion", errors, states)
 
 
@@ -472,7 +472,7 @@ def verify_input_recursion(result: RunResult,
     inputs = np.asarray(result.inputs, dtype=np.float64)
     look_ahead = result.mode in GAMMA_MODES
     return _report("input_recursion", [
-        float(_input_residual(look_ahead, realizations[l], result.trajectories[l].x,
+        float(_input_residual(look_ahead, realizations[l], result.states[l],
                               inputs[l], inputs[l + 1], result.xi_seq, result.gamma_seq))
         for l in range(len(inputs) - 1)])
 

@@ -89,17 +89,18 @@ class UncertaintySpec:
     def __post_init__(self):
         for name in ("amp_A", "amp_B", "amp_C", "amp_D",
                      "amp_w", "amp_v", "amp_r", "amp_x0"):
-            if getattr(self, name) < 0:
-                raise DimensionMismatchError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DimensionMismatchError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
 class RealizedIteration:
     """One iteration's fully sampled plant: nominal + perturbation at every k.
 
-    Every per-step field is a stacked (N+1, rows, cols) array; S seeds drawn
-    side by side stack as (N+1, S, rows, cols), with a unit seed axis on
-    the fields no seed perturbs, and x0 as (S or 1, n, 1).
+    Every per-step field is a stacked (N+1, rows, cols) array.  The trial
+    loop stacks the draws of its S seeds (S = 1 for one spec) as (N+1, S,
+    rows, cols), with a unit seed axis on the fields no seed perturbs, and
+    x0 as (S or 1, n, 1).
     """
 
     l: int
@@ -112,18 +113,6 @@ class RealizedIteration:
     v: np.ndarray
     r: np.ndarray
     x0: Mat
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    x: np.ndarray  # (N+1, n, 1) states
-    y: np.ndarray  # (N+1, p, 1) outputs
-    r: np.ndarray  # (N+1, p, 1) the realization's reference (not a copy)
-
-    @property
-    def e(self) -> np.ndarray:
-        """(N+1, p, 1) tracking errors r - y, formed on each access."""
-        return self.r - self.y
 
 
 def _stream(seed: int, l: int, tag: str) -> np.random.Generator:
@@ -192,8 +181,9 @@ def _first_fault(bad_x: np.ndarray, bad_y: np.ndarray, l: int) -> Optional[NonFi
     return None
 
 
-def simulate(realized: RealizedIteration, u) -> Trajectory:
-    """Run one trial under the given (N+1, m, 1) input stack.
+def simulate(realized: RealizedIteration, u) -> tuple:
+    """Run one trial under the given (N+1, m, 1) input stack and return its
+    states x, (N+1, n, 1), and outputs y, (N+1, p, 1).
 
     The state recursion stops at k = N-1; u[N] feeds only the output
     equation at the final step.  Only the state recursion loops over k;
@@ -205,7 +195,7 @@ def simulate(realized: RealizedIteration, u) -> Trajectory:
     it would alone.  A blow-up is reported at each trial's first non-finite
     quantity in step order y(0), x(1), y(1), x(2), ...: the NonFiniteError
     raised is the first trial's in batch order, and carries every trial's
-    as ``faults`` and the whole batch as ``trajectory``.
+    as ``faults`` and the whole batch's (x, y) as ``trajectory``.
     """
     N = realized.N
     if len(u) != N + 1:
@@ -221,13 +211,12 @@ def simulate(realized: RealizedIteration, u) -> Trajectory:
         for k in range(N):
             x[k + 1] = A[k] @ x[k] + Bu[k] + w[k]
         y = realized.C @ x + realized.D @ u + realized.v
-    traj = Trajectory(x=x, y=y, r=realized.r)
     if np.isfinite(x[1:]).all() and np.isfinite(y).all():
-        return traj
+        return x, y
     bad_x = ~np.isfinite(x[1:]).all(axis=(-2, -1))
     bad_y = ~np.isfinite(y).all(axis=(-2, -1))
     faults = tuple(_first_fault(bad_x[(slice(None),) + i], bad_y[(slice(None),) + i],
                                 realized.l) for i in np.ndindex(*batch))
     first = next(f for f in faults if f is not None)
-    first.faults, first.trajectory = faults, traj
+    first.faults, first.trajectory = faults, (x, y)
     raise first

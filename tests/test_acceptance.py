@@ -58,7 +58,8 @@ def _split_run(label, cfg, transform, mode, iterations, frozen_shares):
         patch.setattr(ilc_engine, "assemble_input", spy)
         result = run_transformed(cfg.system, cfg.uncertainty, transform,
                                  IlcConfig(mode=mode, iterations=iterations, u0=cfg.u0))
-    u0 = np.asarray(cfg.u0)[:transform.steps]
+    # The loop carries a seed axis after the step axis, one seed here.
+    u0 = np.asarray(cfg.u0)[:transform.steps, None]
     frozen_shares[label] = (split_input(transform, u0)[1], shares)
     return result
 
@@ -139,8 +140,8 @@ def test_direct_and_transformed_outputs_agree(equivalence_runs):
     pairs, elapsed = equivalence_runs
     for name, (cfg, direct, split) in pairs.items():
         gap = max(inf_norm(yd - yt)
-                  for td, tt in zip(direct.trajectories, split.trajectories)
-                  for yd, yt in zip(td.y, tt.y))
+                  for ld, lt in zip(direct.outputs, split.outputs)
+                  for yd, yt in zip(ld, lt))
         print(f"{name}: max output gap over (l, k) = {gap:.3e}")
         assert gap <= 1e-9
     print(f"four 50-iteration runs in {elapsed:.2f} s")
@@ -262,7 +263,7 @@ def _predicted_error_rms(cfg, limit):
     assert unc.structured_D is None
     n, m, p, N = system.n, system.m, system.p, system.N
     G, H, _ = _lifted_plant(system)
-    x2 = np.array([np.sum(x ** 2) for x in limit.trajectories[-1].x])
+    x2 = np.array([np.sum(x ** 2) for x in limit.states[-1]])
     u2 = np.array([np.sum(u ** 2) for u in limit.final_input])
     state_var = np.concatenate([
         [unc.amp_x0 ** 2],
@@ -295,8 +296,8 @@ def test_lifted_plant_reproduces_simulate(example1_clean):
     system = example1_clean.system
     _, H, free = _lifted_plant(system)
     u = np.random.default_rng(11).standard_normal((system.N + 1, system.m, 1))
-    traj = simulate(sample_iteration(system, example1_clean.uncertainty, 0), list(u))
-    gap = np.abs(H @ u.reshape(-1, 1) + free - np.concatenate(traj.y)).max()
+    _, y = simulate(sample_iteration(system, example1_clean.uncertainty, 0), list(u))
+    gap = np.abs(H @ u.reshape(-1, 1) + free - np.concatenate(y)).max()
     print(f"lifted vs simulated output: max gap {gap:.3e}")
     assert gap <= 1e-9
 
@@ -331,9 +332,9 @@ def test_robust_runs_stay_bounded_and_shrink_with_amplitude(robust_runs, clean_r
     for label, (cfg, result) in robust_runs.items():
         predicted, eps_only = _predicted_error_rms(cfg, clean)
         sigma = predicted.max()
+        errors = [run.references - run.outputs for run in (result, clean)]
         deviation = np.array([
-            np.concatenate(result.trajectories[l].e)
-            - np.concatenate(clean.trajectories[l].e)
+            np.concatenate(errors[0][l]) - np.concatenate(errors[1][l])
             for l in range(first, result.iterations)])
         measured = np.sqrt(np.mean(deviation ** 2, axis=0)).max()
         # Band: the RMS averages n = 250 squared deviations.  For a

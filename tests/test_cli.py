@@ -298,7 +298,7 @@ def test_sweep_bad_spec_exits_two(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],
-                                   ["--record-trajectories", "all"]])
+                                   ["--record-trajectories", "all"], ["--seed", "5"]])
 def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
     out = tmp_path / "sweep.csv"
     assert main(["run", "--preset", "example1", "--iterations", "2",

@@ -1,11 +1,13 @@
 """Config-document validation: accepted shapes, collected violations with
 document paths, and the mode cross-checks."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ilcset.config import config_from_dict
-from ilcset.errors import SchemaError
+from ilcset.errors import DimensionMismatchError, SchemaError
 from ilcset.plant import UncertaintySpec
 
 
@@ -209,3 +211,46 @@ def test_defaults_without_optional_sections():
     assert cfg.iterations == 300
     assert np.all(cfg.xi.at(0) == 0.0)
 
+
+def _set_amplitudes(doc, value):
+    doc["uncertainty"]["amplitudes"] = value
+
+
+def _set_amplitude_of_w(doc, value):
+    doc["uncertainty"]["amplitudes"] = {"A": 0.001, "w": value}
+
+
+def _set_x0(doc, value):
+    doc["system"]["x0"] = [value]
+
+
+@pytest.mark.parametrize("field, path", [(_set_amplitudes, "/uncertainty/amplitudes"),
+                                         (_set_amplitude_of_w, "/uncertainty/amplitudes/w"),
+                                         (_set_x0, "/system/x0")],
+                         ids=["amplitudes", "amplitude-w", "x0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "int-overflow"])
+def test_non_finite_number_rejected_at_its_path(field, path, value):
+    doc = minimal_doc()
+    field(doc, value)
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == path
+
+
+def test_json_non_finite_tokens_rejected_at_their_paths():
+    # json.load reads NaN, Infinity and an overflowing literal as floats.
+    doc = json.loads(json.dumps(minimal_doc())
+                     .replace('"amplitudes": 0.001', '"amplitudes": {"r": NaN, "v": 1e309}')
+                     .replace('"x0": [0.0]', '"x0": [-Infinity]'))
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == "/system/x0"
+    assert "/uncertainty/amplitudes/r" in str(exc.value)
+    assert "/uncertainty/amplitudes/v" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_uncertainty_spec_rejects_non_finite_amplitudes(value):
+    with pytest.raises(DimensionMismatchError):
+        UncertaintySpec(amp_D=value)

@@ -43,9 +43,13 @@ STRUCTURED_CONFIG = {
     "gains": {"Xi": [["0.8"], ["0"]]},
     "run": {"mode": "direct-xi", "iterations": 12, "record_every": 1},
 }
+# The same plant recording every third trial's trajectory.
+STRIDED_CONFIG = {**STRUCTURED_CONFIG,
+                  "run": {**STRUCTURED_CONFIG["run"], "record_every": 3}}
 
 # name -> (argv, output): "out" is the file passed as --out, "stdout" the
-# captured standard output.  "{out}" and "{config}" are filled in per run.
+# captured standard output, "traj" the trajectory CSV beside "out".
+# "{out}", "{config}" and "{strided}" are filled in per run.
 CASES = {
     "ex1_direct_xi.csv": (
         ["run", "--preset", "example1", "--iterations", L, "--out", "{out}"], "out"),
@@ -92,10 +96,17 @@ CASES = {
     "ex1_traj_all.csv": (
         ["run", "--preset", "example1", "--iterations", "4",
          "--record-trajectories", "all", "--out", "{out}"], "traj"),
+    "ex2_transformed_gamma_traj_final.csv": (
+        ["run", "--preset", "example2", "--mode", "transformed-gamma", "--iterations", "4",
+         "--record-trajectories", "final", "--out", "{out}"], "traj"),
+    "structured_traj_every3.csv": (
+        ["run", "--config", "{strided}", "--record-trajectories", "all",
+         "--out", "{out}"], "traj"),
     "ex1_transform.json": (["transform", "--preset", "example1", "--out", "{out}"], "out"),
     "ex2_transform.json": (["transform", "--preset", "example2", "--out", "{out}"], "out"),
 }
-DIGESTED = ("ex1_traj_all.csv", "ex1_transform.json", "ex2_transform.json")
+DIGESTED = ("ex1_traj_all.csv", "ex2_transformed_gamma_traj_final.csv",
+            "structured_traj_every3.csv", "ex1_transform.json", "ex2_transform.json")
 
 
 def produce(name: str) -> bytes:
@@ -103,9 +114,10 @@ def produce(name: str) -> bytes:
     argv, output = CASES[name]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
-        config = Path(tmp) / "config.json"
+        config, strided = Path(tmp) / "config.json", Path(tmp) / "strided.json"
         config.write_text(json.dumps(STRUCTURED_CONFIG), encoding="utf-8")
-        args = [a.format(out=out, config=config) for a in argv]
+        strided.write_text(json.dumps(STRIDED_CONFIG), encoding="utf-8")
+        args = [a.format(out=out, config=config, strided=strided) for a in argv]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             status = main(args)

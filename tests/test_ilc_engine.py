@@ -26,7 +26,7 @@ from ilcset.ilc_engine import (
     verify_input_recursion,
 )
 from ilcset.matrix_core import inf_norm
-from ilcset.plant import NominalSystem, UncertaintySpec
+from ilcset.plant import NominalSystem, UncertaintySpec, simulate
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import assemble_input, split_input
 from test_golden import STRUCTURED_CONFIG
@@ -109,7 +109,7 @@ def test_look_ahead_metrics_skip_time_zero():
     cfg = IlcConfig(mode="direct-gamma", iterations=3,
                     u0=tuple(np.zeros((3, 1, 1))))
     result = run(sys, no_uncertainty(), (const_gain(0.0, 2), const_gain(0.5, 2)), cfg)
-    assert result.trajectories[0].e[0][0, 0] == 5.0
+    assert result.references[0][0][0, 0] - result.outputs[0][0][0, 0] == 5.0
     assert result.E_hist[0] == 0.0
 
     cfg_xi = IlcConfig(mode="direct-xi", iterations=3,
@@ -144,8 +144,7 @@ def test_divergence_flagged_without_abort_when_finite():
 
 def _output_gap(a, b):
     """Worst output difference between two runs, trial by trial."""
-    return max(float(np.abs(ta.y - tb.y).max())
-               for ta, tb in zip(a.trajectories, b.trajectories))
+    return max(float(np.abs(ya - yb).max()) for ya, yb in zip(a.outputs, b.outputs))
 
 
 def _check_counterparts(cfg, transform, mode, iterations=8):
@@ -186,7 +185,7 @@ def test_split_run_matches_direct_run_look_ahead(example2, example2_clean, p_exa
 @pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi"])
 def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
     # Three seeds through one loop, with a counterpart: each seed's record
-    # is bit for bit its own run's, trajectories and gap included.
+    # is bit for bit its own run's, every stack and the gap included.
     engine = IlcConfig(mode=mode, iterations=5, u0=example1.u0)
     gains = (example1.xi, example1.gamma)
     go = ((lambda unc: run(example1.system, unc, gains, engine, counterpart=q_example1))
@@ -199,10 +198,9 @@ def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
     for spec, result in zip(specs, side_by_side):
         alone = go(spec)
         assert result.E_hist == alone.E_hist and result.U_hist == alone.U_hist
-        assert np.array_equal(result.inputs, alone.inputs)
-        for t, t_alone in zip(result.trajectories, alone.trajectories, strict=True):
-            assert np.array_equal(t.x, t_alone.x) and np.array_equal(t.y, t_alone.y)
-            assert np.array_equal(t.r, t_alone.r)
+        for name in ("inputs", "states", "outputs", "references"):
+            assert getattr(result, name).shape == getattr(alone, name).shape
+            assert np.array_equal(getattr(result, name), getattr(alone, name)), name
         assert result.error_recursion == alone.error_recursion
         assert result.input_recursion == alone.input_recursion
         assert result.equivalence_gap == alone.equivalence_gap
@@ -226,7 +224,8 @@ def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
         result = run_transformed(cfg.system, cfg.uncertainty, transform,
                                  IlcConfig(mode=mode, iterations=6, u0=cfg.u0))
         steps = transform.steps
-        frozen = split_input(transform, np.asarray(cfg.u0)[:steps])[1]
+        # The loop carries a seed axis after the step axis, one seed here.
+        frozen = split_input(transform, np.asarray(cfg.u0)[:steps, None])[1]
         assert len(shares) == 6
         for share in shares:
             assert np.array_equal(share, frozen)
@@ -234,7 +233,7 @@ def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
         for l in range(6):
             _, u2 = split_input(transform, result.inputs[l][:steps])
             for k in range(steps):
-                assert inf_norm(u2[k] - frozen[k]) <= 1e-9
+                assert inf_norm(u2[k] - frozen[k, 0]) <= 1e-9
 
 
 def test_recursion_residuals_small_with_uncertainty(example1):
@@ -325,6 +324,12 @@ def test_run_reports_equal_checks_on_a_fresh_draw(request, config, mode, transfo
     assert len(result.error_recursion.per_iteration) == 11
     assert result.error_recursion == verify_error_recursion(result, reals)
     assert result.input_recursion == verify_input_recursion(result, reals)
+    # The record itself: each trial's states and outputs are the simulation
+    # of its input on the fresh draw, and its references are that draw's.
+    for l, real in enumerate(reals):
+        x, y = simulate(real, result.inputs[l])
+        assert np.array_equal(result.states[l], x) and np.array_equal(result.outputs[l], y)
+        assert np.array_equal(result.references[l], real.r)
 
 
 def test_clean_run_decays_in_blocks(example1_clean):

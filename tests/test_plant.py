@@ -11,7 +11,6 @@ from ilcset.matrix_core import spectral_norms
 from ilcset.plant import (
     NominalSystem,
     StructuredD,
-    Trajectory,
     UncertaintySpec,
     _unit_noise,
     sample_iteration,
@@ -148,18 +147,19 @@ def test_simulate_zero_system_returns_reference_as_error():
                         w=zeros, v=zeros,
                         r=MatrixSchedule.from_values([[2.0]], N),
                         x0=np.zeros((1, 1)))
-    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((N + 1, 1, 1)))
+    realized = sample_iteration(sys, UncertaintySpec(), 0)
+    x, y = simulate(realized, np.zeros((N + 1, 1, 1)))
     for k in range(N + 1):
-        assert traj.x[k][0, 0] == 0.0
-        assert traj.y[k][0, 0] == 0.0
-        assert traj.e[k][0, 0] == 2.0
+        assert x[k][0, 0] == 0.0
+        assert y[k][0, 0] == 0.0
+        assert (realized.r - y)[k][0, 0] == 2.0
 
 
 def test_simulate_scalar_decay_by_hand():
     sys = scalar_system(a=0.5, x0=1.0, N=2)
-    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((3, 1, 1)))
-    assert [x[0, 0] for x in traj.x] == [1.0, 0.5, 0.25]
-    assert [y[0, 0] for y in traj.y] == [1.0, 0.5, 0.25]
+    states, outputs = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((3, 1, 1)))
+    assert [x[0, 0] for x in states] == [1.0, 0.5, 0.25]
+    assert [y[0, 0] for y in outputs] == [1.0, 0.5, 0.25]
 
 
 def test_benchmark_trajectory_matches_independent_recursion():
@@ -192,18 +192,18 @@ def test_benchmark_trajectory_matches_independent_recursion():
             x = [sum(Ak[i][j] * x[j] for j in range(4)) + wk[i] for i in range(4)]
 
     cfg = build_preset("example1-clean")
-    traj = simulate(sample_iteration(cfg.system, cfg.uncertainty, 0), np.zeros((101, 3, 1)))
+    x, y = simulate(sample_iteration(cfg.system, cfg.uncertainty, 0), np.zeros((101, 3, 1)))
     for k in range(101):
-        np.testing.assert_allclose(traj.y[k][:, 0], expected_y[k], atol=1e-12)
+        np.testing.assert_allclose(y[k][:, 0], expected_y[k], atol=1e-12)
 
     # Values pinned from the recursion's first verified run.
     np.testing.assert_allclose(
-        traj.x[100][:, 0],
+        x[100][:, 0],
         [-0.8540058041196521, -0.5730624050112123, 0.24074889533953742, 0.7289043065416032],
         atol=1e-12)
     np.testing.assert_allclose(
-        traj.y[100][:, 0], [-1.580396154917459, -18.458755791144956], atol=1e-12)
-    peak = max(float(np.max(np.abs(y))) for y in traj.y)
+        y[100][:, 0], [-1.580396154917459, -18.458755791144956], atol=1e-12)
+    peak = max(float(np.max(np.abs(y_k))) for y_k in y)
     assert peak == pytest.approx(18.94263103267792, abs=1e-12)
 
 
@@ -214,10 +214,10 @@ def test_superposition_of_forced_response():
     u1 = [rng.normal(size=(3, 1)) for _ in range(101)]
     u2 = [rng.normal(size=(3, 1)) for _ in range(101)]
     u12 = [a + b for a, b in zip(u1, u2)]
-    y0 = simulate(realized, np.zeros((101, 3, 1))).y
-    f1 = [a - b for a, b in zip(simulate(realized, u1).y, y0)]
-    f2 = [a - b for a, b in zip(simulate(realized, u2).y, y0)]
-    f12 = [a - b for a, b in zip(simulate(realized, u12).y, y0)]
+    y0 = simulate(realized, np.zeros((101, 3, 1)))[1]
+    f1 = [a - b for a, b in zip(simulate(realized, u1)[1], y0)]
+    f2 = [a - b for a, b in zip(simulate(realized, u2)[1], y0)]
+    f12 = [a - b for a, b in zip(simulate(realized, u12)[1], y0)]
     for k in range(101):
         np.testing.assert_allclose(f12[k], f1[k] + f2[k], atol=1e-9)
 
@@ -228,13 +228,12 @@ def test_batched_simulation_matches_per_step_recursion_exactly():
     cfg = build_preset("example1", seed=11)
     realized = sample_iteration(cfg.system, cfg.uncertainty, l=4)
     u = np.random.default_rng(2).normal(size=(101, 3, 1))
-    traj = simulate(realized, u)
+    states, outputs = simulate(realized, u)
     x = realized.x0
     for k in range(101):
         y = realized.C[k] @ x + realized.D[k] @ u[k] + realized.v[k]
-        np.testing.assert_array_equal(traj.x[k], x)
-        np.testing.assert_array_equal(traj.y[k], y)
-        np.testing.assert_array_equal(traj.e[k], realized.r[k] - y)
+        np.testing.assert_array_equal(states[k], x)
+        np.testing.assert_array_equal(outputs[k], y)
         x = realized.A[k] @ x + realized.B[k] @ u[k] + realized.w[k]
 
 
@@ -249,10 +248,10 @@ def test_seed_axis_runs_each_trial_as_alone_and_reports_each_blow_up():
                                              for name in "ABCDwvr"})
     u = np.random.default_rng(3).normal(size=(101, 3, 3, 1))
     alone = [simulate(realized, u[:, s]) for s in range(3)]
-    traj = simulate(batch, u)
+    x, y = simulate(batch, u)
     for s in range(3):
-        assert np.array_equal(traj.x[:, s], alone[s].x)
-        assert np.array_equal(traj.y[:, s], alone[s].y)
+        assert np.array_equal(x[:, s], alone[s][0])
+        assert np.array_equal(y[:, s], alone[s][1])
     u[40, 1] = np.inf
     u[10, 2] = np.inf
     with pytest.raises(NonFiniteError) as err:
@@ -260,18 +259,18 @@ def test_seed_axis_runs_each_trial_as_alone_and_reports_each_blow_up():
     assert [None if f is None else str(f) for f in err.value.faults] == [
         None, "output diverged (l=4, k=40)", "output diverged (l=4, k=10)"]
     assert err.value is err.value.faults[1]
-    assert np.array_equal(err.value.trajectory.y[:, 0], alone[0].y)
+    assert np.array_equal(err.value.trajectory[1][:, 0], alone[0][1])
 
 
 def test_final_input_feeds_output_only():
     sys = scalar_system(a=0.5, b=1.0, c=1.0, d=2.0, x0=1.0, N=2)
     realized = sample_iteration(sys, UncertaintySpec(), 0)
     u = np.zeros((3, 1, 1))
-    base = simulate(realized, u)
+    base_x, base_y = simulate(realized, u)
     u[2] = np.array([[1.0]])
-    bumped = simulate(realized, u)
-    assert np.array_equal(bumped.x, base.x)
-    assert bumped.y[2][0, 0] == base.y[2][0, 0] + 2.0
+    bumped_x, bumped_y = simulate(realized, u)
+    assert np.array_equal(bumped_x, base_x)
+    assert bumped_y[2][0, 0] == base_y[2][0, 0] + 2.0
 
 
 def test_divergence_raises_non_finite_with_location():
@@ -321,6 +320,7 @@ def test_negative_amplitude_rejected():
 
 def test_trajectory_error_definition():
     sys = scalar_system(c=1.0, r=3.0, x0=1.0, N=1)
-    traj = simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((2, 1, 1)))
-    assert isinstance(traj, Trajectory)
-    assert traj.e[0][0, 0] == 3.0 - 1.0
+    realized = sample_iteration(sys, UncertaintySpec(), 0)
+    x, y = simulate(realized, np.zeros((2, 1, 1)))
+    assert x.shape == y.shape == (2, 1, 1)
+    assert (realized.r - y)[0][0, 0] == 3.0 - 1.0
