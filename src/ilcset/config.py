@@ -50,11 +50,11 @@ class _Collector:
 
 
 def _as_cell(value) -> Optional[str]:
+    """A grid cell as expression text: a string as it is, a finite number
+    as its repr; None for anything else, non-finite numbers included."""
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
+    if _finite_number(value):
         return repr(float(value))
     return None
 
@@ -90,7 +90,8 @@ def _normalize_grid(value, path: str, problems: _Collector):
         for j, cell in enumerate(row):
             src = _as_cell(cell)
             if src is None:
-                problems.add(f"{path}/{i}/{j}", f"cell must be a string or number, got {cell!r}")
+                problems.add(f"{path}/{i}/{j}",
+                             f"cell must be a string or a finite number, got {cell!r}")
                 ok = False
             parsed_row.append(src if src is not None else "0")
         grid.append(parsed_row)

@@ -15,7 +15,7 @@ share the loop on a seed axis, each rounding exactly as it would alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -246,21 +246,31 @@ def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> Realiz
     def stack(name: str, axis: int) -> np.ndarray:
         fields = [getattr(draw, name) for draw in draws]
         if all(field is fields[0] for field in fields):  # one spec, or unperturbed
-            return np.expand_dims(fields[0], axis)
+            return fields[0][:, None] if axis else fields[0][None]
         return np.stack(fields, axis=axis)
 
     return RealizedIteration(l=l, N=sys.N, x0=stack("x0", 0),
                              **{name: stack(name, 1) for name in "ABCDwvr"})
 
 
+def _with_lane_axis(realized: RealizedIteration) -> RealizedIteration:
+    """The realization viewed with a unit lane axis ahead of the seed axis;
+    x0, (S or 1, n, 1), already broadcasts against it."""
+    return replace(realized, **{name: getattr(realized, name)[:, None] for name in "ABCDwvr"})
+
+
 def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple:
     """simulate, keeping each seed's first blow-up in faults and going on
     with the others; only the first seed's stops the loop, as no other can
-    then come before it in seed order."""
+    then come before it in seed order.  u may carry a lane axis ahead of
+    the seed axis (the main run, then its counterpart): a seed's faults
+    then merge main lane first, as if the lanes had been simulated in turn."""
     try:
         return simulate(realized, u)
     except NonFiniteError as exc:
-        faults[:] = [new if old is None else old for old, new in zip(faults, exc.faults)]
+        S = len(faults)
+        faults[:] = [old or next(filter(None, exc.faults[s::S]), None)
+                     for s, old in enumerate(faults)]
         if faults[0] is not None:
             raise faults[0]
         return exc.trajectory
@@ -280,11 +290,14 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     writes the input, states, outputs and reference into the run's stacks
     and forms the tracking error once, for the metrics, the checks of the
     transition from trial l - 1 against both recursions, and the update.
-    A counterpart law is simulated on the same realization after the main
-    one; only its worst output gap to the main run is kept.  Returns a
-    RunResult, or a list of them for a sequence.  A seed that blows up
-    raises its NonFiniteError once every seed before it has finished, so
-    the first failing seed in order is reported.
+    A counterpart law shares that simulate call: its input rides beside u
+    on a lane axis ahead of the seed axis, (N+1, 2, S, m, 1), over the
+    realization viewed with a unit lane axis, and only its worst output gap
+    to the main run is kept.  Returns a RunResult, or a list of them for a
+    sequence.  A seed that blows up raises its NonFiniteError once every
+    seed before it has finished, so the first failing seed in order is
+    reported; within a trial, the main run's blow-up comes before the
+    counterpart's.
     """
     uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
     if not uncs:
@@ -307,12 +320,15 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(L):
             realized = _draw(sys, uncs, l)
-            x, y = _simulate(realized, u, faults)
+            if other is None:
+                x, y = _simulate(realized, u, faults)
+            else:
+                x, y = _simulate(_with_lane_axis(realized), np.stack((u, u_other), axis=1),
+                                 faults)
+                x, y, y_other = x[:, 0], y[:, 0], y[:, 1]
+                gap = np.maximum(gap, _worst(y - y_other))
             inputs[l], states[l], outputs[l], references[l] = u, x, y, realized.r
             e = realized.r - y
-            if other is not None:
-                y_other = _simulate(realized, u_other, faults)[1]
-                gap = np.maximum(gap, _worst(y - y_other))
             E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
             if l:
                 error_res[l - 1], state_res[l - 1] = _error_residuals(

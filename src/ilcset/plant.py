@@ -115,14 +115,27 @@ class RealizedIteration:
     x0: Mat
 
 
-def _stream(seed: int, l: int, tag: str) -> np.random.Generator:
-    key = np.array([seed & _MASK64, ((l << 8) | _TAG[tag]) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _noise(seed: int, l: int):
+    """draw(tag, count, shape): a uniform [-1, 1] block, deterministic in
+    (seed, l, tag) and call-order free.
 
+    One Philox serves every tag: each draw re-keys it to (seed, l, tag) with
+    a zero counter and an empty buffer, which is exactly the state of a new
+    Philox with that key (counter-based streams may be re-keyed; Salmon et
+    al., SC'11).  It is built with a fixed seed, which the first key replaces,
+    so building it reads no entropy from the operating system.
+    """
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    zero = np.zeros(4, dtype=np.uint64)
 
-def _unit_noise(seed: int, l: int, tag: str, count: int, shape: tuple) -> np.ndarray:
-    """Uniform [-1, 1] block, deterministic in (seed, l, tag) and call-order free."""
-    return _stream(seed, l, tag).uniform(-1.0, 1.0, size=(count, *shape))
+    def draw(tag: str, count: int, shape: tuple) -> np.ndarray:
+        key = np.array([seed & _MASK64, ((l << 8) | _TAG[tag]) & _MASK64], dtype=np.uint64)
+        bits.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+                      "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen.uniform(-1.0, 1.0, size=(count, *shape))
+
+    return draw
 
 
 def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> RealizedIteration:
@@ -130,18 +143,21 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
 
     Every delta entry is i.i.d. uniform on [-amp, amp] from a counter-based
     stream keyed by (seed, l, quantity); the same (seed, l) always reproduces
-    the same realization regardless of sampling order.  The initial-state
-    shift varies with l only.  With a structured perturbation on D, the
-    contraction matrix is rescaled to keep its largest singular value <= 1.
+    the same realization regardless of sampling order.  Each call draws
+    every quantity from one Philox bit generator of its own, re-keyed per
+    quantity, so calls from several threads do not interfere.  The
+    initial-state shift varies with l only.  With a structured perturbation
+    on D, the contraction matrix is rescaled to keep its largest singular
+    value <= 1.
     """
     n, m, p, N = sys.n, sys.m, sys.p, sys.N
     steps = N + 1
-    seed = unc.seed
+    noise = _noise(unc.seed, l)
 
     def perturbed(tag: str, sched: MatrixSchedule, amp: float) -> np.ndarray:
         if amp == 0.0:
             return sched.values
-        return sched.values + amp * _unit_noise(seed, l, tag, steps, sched.shape)
+        return sched.values + amp * noise(tag, steps, sched.shape)
 
     A = perturbed("A", sys.A, unc.amp_A)
     B = perturbed("B", sys.B, unc.amp_B)
@@ -156,7 +172,7 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
             raise DimensionMismatchError(
                 f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
                 f"do not match p={p}, s={sd.s}, m={m}")
-        sigmas = _unit_noise(seed, l, "sigma", steps, (sd.s, sd.s))
+        sigmas = noise("sigma", steps, (sd.s, sd.s))
         sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
         D = sys.D.values + sd.E.values @ sigmas @ sd.F.values
     else:
@@ -165,7 +181,7 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     if unc.amp_x0 == 0.0:
         x0 = sys.x0
     else:
-        x0 = sys.x0 + unc.amp_x0 * _unit_noise(seed, l, "x0", 1, (n, 1))[0]
+        x0 = sys.x0 + unc.amp_x0 * noise("x0", 1, (n, 1))[0]
 
     return RealizedIteration(l=l, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
 
@@ -208,8 +224,9 @@ def simulate(realized: RealizedIteration, u) -> tuple:
     x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         Bu = realized.B[:N] @ u[:N]
-        for k in range(N):
-            x[k + 1] = A[k] @ x[k] + Bu[k] + w[k]
+        # x(k+1) = (A x(k) + B u(k)) + w(k), summed in place in x's own row.
+        for A_k, x_k, x_next, Bu_k, w_k in zip(A, x, x[1:], Bu, w):
+            np.add(np.add(A_k @ x_k, Bu_k, out=x_next), w_k, out=x_next)
         y = realized.C @ x + realized.D @ u + realized.v
     if np.isfinite(x[1:]).all() and np.isfinite(y).all():
         return x, y

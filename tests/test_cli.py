@@ -4,6 +4,7 @@ codes, the condition table, transform dumps, and the seed sweep."""
 import collections
 import csv
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -25,8 +26,8 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def make_divergent_config(tmp_path, iterations, amp_D=0.0):
-    # Loop factor 1 + 3 D_l: with amp_D = 0 the error grows as 4^l.
+def make_divergent_config(tmp_path, iterations, amp_D=0.0, xi="-3"):
+    # Loop factor 1 - Xi D_l: with amp_D = 0 and Xi = -3 the error grows as 4^l.
     doc = {
         "system": {
             "n": 1, "m": 1, "p": 1, "N": 1,
@@ -34,7 +35,7 @@ def make_divergent_config(tmp_path, iterations, amp_D=0.0):
             "w": ["0"], "v": ["0"], "r": ["1"], "x0": [0.0],
         },
         "uncertainty": {"amplitudes": {"D": amp_D}},
-        "gains": {"Xi": [["-3"]]},
+        "gains": {"Xi": [[xi]]},
         "run": {"mode": "direct-xi", "iterations": iterations},
     }
     path = tmp_path / "divergent.json"
@@ -284,6 +285,34 @@ def test_sweep_reports_first_diverging_seed(tmp_path, capsys, spec, first):
     assert not out.exists()
 
 
+# With Xi = 1.9 the nominal loop factor is -0.9, so --verify-set's transform
+# builds; the realized factors 1 - 1.9 D_l, D_l uniform on [-4, 6], still
+# grow the error until trial 545 overflows.  Both lanes blow up there, and
+# the main run's fault is the one reported.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi"])
+def test_verify_set_reports_the_main_runs_blow_up(tmp_path, capsys, mode):
+    path = make_divergent_config(tmp_path, 600, amp_D=5.0, xi="1.9")
+    out = tmp_path / "m.csv"
+    assert main(["run", "--config", path, "--mode", mode, "--verify-set",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: output diverged (l=545, k=0)\n"
+    assert not out.exists()
+
+
+def test_non_finite_grid_cell_exits_two(tmp_path, capsys):
+    # json.load reads NaN as a float; the cell is named by its path.
+    path = pathlib.Path(make_divergent_config(tmp_path, 3))
+    path.write_text(path.read_text().replace('"A": [["0"]]', '"A": [[NaN]]'))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: /system/A/0/0: ")
+    assert "finite" in captured.err
+
+
 def test_sweep_bad_spec_exits_two(capsys):
     assert main(["run", "--preset", "example1", "--sweep", "3..5"]) == 2
     capsys.readouterr()
@@ -336,8 +365,9 @@ def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, m
 
 
 def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
-    # One draw per trial, two simulations of it (main and counterpart), one
-    # split of u0 and one assembly per trial for the split-coordinate side.
+    # One draw per trial, one simulation of it with the main and counterpart
+    # inputs side by side, one split of u0 and one assembly per trial for
+    # the split-coordinate side.
     calls = collections.Counter()
 
     def spy(name):
@@ -352,7 +382,7 @@ def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
         spy(name)
     assert main(["run", "--preset", "example1", "--iterations", "30", "--verify-set",
                  "--out", str(tmp_path / "m.csv")]) == 0
-    assert calls == {"sample_iteration": 30, "simulate": 60,
+    assert calls == {"sample_iteration": 30, "simulate": 30,
                      "assemble_input": 30, "split_input": 1}
     capsys.readouterr()
 

@@ -224,10 +224,20 @@ def _set_x0(doc, value):
     doc["system"]["x0"] = [value]
 
 
+def _set_cell_of_A(doc, value):
+    doc["system"]["A"] = [[value]]
+
+
+def _set_cell_of_xi(doc, value):
+    doc["gains"]["Xi"] = [[value]]
+
+
 @pytest.mark.parametrize("field, path", [(_set_amplitudes, "/uncertainty/amplitudes"),
                                          (_set_amplitude_of_w, "/uncertainty/amplitudes/w"),
-                                         (_set_x0, "/system/x0")],
-                         ids=["amplitudes", "amplitude-w", "x0"])
+                                         (_set_x0, "/system/x0"),
+                                         (_set_cell_of_A, "/system/A/0/0"),
+                                         (_set_cell_of_xi, "/gains/Xi/0/0")],
+                         ids=["amplitudes", "amplitude-w", "x0", "system-grid", "gains-grid"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
                          ids=["nan", "inf", "int-overflow"])
 def test_non_finite_number_rejected_at_its_path(field, path, value):
@@ -236,6 +246,7 @@ def test_non_finite_number_rejected_at_its_path(field, path, value):
     with pytest.raises(SchemaError) as exc:
         config_from_dict(doc)
     assert exc.value.path == path
+    assert "finite" in str(exc.value)
 
 
 def test_json_non_finite_tokens_rejected_at_their_paths():
@@ -248,6 +259,22 @@ def test_json_non_finite_tokens_rejected_at_their_paths():
     assert exc.value.path == "/system/x0"
     assert "/uncertainty/amplitudes/r" in str(exc.value)
     assert "/uncertainty/amplitudes/v" in str(exc.value)
+
+
+def test_json_non_finite_grid_cells_rejected_at_their_paths():
+    # A grid cell read as NaN or an infinity is a non-finite number, not
+    # the expression text "nan" or "inf".
+    doc = json.loads(json.dumps(minimal_doc())
+                     .replace('"A": [["0.5"]]', '"A": [[NaN]]')
+                     .replace('"w": ["0"]', '"w": [1e309]')
+                     .replace('"Xi": [["0.5"]]', '"Xi": [[-Infinity]]'))
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == "/system/A/0/0"
+    message = str(exc.value)
+    assert "/system/w/0/0: cell must be a string or a finite number, got inf" in message
+    assert "/gains/Xi/0/0: cell must be a string or a finite number, got -inf" in message
+    assert "identifier" not in message
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

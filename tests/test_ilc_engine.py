@@ -3,6 +3,7 @@ direct and split-coordinate runs, frozen channels, recursion residuals,
 and the closed-form input limit."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -140,6 +141,41 @@ def test_divergence_flagged_without_abort_when_finite():
     assert len(result.warnings) == 1
     assert "diverge" in result.warnings[0]
     assert result.E_hist[-1] > 1e3
+
+
+def _poisoned_law(law, poison):
+    """law, with the input of trial l + 1 set to inf at step k for each
+    (l, k) in poison: that trial's output blows up at k."""
+    def build(seeds):
+        *rest, advance = law(seeds)
+
+        def advance_poisoned(l, u, e):
+            u = advance(l, u, e)
+            for k in (k for when, k in poison if when == l):
+                u[k] = np.inf
+            return u
+        return (*rest, advance_poisoned)
+    return build
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("main_poison, other_poison, expected", [
+    ((), ((2, 4),), "output diverged (l=3, k=4)"),
+    (((2, 4),), ((2, 1),), "output diverged (l=3, k=4)"),
+    (((3, 1),), ((1, 4),), "output diverged (l=2, k=4)"),
+], ids=["counterpart-only", "main-lane-first", "earlier-trial-first"])
+def test_counterpart_lane_faults_in_loop_order(main_poison, other_poison, expected):
+    # The main run and its counterpart share each trial's simulation.  A
+    # blow-up in the counterpart alone is raised; within one trial the main
+    # run's comes first, whatever its step, and an earlier trial beats both.
+    sys = tiny_system(A="0", B="1", C="1", D="1", r="1", N=4)
+    cfg = IlcConfig(mode="direct-xi", iterations=6, u0=np.zeros((5, 1, 1)))
+    law = partial(ilcset.ilc_engine._direct_law, sys,
+                  (const_gain(0.5, 4), const_gain(0.0, 4)), cfg)
+    with pytest.raises(NonFiniteError) as err:
+        ilcset.ilc_engine._learn(sys, no_uncertainty(), cfg, _poisoned_law(law, main_poison),
+                                 counterpart=_poisoned_law(law, other_poison))
+    assert str(err.value) == expected
 
 
 def _output_gap(a, b):

@@ -1,7 +1,9 @@
 """Plant realization sampling and single-trial simulation."""
 
+import concurrent.futures
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from ilcset.plant import (
     NominalSystem,
     StructuredD,
     UncertaintySpec,
-    _unit_noise,
     sample_iteration,
     simulate,
 )
@@ -20,10 +21,21 @@ from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 
 
+TAGS = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
+MASK64 = (1 << 64) - 1
+
+
+def fresh_noise(seed, l, tag, count, shape):
+    """Reference draw: uniform [-1, 1] from a new Philox keyed by (seed, l, tag)."""
+    key = np.array([seed & MASK64, ((l << 8) | TAGS[tag]) & MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).uniform(-1.0, 1.0,
+                                                                  size=(count, *shape))
+
+
 def sampled_sigma(sys, unc, l, k):
     """Per-step reference for the structured D contraction matrix at (l, k)."""
     s = unc.structured_D.s
-    raw = _unit_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
+    raw = fresh_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
     return raw / max(1.0, float(spectral_norms(raw)))
 
 
@@ -127,6 +139,91 @@ def test_structured_sigma_is_contractive_and_consistent():
             assert spectral_norms(sigma) <= 1.0 + 1e-12
             expected = sys.D.at(k) + structured.E.at(k) @ sigma @ structured.F.at(k)
             np.testing.assert_allclose(realized.D[k], expected, atol=1e-15)
+
+
+def every_tag_system(N=6):
+    """A 2-state, 3-input, 2-output plant with every quantity perturbed, and
+    the same plant with a structured perturbation of D (the sigma tag)."""
+    rng = np.random.default_rng(8)
+    grid = lambda rows, cols: MatrixSchedule.from_values(rng.normal(size=(rows, cols)), N)
+    sys = NominalSystem(n=2, m=3, p=2, N=N, A=grid(2, 2), B=grid(2, 3), C=grid(2, 2),
+                        D=grid(2, 3), w=grid(2, 1), v=grid(2, 1), r=grid(2, 1),
+                        x0=rng.normal(size=(2, 1)))
+    amps = dict(amp_A=0.1, amp_B=0.2, amp_C=0.3, amp_D=0.4, amp_w=0.5, amp_v=0.6,
+                amp_r=0.7, amp_x0=0.8)
+    structured = StructuredD(E=grid(2, 2), F=grid(2, 3), s=2)
+    return sys, amps, structured
+
+
+def expected_draw(sys, amps, structured, seed, l):
+    """Every field of sample_iteration, from one fresh Philox per tag."""
+    steps = sys.N + 1
+    fields = {tag: getattr(sys, tag).values + amps[f"amp_{tag}"] * fresh_noise(
+        seed, l, tag, steps, getattr(sys, tag).shape) for tag in "ABCDwvr"}
+    if structured is not None:
+        sigmas = fresh_noise(seed, l, "sigma", steps, (2, 2))
+        sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
+        fields["D"] = sys.D.values + structured.E.values @ sigmas @ structured.F.values
+    fields["x0"] = sys.x0 + amps["amp_x0"] * fresh_noise(seed, l, "x0", 1, (2, 1))[0]
+    return fields
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2 ** 64 - 1])
+@pytest.mark.parametrize("l", [0, 5, 2 ** 56 + 3], ids=["l=0", "l=5", "l-wraps-mask"])
+@pytest.mark.parametrize("with_sigma", [False, True], ids=["amp-D", "structured-D"])
+def test_each_tag_matches_a_fresh_philox_bit_for_bit(seed, l, with_sigma):
+    # The one bit generator re-keyed per tag draws what a new Philox keyed
+    # by (seed, l, tag) draws, including the last seed and an l whose key
+    # wraps past 64 bits.
+    sys, amps, structured = every_tag_system()
+    structured = structured if with_sigma else None
+    realized = sample_iteration(sys, UncertaintySpec(**amps, structured_D=structured,
+                                                     seed=seed), l)
+    for name, expected in expected_draw(sys, amps, structured, seed, l).items():
+        assert np.array_equal(getattr(realized, name), expected), name
+
+
+def test_draws_do_not_depend_on_call_order_or_threads():
+    # Each call keys its own generator: interleaved calls, from one thread
+    # or several, draw what each call draws alone.
+    system, amps, structured = every_tag_system()
+    keys = [(seed, l) for seed in (3, 4, 2 ** 64 - 1) for l in range(6)]
+
+    def draw(key):
+        seed, l = key
+        unc = UncertaintySpec(**amps, structured_D=structured, seed=seed)
+        realized = sample_iteration(system, unc, l)
+        return [getattr(realized, name).tobytes() for name in ("A", "B", "C", "D", "w", "v",
+                                                                "r", "x0")]
+
+    alone = {key: draw(key) for key in keys}
+    assert [draw(key) for key in reversed(keys)] == [alone[key] for key in reversed(keys)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            drawn = list(pool.map(draw, keys * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert drawn == [alone[key] for key in keys * 3]
+
+
+def test_one_philox_per_sample_iteration(monkeypatch):
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    sys, amps, structured = every_tag_system()
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for unc in (UncertaintySpec(**amps, seed=1),
+                UncertaintySpec(**amps, structured_D=structured, seed=1)):
+        built.clear()
+        for l in range(4):
+            sample_iteration(sys, unc, l)
+        assert len(built) == 4
 
 
 def test_structured_shape_conflict_raises():
