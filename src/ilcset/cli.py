@@ -38,7 +38,7 @@ from .ilc_engine import (
     run,
     run_transformed,
 )
-from .plant import sample_iteration
+from .plant import SEED_LIMIT, sample_iteration
 from .presets import PRESET_NAMES, preset_config
 from .schedule_lang import MatrixSchedule
 from .set_transform import (
@@ -72,16 +72,15 @@ def _fmt(x: float) -> str:
 
 def _load_doc(args) -> dict:
     if args.preset is not None:
-        return preset_config(args.preset,
-                             seed=42 if args.seed is None else args.seed,
-                             iterations=300 if args.iterations is None else args.iterations)
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("/", "top level must be an object")
+        doc = preset_config(args.preset)
+    else:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("/", f"invalid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SchemaError("/", "top level must be an object")
     if args.seed is not None:
         doc.setdefault("uncertainty", {})["seed"] = args.seed
     if args.iterations is not None:
@@ -168,8 +167,8 @@ def _applicable_reports(cfg: ExperimentConfig) -> list:
         E = cfg.uncertainty.structured_D.E
         F = cfg.uncertainty.structured_D.F
     else:
-        E = MatrixSchedule.constant(np.zeros((sysm.p, 1)), sysm.N)
-        F = MatrixSchedule.constant(np.zeros((1, sysm.m)), sysm.N)
+        E = MatrixSchedule.from_values(np.zeros((sysm.p, 1)), sysm.N)
+        F = MatrixSchedule.from_values(np.zeros((1, sysm.m)), sysm.N)
     return [check_rho_dxi(sysm.D, cfg.xi),
             check_rho_xid(sysm.D, cfg.xi),
             check_lmi(sysm.D, cfg.xi, E, F)]
@@ -205,8 +204,8 @@ def _parse_sweep(text: str) -> range:
     first, last = int(bounds[1]), int(bounds[2])
     if first > last:
         raise SchemaError("/sweep", "sweep range is empty")
-    if first < 0:
-        raise SchemaError("/sweep", "seeds must be nonnegative")
+    if first < 0 or last >= SEED_LIMIT:
+        raise SchemaError("/sweep", "seeds must lie in [0, 2**64)")
     return range(first, last + 1)
 
 
@@ -285,10 +284,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _grid_list(mats) -> list:
-    return [np.asarray(m, dtype=np.float64).tolist() for m in mats]
-
-
 def cmd_transform(args) -> int:
     cfg = _build_config(args)
     transform = _build_transform(cfg)
@@ -314,11 +309,11 @@ def cmd_transform(args) -> int:
             for k in range(transform.steps)
         ],
         "transformed": {
-            "Bstar": _grid_list(star.Bstar),
-            "Dstar": None if star.Dstar is None else _grid_list(star.Dstar),
-            "wstar": _grid_list(star.wstar),
-            "vstar": _grid_list(star.vstar),
-            "gain_star": _grid_list(star.gain_star),
+            "Bstar": star.Bstar.tolist(),
+            "Dstar": None if star.Dstar is None else star.Dstar.tolist(),
+            "wstar": star.wstar.tolist(),
+            "vstar": star.vstar.tolist(),
+            "gain_star": star.gain_star.tolist(),
         },
     }
     with (contextlib.nullcontext(sys.stdout) if args.out is None

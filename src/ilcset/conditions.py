@@ -51,15 +51,11 @@ class ConditionReport:
                    margin=threshold - worst, best_lambda=best_lambda)
 
 
-def loop_radii(products: np.ndarray) -> np.ndarray:
-    """rho(I - P(k)) for every loop product in a (steps, n, n) stack."""
-    return spectral_radii(np.eye(products.shape[-1]) - products)
-
-
 def contraction_report(name: str, products: np.ndarray) -> ConditionReport:
-    """Spectral-radius condition rho(I - P(k)) < 1 over k = 0, 1, ..."""
-    return ConditionReport.from_values(
-        name, enumerate(loop_radii(products).tolist()), SPECTRAL_THRESHOLD)
+    """Spectral-radius condition rho(I - P(k)) < 1 over k = 0, 1, ... for a
+    (steps, n, n) stack of loop products P(k)."""
+    radii = spectral_radii(np.eye(products.shape[-1]) - products)
+    return ConditionReport.from_values(name, enumerate(radii.tolist()), SPECTRAL_THRESHOLD)
 
 
 def check_rho_dxi(D: MatrixSchedule, Xi: MatrixSchedule) -> ConditionReport:

@@ -17,10 +17,14 @@ import numpy as np
 
 from .errors import SchemaError
 from .ilc_engine import GAMMA_MODES, MODES
-from .plant import NominalSystem, StructuredD, UncertaintySpec
+from .plant import SEED_LIMIT, NominalSystem, StructuredD, UncertaintySpec
 from .schedule_lang import MatrixSchedule, ScheduleBuildError, build_schedule
 
 _AMP_KEYS = ("A", "B", "C", "D", "w", "v", "r", "x0")
+# The largest count numpy can take as an array dimension, less one so that
+# N + 1 steps fit as well.
+_MAX_COUNT = int(np.iinfo(np.intp).max) - 1
+_SHOWN_CHARS = 30
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,12 @@ class _Collector:
             (path, message), *rest = self.problems
             detail = message + "".join(f"; {p}: {m}" for p, m in rest)
             raise SchemaError(path, detail)
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, cut after _SHOWN_CHARS characters."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def _as_cell(value) -> Optional[str]:
@@ -91,7 +101,7 @@ def _normalize_grid(value, path: str, problems: _Collector):
             src = _as_cell(cell)
             if src is None:
                 problems.add(f"{path}/{i}/{j}",
-                             f"cell must be a string or a finite number, got {cell!r}")
+                             f"cell must be a string or a finite number, got {_shown(cell)}")
                 ok = False
             parsed_row.append(src if src is not None else "0")
         grid.append(parsed_row)
@@ -126,15 +136,16 @@ def _build(grid, N: int, path: str, problems: _Collector) -> Optional[MatrixSche
 
 
 def _positive_int(doc: dict, key: str, path: str, problems: _Collector,
-                  default=None, minimum: int = 1) -> Optional[int]:
+                  default=None) -> Optional[int]:
     if key not in doc:
         if default is not None:
             return default
         problems.add(f"{path}/{key}", "missing required field")
         return None
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        problems.add(f"{path}/{key}", f"expected an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= _MAX_COUNT:
+        problems.add(f"{path}/{key}",
+                     f"expected an integer in [1, {_MAX_COUNT}], got {_shown(value)}")
         return None
     return value
 
@@ -145,7 +156,8 @@ def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
         return amps
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
         if not _finite_number(doc) or doc < 0:
-            problems.add(path, f"amplitude must be a finite nonnegative number, got {doc!r}")
+            problems.add(path, f"amplitude must be a finite nonnegative number, "
+                               f"got {_shown(doc)}")
             return None
         return dict.fromkeys(_AMP_KEYS, float(doc))
     if isinstance(doc, dict):
@@ -157,7 +169,8 @@ def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
                 continue
             if not _finite_number(value) or value < 0:
                 problems.add(f"{path}/{key}",
-                             f"amplitude must be a finite nonnegative number, got {value!r}")
+                             f"amplitude must be a finite nonnegative number, "
+                             f"got {_shown(value)}")
                 ok = False
                 continue
             amps[key] = float(value)
@@ -212,8 +225,9 @@ def config_from_dict(doc) -> ExperimentConfig:
     else:
         amps = _amplitudes(unc_doc.get("amplitudes"), "/uncertainty/amplitudes", problems)
         seed = unc_doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            problems.add("/uncertainty/seed", f"expected a nonnegative integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+            problems.add("/uncertainty/seed",
+                         f"expected an integer in [0, 2**64), got {_shown(seed)}")
             seed = 0
         structured = None
         sd_doc = unc_doc.get("structured_D")
@@ -233,7 +247,7 @@ def config_from_dict(doc) -> ExperimentConfig:
                         E = _build(e_grid, N, "/uncertainty/structured_D/E", problems)
                         F = _build(f_grid, N, "/uncertainty/structured_D/F", problems)
                         if E is not None and F is not None:
-                            structured = StructuredD(E=E, F=F, s=s)
+                            structured = StructuredD(E=E, F=F)
         if amps is not None:
             uncertainty = UncertaintySpec(
                 amp_A=amps["A"], amp_B=amps["B"], amp_C=amps["C"], amp_D=amps["D"],

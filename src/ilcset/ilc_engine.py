@@ -21,12 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .conditions import (
-    ConditionReport,
-    check_rho_cb_gamma,
-    check_rho_dxi,
-    contraction_report,
-)
+from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
 from .errors import (
     DimensionMismatchError,
     MissingDataError,
@@ -393,11 +388,9 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
     if look_ahead:
         active_steps = N
         xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
-        report = contraction_report("rho_cbgamma", transform.gain_products)
     else:
         active_steps = N + 1
         xi_seq, gamma_seq = transform.gain, zero_gains
-        report = contraction_report("rho_dxi", transform.gain_products)
 
     u0 = _initial_input(cfg, seeds)
     u1, frozen = split_input(transform, u0[:active_steps])
@@ -412,7 +405,7 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
         u1 = u1 + per_step(transform.gain_products, e) @ e[shift:shift + active_steps]
         return assemble(u1)
 
-    return report, xi_seq, gamma_seq, assemble(u1), advance
+    return transform.report, xi_seq, gamma_seq, assemble(u1), advance
 
 
 def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], gains: tuple,

@@ -20,7 +20,8 @@ from .errors import DimensionMismatchError, NonFiniteError
 from .matrix_core import Mat, spectral_norms
 from .schedule_lang import MatrixSchedule
 
-_MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # seeds lie in [0, 2**64): one Philox key word
+_MASK64 = SEED_LIMIT - 1
 
 # Stable stream tags: each perturbed quantity owns one substream per iteration.
 _TAG = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
@@ -64,11 +65,11 @@ class NominalSystem:
 
 @dataclass(frozen=True)
 class StructuredD:
-    """Norm-bounded structure delta_D = E(k) Sigma_l(k) F(k), Sigma^T Sigma <= I."""
+    """Norm-bounded structure delta_D = E(k) Sigma_l(k) F(k), Sigma^T Sigma <= I;
+    Sigma is s x s with s = E.cols."""
 
     E: MatrixSchedule  # p x s
     F: MatrixSchedule  # s x m
-    s: int
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class UncertaintySpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise DimensionMismatchError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in ("amp_A", "amp_B", "amp_C", "amp_D",
                      "amp_w", "amp_v", "amp_r", "amp_x0"):
             if not 0 <= getattr(self, name) < np.inf:
@@ -168,11 +171,12 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
 
     if unc.structured_D is not None:
         sd = unc.structured_D
-        if sd.E.shape != (p, sd.s) or sd.F.shape != (sd.s, m):
+        s = sd.E.cols
+        if sd.E.rows != p or sd.F.shape != (s, m):
             raise DimensionMismatchError(
                 f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
-                f"do not match p={p}, s={sd.s}, m={m}")
-        sigmas = noise("sigma", steps, (sd.s, sd.s))
+                f"do not match p={p}, s={s}, m={m}")
+        sigmas = noise("sigma", steps, (s, s))
         sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
         D = sys.D.values + sd.E.values @ sigmas @ sd.F.values
     else:

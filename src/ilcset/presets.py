@@ -16,33 +16,25 @@ from importlib import resources
 
 from .config import ExperimentConfig, config_from_dict
 
-DEFAULT_AMPLITUDE = 0.0002  # the uncertainty level of the noisy presets
-
 PRESET_NAMES = ("example1", "example2", "example1-clean", "example2-clean")
 
 
-def preset_config(name: str, seed: int = 42, iterations: int = 300,
-                  amplitude: float | None = None) -> dict:
-    """The JSON document of a named preset with the overrides applied.
-
-    ``amplitude`` overrides the uncertainty level of every channel the
-    preset perturbs (clean presets ship at zero, the others at 0.0002).
-    """
+def preset_config(name: str, seed: int | None = None,
+                  iterations: int | None = None) -> dict:
+    """The JSON document of a named preset, with the seed and iteration
+    count replaced where given (the documents ship 42 and 300)."""
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r} (expected one of {PRESET_NAMES})")
     source = resources.files(__package__) / "data" / f"{name}.json"
     doc = json.loads(source.read_text(encoding="utf-8"))
-    doc["uncertainty"]["seed"] = seed
-    doc["run"]["iterations"] = iterations
-    if amplitude is not None:
-        amps = doc["uncertainty"]["amplitudes"]
-        doc["uncertainty"]["amplitudes"] = (dict.fromkeys(amps, amplitude)
-                                            if isinstance(amps, dict) else amplitude)
+    if seed is not None:
+        doc["uncertainty"]["seed"] = seed
+    if iterations is not None:
+        doc["run"]["iterations"] = iterations
     return doc
 
 
-def build_preset(name: str, seed: int = 42, iterations: int = 300,
-                 amplitude: float | None = None) -> ExperimentConfig:
+def build_preset(name: str, seed: int | None = None,
+                 iterations: int | None = None) -> ExperimentConfig:
     """Build a preset through the same validation path as a config file."""
-    return config_from_dict(preset_config(name, seed=seed, iterations=iterations,
-                                          amplitude=amplitude))
+    return config_from_dict(preset_config(name, seed=seed, iterations=iterations))

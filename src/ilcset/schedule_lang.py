@@ -55,11 +55,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
 class Neg:
     child: "Node"
 
@@ -83,12 +78,7 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Num, Var, Const, Neg, BinOp, Pow, Call]
-
-
-@dataclass(frozen=True)
-class EntryExpr:
-    ast: Node
+Node = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 
 # --- Tokenizer -------------------------------------------------------------
@@ -211,7 +201,7 @@ class _Parser:
             if tok.text == "k":
                 return Var()
             if tok.text in _CONSTANTS:
-                return Const(tok.text)
+                return Num(_CONSTANTS[tok.text])
             if tok.text in _FUNCTIONS:
                 self.expect("lparen")
                 arg = self.expr()
@@ -231,11 +221,13 @@ class _Parser:
                          expected=_ATOM_EXPECTED)
 
 
-def parse_expr(src: str) -> EntryExpr:
-    """Parse one entry expression; raises ParseError with offset on failure."""
+def parse_expr(src: str) -> Node:
+    """Parse one entry expression into its tree; raises ParseError with
+    offset on failure.  Named constants parse to their value: ``pi`` is
+    ``Num(math.pi)``."""
     if not isinstance(src, str) or not src.strip():
         raise ParseError("empty expression", 0, expected=_ATOM_EXPECTED)
-    return EntryExpr(_Parser(src).parse())
+    return _Parser(src).parse()
 
 
 # --- Evaluation ------------------------------------------------------------
@@ -245,8 +237,6 @@ def _eval_node(node: Node, k: float) -> float:
         return node.value
     if isinstance(node, Var):
         return k
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
     if isinstance(node, Neg):
         return -_eval_node(node.child, k)
     if isinstance(node, BinOp):
@@ -271,12 +261,12 @@ def _eval_node(node: Node, k: float) -> float:
     raise EvalError(f"unknown node {node!r}")
 
 
-def eval_expr(e: EntryExpr, k: int) -> float:
+def eval_expr(e: Node, k: int) -> float:
     """Evaluate at time step k (taken as a real); result must be finite."""
     if k < 0:
         raise EvalError(f"time step must be nonnegative, got {k}")
     try:
-        value = _eval_node(e.ast, float(k))
+        value = _eval_node(e, float(k))
     except OverflowError as exc:
         raise EvalError(f"overflow at k={k}") from exc
     if not math.isfinite(value):
@@ -317,8 +307,6 @@ def _eval_horizon(node: Node, k: np.ndarray):
         return node.value
     if isinstance(node, Var):
         return k
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
     if isinstance(node, Neg):
         return -_eval_horizon(node.child, k)
     if isinstance(node, BinOp):
@@ -342,11 +330,11 @@ def _eval_horizon(node: Node, k: np.ndarray):
     raise _NotExact
 
 
-def _eval_cell(e: EntryExpr, k: np.ndarray):
+def _eval_cell(e: Node, k: np.ndarray):
     """The cell's values at every k, bit-equal to eval_expr; raises
     _NotExact if eval_expr fails at any k."""
     with np.errstate(all="ignore"):
-        value = _eval_horizon(e.ast, k)
+        value = _eval_horizon(e, k)
         if not np.isfinite(value).all():
             raise _NotExact
     return value
@@ -371,7 +359,7 @@ class MatrixSchedule:
     evaluation of the whole grid would.
     """
 
-    def __init__(self, exprs: Sequence[Sequence[EntryExpr]], N: int):
+    def __init__(self, exprs: Sequence[Sequence[Node]], N: int):
         if N < 1:
             raise ScheduleBuildError([(0, 0, f"horizon must be >= 1, got {N}")])
         rows = len(exprs)
@@ -383,13 +371,12 @@ class MatrixSchedule:
         self.rows = rows
         self.cols = cols
         self.N = N
-        self.exprs = tuple(tuple(row) for row in exprs)
         steps = np.arange(N + 1, dtype=np.float64)
         failures: list[tuple[int, int, int, str]] = []
         values = np.empty((N + 1, rows, cols))
         for i in range(rows):
             for j in range(cols):
-                expr = self.exprs[i][j]
+                expr = exprs[i][j]
                 try:
                     values[:, i, j] = _eval_cell(expr, steps)
                 except _NotExact:
@@ -416,13 +403,8 @@ class MatrixSchedule:
     @classmethod
     def from_values(cls, values, N: int) -> "MatrixSchedule":
         """Constant schedule from a nested grid of numbers."""
-        grid = [[EntryExpr(Num(float(v))) for v in row] for row in np.atleast_2d(values)]
+        grid = [[Num(float(v)) for v in row] for row in np.atleast_2d(values)]
         return cls(grid, N)
-
-    @classmethod
-    def constant(cls, mat: Mat, N: int) -> "MatrixSchedule":
-        """Constant schedule holding one matrix at every k."""
-        return cls.from_values(np.asarray(mat, dtype=np.float64), N)
 
 
 def build_schedule(grid: Sequence[Sequence[str]], N: int) -> MatrixSchedule:
@@ -432,7 +414,7 @@ def build_schedule(grid: Sequence[Sequence[str]], N: int) -> MatrixSchedule:
     raising, so a config with several bad cells reports them all at once.
     """
     failures: list[tuple[int, int, str]] = []
-    exprs: list[list[EntryExpr]] = []
+    exprs: list[list[Node]] = []
     for i, row in enumerate(grid):
         expr_row = []
         for j, cell in enumerate(row):
@@ -440,7 +422,7 @@ def build_schedule(grid: Sequence[Sequence[str]], N: int) -> MatrixSchedule:
                 expr_row.append(parse_expr(cell))
             except ParseError as exc:
                 failures.append((i, j, f"parse: {exc}"))
-                expr_row.append(EntryExpr(Num(0.0)))
+                expr_row.append(Num(0.0))
         exprs.append(expr_row)
     if failures:
         raise ScheduleBuildError(failures)

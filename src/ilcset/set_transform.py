@@ -25,7 +25,7 @@ from .errors import (
     ModelMismatchError,
     RankDeficientError,
 )
-from .conditions import loop_radii
+from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
 from .matrix_core import Mat, block2x2, inf_norms, invert, per_step
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
@@ -35,7 +35,7 @@ PERM_DET_RTOL = 1e-10    # relative |det| floor for reusing the k=0 permutation
 COUPLING_RESIDUAL_TOL = 1e-9
 
 
-def select_nonsingular_block(M: Mat, rel_tol: float = RANK_RTOL):
+def select_nonsingular_block(M: Mat):
     """Pick p independent columns of a p x m matrix by greedy elimination.
 
     Returns (perm, M1, M2) where perm lists the chosen columns first (the
@@ -50,7 +50,7 @@ def select_nonsingular_block(M: Mat, rel_tol: float = RANK_RTOL):
     if p > m:
         raise RankDeficientError(f"more rows than columns: {M.shape}")
     scale = float(np.max(np.abs(M))) if M.size else 0.0
-    threshold = rel_tol * max(scale, np.finfo(np.float64).tiny)
+    threshold = RANK_RTOL * max(scale, np.finfo(np.float64).tiny)
     work = M.copy()
     remaining = list(range(m))
     chosen: list[int] = []
@@ -109,12 +109,15 @@ class InputTransform:
 
     Everything is held as stacks over k: ``T`` and ``Tinv`` (steps, m, m),
     ``gain_products`` (steps, p, p), ``col_perm`` (steps, m), ``coupling``
-    (steps, p, m) and ``gain`` (steps, m, p).
+    (steps, p, m) and ``gain`` (steps, m, p).  ``report`` is the contraction
+    condition rho(I - G(k)) < 1 the builder checked, which the split loop
+    reports as its own.
     """
 
     kind = "generic"
 
-    def __init__(self, coupling, gain, perms):
+    def __init__(self, coupling, gain, perms, report: ConditionReport):
+        self.report = report
         self.coupling = np.asarray(coupling, dtype=np.float64)
         self.gain = np.asarray(gain, dtype=np.float64)
         self.col_perm = np.asarray(perms, dtype=np.intp)
@@ -156,19 +159,19 @@ class PTransform(InputTransform):
 
     kind = "gamma"
 
-    def __init__(self, coupling, gain, perms, b_cache, c_cache):
-        super().__init__(coupling, gain, perms)
+    def __init__(self, coupling, gain, perms, report, b_cache, c_cache):
+        super().__init__(coupling, gain, perms, report)
         self.b_cache = b_cache
         self.c_cache = c_cache
 
 
-def _build(coupling, gains, label: str):
-    radii = loop_radii(coupling @ gains)
-    violated = np.flatnonzero(radii >= 1.0)
-    if violated.size:
-        k = int(violated[0])
-        raise ConditionViolatedError(f"{label} contraction precondition fails",
-                                     k=k, value=float(radii[k]))
+def _build(coupling, report: ConditionReport, label: str):
+    """Column permutations for the coupling stack, once the contraction
+    condition holds at every step."""
+    for k, value in report.per_k:
+        if value >= report.threshold:
+            raise ConditionViolatedError(f"{label} contraction precondition fails",
+                                         k=k, value=value)
     p = coupling.shape[1]
     perm0, _, _ = select_nonsingular_block(coupling[0])
     if _fixed_perm_is_valid(coupling, perm0, p):
@@ -188,8 +191,9 @@ def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> QTransform:
     if D.cols != Xi.rows or D.rows != Xi.cols or D.N != Xi.N:
         raise DimensionMismatchError(
             f"D {D.shape} and gain {Xi.shape} do not conform")
-    perms = _build(D.values, Xi.values, "feedthrough-gain")
-    return QTransform(D.values, Xi.values, perms)
+    report = check_rho_dxi(D, Xi)
+    perms = _build(D.values, report, "feedthrough-gain")
+    return QTransform(D.values, Xi.values, perms, report)
 
 
 def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
@@ -201,9 +205,10 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
     if not (B.N == C.N == Gamma.N):
         raise DimensionMismatchError("schedule horizons differ")
     coupling = C.values[1:] @ B.values[:-1]
-    gains = Gamma.values[:-1]
-    perms = _build(coupling, gains, "coupling-gain")
-    return PTransform(coupling, gains, perms, b_cache=B.values, c_cache=C.values)
+    report = check_rho_cb_gamma(B, C, Gamma)
+    perms = _build(coupling, report, "coupling-gain")
+    return PTransform(coupling, Gamma.values[:-1], perms, report,
+                      b_cache=B.values, c_cache=C.values)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from ilcset.ilc_engine import (
     verify_error_recursion,
     verify_input_recursion,
 )
+from ilcset.config import config_from_dict
 from ilcset.matrix_core import inf_norm, spectral_norms
 from ilcset.plant import sample_iteration, simulate
-from ilcset.presets import build_preset
+from ilcset.presets import preset_config
 from ilcset.schedule_lang import MatrixSchedule
 from ilcset.set_transform import assemble_input, build_p_transform, split_input
 
@@ -84,7 +85,9 @@ def robust_runs(example1):
     """Uncertain benchmark at its stock amplitude and at one tenth of it."""
     full = run(example1.system, example1.uncertainty, (example1.xi, example1.gamma),
                IlcConfig(mode="direct-xi", iterations=300, u0=example1.u0))
-    tenth_cfg = build_preset("example1", amplitude=0.00002)
+    tenth_doc = preset_config("example1")
+    tenth_doc["uncertainty"]["amplitudes"] = 0.00002
+    tenth_cfg = config_from_dict(tenth_doc)
     tenth = run(tenth_cfg.system, tenth_cfg.uncertainty,
                 (tenth_cfg.xi, tenth_cfg.gamma),
                 IlcConfig(mode="direct-xi", iterations=300, u0=tenth_cfg.u0))
@@ -415,12 +418,12 @@ def test_lmi_verdict_matches_spectral_norm_test():
             Xi = rng.uniform(0.2, 1.8) * np.linalg.pinv(D)
         else:
             Xi = rng.uniform(-1.0, 1.0, (m, p))
-        Ds = MatrixSchedule.constant(D, 1)
-        Xis = MatrixSchedule.constant(Xi, 1)
+        Ds = MatrixSchedule.from_values(D, 1)
+        Xis = MatrixSchedule.from_values(Xi, 1)
         direct = spectral_norms(np.eye(p) - D @ Xi) < 1.0
         report = check_lmi(Ds, Xis,
-                           MatrixSchedule.constant(np.zeros((p, 1)), 1),
-                           MatrixSchedule.constant(np.zeros((1, m)), 1))
+                           MatrixSchedule.from_values(np.zeros((p, 1)), 1),
+                           MatrixSchedule.from_values(np.zeros((1, m)), 1))
         assert report.satisfied == direct, (
             f"trial {trial}: verdict {report.satisfied} vs "
             f"spectral norm test {direct}")
@@ -429,8 +432,8 @@ def test_lmi_verdict_matches_spectral_norm_test():
         s = 1 + trial % 2
         structured = check_lmi(
             Ds, Xis,
-            MatrixSchedule.constant(rng.uniform(-0.05, 0.05, (p, s)), 1),
-            MatrixSchedule.constant(rng.uniform(-0.05, 0.05, (s, m)), 1))
+            MatrixSchedule.from_values(rng.uniform(-0.05, 0.05, (p, s)), 1),
+            MatrixSchedule.from_values(rng.uniform(-0.05, 0.05, (s, m)), 1))
         if structured.satisfied:
             lmi_passes += 1
             assert check_rho_dxi(Ds, Xis).satisfied

@@ -326,6 +326,54 @@ def test_sweep_bad_spec_exits_two(capsys):
                                 "with integers A <= B\n"), spec
 
 
+SEED_LIMIT = 2 ** 64
+
+
+@pytest.mark.parametrize("flags", [["--seed", str(SEED_LIMIT)],
+                                   ["--sweep", f"seeds={SEED_LIMIT}..{SEED_LIMIT}"],
+                                   ["--sweep", f"seeds={SEED_LIMIT - 1}..{SEED_LIMIT}"]],
+                         ids=["seed", "sweep", "sweep-last"])
+def test_seed_the_philox_key_would_wrap_exits_two(tmp_path, capsys, flags):
+    # Seed 2**64 + s would draw what seed s draws.
+    out = tmp_path / "m.csv"
+    assert main(["run", "--preset", "example1", "--iterations", "1", "--out", str(out),
+                 *flags]) == 2
+    captured = capsys.readouterr()
+    path = "/uncertainty/seed" if flags[0] == "--seed" else "/sweep"
+    assert captured.err.startswith(f"config error: {path}: ")
+    assert "[0, 2**64)" in captured.err
+    assert not out.exists()
+
+
+def test_largest_seed_still_runs(tmp_path):
+    last = str(SEED_LIMIT - 1)
+    single, sweep = tmp_path / "single.csv", tmp_path / "sweep.csv"
+    argv = ["run", "--preset", "example1", "--iterations", "2"]
+    assert main(argv + ["--seed", last, "--out", str(single)]) == 0
+    assert main(argv + ["--sweep", f"seeds={last}..{last}", "--out", str(sweep)]) == 0
+    assert [row[1:] for row in read_rows(sweep)[1:]] == read_rows(single)[1:]
+    assert {row[0] for row in read_rows(sweep)[1:]} == {last}
+
+
+@pytest.mark.parametrize("section, key, value",
+                         [("run", "iterations", 2 ** 63), ("system", "N", 10 ** 400)],
+                         ids=["iterations", "N"])
+def test_count_numpy_cannot_index_exits_two(tmp_path, capsys, section, key, value):
+    path = pathlib.Path(make_divergent_config(tmp_path, 3))
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: /{section}/{key}: ")
+    assert len(err) < 200 and "Traceback" not in err
+
+
+def test_iterations_flag_numpy_cannot_index_exits_two(capsys):
+    assert main(["run", "--preset", "example1", "--iterations", str(2 ** 63)]) == 2
+    assert capsys.readouterr().err.startswith("config error: /run/iterations: ")
+
+
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],
                                    ["--record-trajectories", "all"], ["--seed", "5"]])
 def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
@@ -431,6 +479,29 @@ def test_verify_set_unbuildable_transform_fails_before_any_trial(tmp_path, capsy
     assert captured.err == ("error: feedthrough-gain contraction precondition "
                             "fails: rho=2 at k=0\n")
     assert not out.exists()
+
+
+def test_unbuildable_coupling_gain_transform_message(tmp_path, capsys):
+    # rho(I - C B Gamma) = |1 - 3| = 2 at k = 0: the look-ahead transform
+    # cannot be built, with or without a counterpart.
+    doc = {
+        "system": {
+            "n": 1, "m": 2, "p": 1, "N": 3,
+            "A": [["0.5"]], "B": [["1", "0.5"]], "C": [["1"]], "D": [["0", "0"]],
+            "w": ["0"], "v": ["0"], "r": ["1"], "x0": [0.0],
+        },
+        "gains": {"Gamma": [["3"], ["0"]]},
+        "run": {"mode": "transformed-gamma"},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--mode", "direct-gamma", "--verify-set"]):
+        code = main(["run", "--config", str(path), "--iterations", "3", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: coupling-gain contraction precondition "
+                                "fails: rho=2 at k=0\n")
 
 
 def test_version_runs_as_module():

@@ -157,7 +157,7 @@ def test_structured_feedthrough_uncertainty_parsed():
                                           "F": [["1"], ["0.5*cos(k)"]]}
     cfg = config_from_dict(doc)
     sd = cfg.uncertainty.structured_D
-    assert sd.s == 2
+    assert sd.E.cols == 2
     assert sd.E.at(0)[0, 1] == 0.2
     assert sd.F.at(0)[1, 0] == 0.5
 
@@ -193,7 +193,7 @@ def test_each_problem_path_printed_once():
         config_from_dict(doc)
     assert exc.value.path == "/system/A/0/0"
     assert str(exc.value) == ("/system/A/0/0: k=1: division by zero (1.0 / 0); "
-                              "/uncertainty/seed: expected a nonnegative integer, got -1")
+                              "/uncertainty/seed: expected an integer in [0, 2**64), got -1")
 
 
 def test_u0_grid_accepted():
@@ -247,6 +247,7 @@ def test_non_finite_number_rejected_at_its_path(field, path, value):
         config_from_dict(doc)
     assert exc.value.path == path
     assert "finite" in str(exc.value)
+    assert len(str(exc.value)) < 200  # 10**400 is not echoed in full
 
 
 def test_json_non_finite_tokens_rejected_at_their_paths():
@@ -281,3 +282,47 @@ def test_json_non_finite_grid_cells_rejected_at_their_paths():
 def test_uncertainty_spec_rejects_non_finite_amplitudes(value):
     with pytest.raises(DimensionMismatchError):
         UncertaintySpec(amp_D=value)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, 10 ** 400],
+                         ids=["-1", "2**64", "2**70", "10**400"])
+def test_seed_outside_the_philox_key_rejected(seed):
+    doc = minimal_doc()
+    doc["uncertainty"]["seed"] = seed
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == "/uncertainty/seed"
+    assert "[0, 2**64)" in str(exc.value) and len(str(exc.value)) < 200
+
+
+def test_largest_seed_accepted():
+    doc = minimal_doc()
+    doc["uncertainty"]["seed"] = 2 ** 64 - 1
+    assert config_from_dict(doc).uncertainty.seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
+def test_uncertainty_spec_rejects_seed_outside_the_key(seed):
+    with pytest.raises(DimensionMismatchError):
+        UncertaintySpec(seed=seed)
+
+
+@pytest.mark.parametrize("section, key", [("system", "n"), ("system", "N"),
+                                          ("run", "iterations"), ("run", "record_every")])
+@pytest.mark.parametrize("value", [np.iinfo(np.intp).max, 2 ** 63, 10 ** 400],
+                         ids=["intp-max", "2**63", "10**400"])
+def test_count_numpy_cannot_index_rejected_at_its_path(section, key, value):
+    # N + 1 steps must be a numpy array dimension too, so the largest
+    # intp is one more than any count may be.
+    doc = minimal_doc()
+    doc[section][key] = int(value)
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert exc.value.path == f"/{section}/{key}"
+    assert len(str(exc.value)) < 200
+
+
+def test_largest_count_accepted():
+    doc = minimal_doc()
+    doc["run"]["iterations"] = int(np.iinfo(np.intp).max) - 1
+    assert config_from_dict(doc).iterations == np.iinfo(np.intp).max - 1

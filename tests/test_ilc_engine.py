@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import ilcset.conditions
 import ilcset.ilc_engine
 from ilcset.config import config_from_dict
 from ilcset.errors import (
@@ -42,7 +43,7 @@ def tiny_system(A="0", B="0", C="0", D="1", w="0", v="0", r="1",
 
 
 def const_gain(value, N):
-    return MatrixSchedule.constant(np.array([[float(value)]]), N)
+    return MatrixSchedule.from_values(np.array([[float(value)]]), N)
 
 
 def no_uncertainty():
@@ -366,6 +367,24 @@ def test_run_reports_equal_checks_on_a_fresh_draw(request, config, mode, transfo
         x, y = simulate(real, result.inputs[l])
         assert np.array_equal(result.states[l], x) and np.array_equal(result.outputs[l], y)
         assert np.array_equal(result.references[l], real.r)
+
+
+@pytest.mark.parametrize("config, mode, transform",
+                         [("example1", "transformed-xi", "q_example1"),
+                          ("example2", "transformed-gamma", "p_example2")])
+def test_split_run_reports_the_transforms_condition(monkeypatch, request, config, mode,
+                                                    transform):
+    # The builder checked the contraction condition; the split loop reports
+    # that check and computes no spectral radius of its own.
+    cfg, transform = request.getfixturevalue(config), request.getfixturevalue(transform)
+    calls = []
+    radii = ilcset.conditions.spectral_radii
+    monkeypatch.setattr(ilcset.conditions, "spectral_radii",
+                        lambda m: calls.append(m.shape) or radii(m))
+    result = run_transformed(cfg.system, cfg.uncertainty, transform,
+                             IlcConfig(mode=mode, iterations=2, u0=cfg.u0))
+    assert result.condition_report is transform.report
+    assert calls == []
 
 
 def test_clean_run_decays_in_blocks(example1_clean):

@@ -34,7 +34,7 @@ def fresh_noise(seed, l, tag, count, shape):
 
 def sampled_sigma(sys, unc, l, k):
     """Per-step reference for the structured D contraction matrix at (l, k)."""
-    s = unc.structured_D.s
+    s = unc.structured_D.E.cols
     raw = fresh_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
     return raw / max(1.0, float(spectral_norms(raw)))
 
@@ -129,7 +129,6 @@ def test_structured_sigma_is_contractive_and_consistent():
     structured = StructuredD(
         E=build_schedule([["0.1", "0"], ["0", "0.2"]], N),
         F=build_schedule([["1", "0", "0"], ["0", "1", "0.5"]], N),
-        s=2,
     )
     unc = UncertaintySpec(structured_D=structured, seed=5)
     for l in range(30):
@@ -151,7 +150,7 @@ def every_tag_system(N=6):
                         x0=rng.normal(size=(2, 1)))
     amps = dict(amp_A=0.1, amp_B=0.2, amp_C=0.3, amp_D=0.4, amp_w=0.5, amp_v=0.6,
                 amp_r=0.7, amp_x0=0.8)
-    structured = StructuredD(E=grid(2, 2), F=grid(2, 3), s=2)
+    structured = StructuredD(E=grid(2, 2), F=grid(2, 3))
     return sys, amps, structured
 
 
@@ -231,7 +230,6 @@ def test_structured_shape_conflict_raises():
     structured = StructuredD(
         E=MatrixSchedule.from_values([[1.0, 0.0]], sys.N),
         F=MatrixSchedule.from_values([[1.0]], sys.N),
-        s=2,
     )
     with pytest.raises(DimensionMismatchError):
         sample_iteration(sys, UncertaintySpec(structured_D=structured, seed=1), 0)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from ilcset.presets import (
-    DEFAULT_AMPLITUDE,
     PRESET_NAMES,
     build_preset,
     preset_config,
 )
 
 PROBE_STEPS = (0, 1, 50, 100)
+STOCK_AMPLITUDE = 0.0002  # the uncertainty level of the noisy presets
 
 
 def expected_shared(k: int) -> dict:
@@ -121,10 +121,10 @@ def test_dimensions_task_and_start(example1, example2):
 
 def test_uncertainty_amplitudes(example1, example2, example1_clean, example2_clean):
     unc1 = example1.uncertainty
-    assert all(getattr(unc1, f"amp_{q}") == DEFAULT_AMPLITUDE
+    assert all(getattr(unc1, f"amp_{q}") == STOCK_AMPLITUDE
                for q in ("A", "B", "C", "D", "w", "v", "r", "x0"))
     unc2 = example2.uncertainty
-    assert all(getattr(unc2, f"amp_{q}") == DEFAULT_AMPLITUDE
+    assert all(getattr(unc2, f"amp_{q}") == STOCK_AMPLITUDE
                for q in ("A", "w", "v", "r", "x0"))
     # The look-ahead benchmark keeps its input/output maps repetitive.
     assert unc2.amp_B == unc2.amp_C == unc2.amp_D == 0.0
@@ -134,20 +134,22 @@ def test_uncertainty_amplitudes(example1, example2, example1_clean, example2_cle
     assert unc1.seed == 42 and unc2.seed == 42
 
 
-def test_amplitude_override():
-    doc = preset_config("example1", amplitude=1e-5)
-    assert doc["uncertainty"]["amplitudes"] == 1e-5
-    doc2 = preset_config("example2", amplitude=1e-5)
-    assert set(doc2["uncertainty"]["amplitudes"]) == {"A", "w", "v", "r", "x0"}
-    assert all(a == 1e-5 for a in doc2["uncertainty"]["amplitudes"].values())
-    cfg = build_preset("example1", amplitude=0.0)
-    assert cfg.uncertainty.amp_A == 0.0
-
-
 def test_seed_and_iteration_overrides():
     cfg = build_preset("example1", seed=7, iterations=10)
     assert cfg.uncertainty.seed == 7
     assert cfg.iterations == 10
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_overrides_change_only_the_values_given(name):
+    # The documents alone hold the stock seed and trial count.
+    stock = preset_config(name)
+    assert stock["uncertainty"]["seed"] == 42 and stock["run"]["iterations"] == 300
+    seeded = preset_config(name, seed=5)
+    assert seeded["uncertainty"]["seed"] == 5 and seeded["run"]["iterations"] == 300
+    shortened = preset_config(name, iterations=3)
+    assert shortened["uncertainty"]["seed"] == 42 and shortened["run"]["iterations"] == 3
+    assert shortened == {**stock, "run": {**stock["run"], "iterations": 3}}
 
 
 def test_unknown_preset_rejected():

@@ -11,7 +11,6 @@ from ilcset.schedule_lang import (
     MAX_EXPONENT,
     BinOp,
     Call,
-    Const,
     MatrixSchedule,
     Neg,
     Num,
@@ -24,11 +23,16 @@ from ilcset.schedule_lang import (
 
 
 def test_parse_literal_zero():
-    assert parse_expr("0").ast == Num(0.0)
+    assert parse_expr("0") == Num(0.0)
+
+
+def test_pi_parses_to_its_value():
+    assert parse_expr("pi") == Num(math.pi)
+    assert parse_expr("2*pi") == BinOp("*", Num(2.0), Num(math.pi))
 
 
 def test_parse_builds_expected_tree():
-    got = parse_expr("1+0.1*cos(0.1*k)^2").ast
+    got = parse_expr("1+0.1*cos(0.1*k)^2")
     want = BinOp(
         "+",
         Num(1.0),
@@ -123,8 +127,6 @@ def _parenthesized(node) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return "k"
-    if isinstance(node, Const):
-        return node.name
     if isinstance(node, Neg):
         return f"(-{_parenthesized(node.child)})"
     if isinstance(node, BinOp):
@@ -154,7 +156,7 @@ def _parenthesized(node) -> str:
 )
 def test_pretty_print_round_trip(src):
     original = parse_expr(src)
-    reparsed = parse_expr(_parenthesized(original.ast))
+    reparsed = parse_expr(_parenthesized(original))
     for k in range(201):
         assert abs(eval_expr(reparsed, k) - eval_expr(original, k)) <= 1e-12
 
@@ -207,7 +209,7 @@ def test_at_bounds_checked():
 
 def test_constant_helpers():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    sched = MatrixSchedule.constant(m, N=5)
+    sched = MatrixSchedule.from_values(m, N=5)
     for k in range(6):
         np.testing.assert_array_equal(sched.at(k), m)
     vals = MatrixSchedule.from_values([[7.0]], N=1)

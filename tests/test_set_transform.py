@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ilcset.conditions import check_rho_cb_gamma, check_rho_dxi
 from ilcset.errors import (
     ConditionViolatedError,
     DimensionMismatchError,
@@ -59,8 +60,8 @@ def test_select_rejects_rank_deficient():
 
 def test_square_case_blocks():
     N = 3
-    q = build_q_transform(MatrixSchedule.constant(np.eye(2), N),
-                          MatrixSchedule.constant(0.5 * np.eye(2), N))
+    q = build_q_transform(MatrixSchedule.from_values(np.eye(2), N),
+                          MatrixSchedule.from_values(0.5 * np.eye(2), N))
     for k in range(N + 1):
         np.testing.assert_allclose(q.T[k], np.eye(2), atol=1e-12)
         np.testing.assert_allclose(q.Tinv[k], np.eye(2), atol=1e-12)
@@ -141,6 +142,27 @@ def test_contraction_precondition_enforced():
                           MatrixSchedule.from_values([[0.0], [0.0]], N))
     assert err.value.k == 0
     assert err.value.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_builders_keep_the_condition_they_checked(example1, example2, q_example1,
+                                                  p_example2):
+    want_q = check_rho_dxi(example1.system.D, example1.xi)
+    want_p = check_rho_cb_gamma(example2.system.B, example2.system.C, example2.gamma)
+    for got, want in ((q_example1.report, want_q), (p_example2.report, want_p)):
+        assert got == want
+        assert (np.array([v for _, v in got.per_k]).tobytes()
+                == np.array([v for _, v in want.per_k]).tobytes())
+
+
+def test_precondition_fails_at_the_first_violating_step():
+    # rho(I - D Xi) = |0.5 - k|: 0.5, 0.5, 1.5, 2.5; the worst step is k = 3,
+    # the first to fail k = 2.
+    N = 3
+    with pytest.raises(ConditionViolatedError) as err:
+        build_q_transform(MatrixSchedule.from_values([[1.0, 0.5]], N),
+                          build_schedule([["0.5+k"], ["0"]], N))
+    assert (err.value.k, err.value.value) == (2, 1.5)
+    assert str(err.value) == "feedthrough-gain contraction precondition fails: rho=1.5 at k=2"
 
 
 def test_fixed_permutation_with_per_step_fallback():
@@ -312,8 +334,8 @@ def test_split_by_hand():
 
 def test_split_square_case_has_empty_remainder():
     N = 1
-    q = build_q_transform(MatrixSchedule.constant(np.eye(2), N),
-                          MatrixSchedule.constant(0.5 * np.eye(2), N))
+    q = build_q_transform(MatrixSchedule.from_values(np.eye(2), N),
+                          MatrixSchedule.from_values(0.5 * np.eye(2), N))
     u1, u2 = split_input(q, np.array([[[1.0], [2.0]]] * 2))
     assert u2.shape == (2, 0, 1)
     np.testing.assert_allclose(u1[0], [[1.0], [2.0]], atol=1e-12)
