@@ -13,11 +13,15 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import functools
+import importlib
 import json
 import logging
+import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,15 +33,8 @@ from .conditions import (
     check_rho_gamma_cb,
     check_rho_xid,
 )
-from .config import ExperimentConfig, config_from_dict
+from .config import GAMMA_MODES, ExperimentConfig, config_from_dict
 from .errors import IlcsetError, SchemaError
-from .ilc_engine import (
-    GAMMA_MODES,
-    IlcConfig,
-    RunResult,
-    run,
-    run_transformed,
-)
 from .plant import SEED_LIMIT, sample_iteration
 from .presets import PRESET_NAMES, preset_config
 from .schedule_lang import MatrixSchedule
@@ -47,6 +44,9 @@ from .set_transform import (
     apply_q_transform,
     apply_p_transform,
 )
+
+if TYPE_CHECKING:
+    from .ilc_engine import RunResult
 
 log = logging.getLogger(__name__)
 
@@ -77,7 +77,10 @@ def _load_doc(args) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, undecodable UTF-8, an integer literal longer
+            # than Python converts and nesting deeper than the decoder
+            # recurses; none of their messages echo the offending text.
             raise SchemaError("/", f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise SchemaError("/", "top level must be an object")
@@ -101,9 +104,27 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _execute(cfg: ExperimentConfig, unc, verify_set: bool = False) -> RunResult | list:
-    """Run cfg's loop under unc: one UncertaintySpec, or a list of them that
-    run side by side and give one RunResult each."""
+def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
+    """Reject a run whose largest per-trial stack, (L, N+1, seeds, rows, 1)
+    float64, is larger than numpy can address, before anything is drawn."""
+    sysm = cfg.system
+    nbytes = cfg.iterations * (sysm.N + 1) * seeds * max(sysm.n, sysm.m, sysm.p) * 8
+    limit = int(np.iinfo(np.intp).max)
+    if nbytes > limit:
+        raise SchemaError("/run/iterations",
+                          f"{cfg.iterations} trials of {seeds} seed(s) need a "
+                          f"{nbytes}-byte stack; numpy arrays hold at most {limit} bytes")
+
+
+def _execute(cfg: ExperimentConfig, seeds: range | None = None,
+             verify_set: bool = False) -> RunResult | list:
+    """Run cfg's loop: under cfg.uncertainty, or under each seed of seeds side
+    by side, which gives one RunResult per seed."""
+    from .ilc_engine import IlcConfig, run, run_transformed
+
+    _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start)
+    unc = (cfg.uncertainty if seeds is None
+           else [dataclasses.replace(cfg.uncertainty, seed=seed) for seed in seeds])
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
@@ -144,18 +165,22 @@ def _trajectory_header(p: int) -> list:
             + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
 
 
-def _trajectory_rows(cfg: ExperimentConfig, result: RunResult, which: str):
-    """One row per (recorded iteration, k), produced as the writer asks."""
-    if which == "final":
-        selected = [result.iterations - 1]
-    else:
-        selected = range(0, result.iterations, cfg.record_every)
-    for l in selected:
-        y, r = result.outputs[l], result.references[l]
-        # Python floats: csv writes them with repr, the same text as _fmt.
-        columns = np.concatenate([y, r, r - y], axis=1)[:, :, 0].tolist()
-        for k, values in enumerate(columns):
-            yield [l, k, *values]
+def _write_trajectories(path: str, result: RunResult, iterations) -> None:
+    """The trajectory CSV: one row l, k, y, r, e = r - y per recorded
+    iteration l and step k, in csv.writer's bytes.  Each iteration's rows
+    come from one row template, so one iteration's text is held at a time."""
+    _, steps, p, _ = result.outputs.shape
+    # %r of a Python float is csv.writer's text for it, as _fmt's is.
+    rows = (",".join(["%d", "%d"] + ["%r"] * (3 * p)) + "\r\n") * steps
+    table = np.empty((steps, 2 + 3 * p), dtype=object)
+    table[:, 1] = range(steps)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(_trajectory_header(p))
+        for l in iterations:
+            y, r = result.outputs[l, :, :, 0], result.references[l, :, :, 0]
+            table[:, 0] = l
+            table[:, 2:] = np.concatenate([y, r, r - y], axis=1)
+            fh.write(rows % tuple(table.ravel().tolist()))
 
 
 def _applicable_reports(cfg: ExperimentConfig) -> list:
@@ -213,13 +238,16 @@ def _sweep_rows(args, seeds: range) -> list:
     """The metric rows of every seed in order, behind a seed column; the
     config is built once and the seeds share one trial loop."""
     cfg = _build_config(args)
-    results = _execute(cfg, [dataclasses.replace(cfg.uncertainty, seed=seed)
-                             for seed in seeds])
+    results = _execute(cfg, seeds)
     return [[str(seed)] + row
             for seed, result in zip(seeds, results) for row in _metric_rows(result)]
 
 
 def cmd_run(args) -> int:
+    # Only run needs the engine. It is loaded before the config is built:
+    # compiled after the config's arrays exist, its transient compile memory
+    # fragments the heap further and the sweep's peak RSS rose by ~0.4 MB.
+    importlib.import_module(f"{__package__}.ilc_engine")
     # Fail before any trial runs when --out cannot be opened for writing
     # because its directory is missing or it names a directory.
     if args.out is not None:
@@ -238,12 +266,13 @@ def cmd_run(args) -> int:
         raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
-    result = _execute(cfg, cfg.uncertainty, args.verify_set)
+    result = _execute(cfg, verify_set=args.verify_set)
     _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":
-        _write_csv(_traj_path(args.out), _trajectory_header(cfg.system.p),
-                   _trajectory_rows(cfg, result, args.record_trajectories))
+        recorded = ([result.iterations - 1] if args.record_trajectories == "final"
+                    else range(0, result.iterations, cfg.record_every))
+        _write_trajectories(_traj_path(args.out), result, recorded)
 
     info = sys.stdout if args.out is not None else sys.stderr
     for line in _summary_lines(result):
@@ -284,6 +313,67 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _json_list(item: str, count: int, level: int) -> str:
+    """json.dumps(indent=2)'s text of a list of count items, each item's text
+    at nesting level + 1, for the list at nesting level."""
+    if not count:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join([item] * count) + "\n" + "  " * level + "]"
+
+
+def _json_object(items: list, level: int) -> str:
+    """json.dumps(indent=2)'s text of an object of (key, value text) items,
+    each value's text at nesting level + 1, for the object at nesting level."""
+    pad = "\n" + "  " * (level + 1)
+    return ("{" + pad + ("," + pad).join(f"{json.dumps(key)}: {text}" for key, text in items)
+            + "\n" + "  " * level + "}")
+
+
+@functools.lru_cache(maxsize=32)
+def _array_layout(shape: tuple, level: int) -> str:
+    """json.dumps(indent=2)'s text of an array of this shape at nesting
+    level, with %s in place of each number."""
+    if not shape:
+        return "%s"
+    return _json_list(_array_layout(shape[1:], level + 1), shape[0], level)
+
+
+def _number_text(a: np.ndarray) -> tuple:
+    """The JSON text of each number of a in C order, from one pass of the C
+    encoder: float repr, NaN and +-Infinity as json.dumps(indent=2) writes them."""
+    if not a.size:
+        return ()
+    return tuple(json.dumps(a.ravel().tolist())[1:-1].split(", "))
+
+
+def _step_text(*stacks: np.ndarray) -> tuple:
+    """The number text of stacks that share a leading step axis, step by step:
+    step 0's numbers of each stack in turn, then step 1's, and so on."""
+    steps = len(stacks[0])
+    return _number_text(np.concatenate(
+        [a.reshape(steps, math.prod(a.shape[1:])).astype(object) for a in stacks], axis=1))
+
+
+def _transform_json(transform, star) -> str:
+    """transform's document for one iteration's transformed system, in
+    json.dumps(indent=2)'s text: every step's blocks, then star's arrays."""
+    steps = transform.steps
+    stacks = {"col_perm": transform.col_perm, "matrix": transform.T,
+              "inverse": transform.Tinv, "gain_product": transform.gain_products}
+    block = _json_object([("k", "%s")] + [(key, _array_layout(a.shape[1:], 3))
+                                          for key, a in stacks.items()], 2)
+    blocks = _json_list(block, steps, 1) % _step_text(np.arange(steps), *stacks.values())
+    transformed = _json_object(
+        [(key, "null" if a is None else _array_layout(a.shape, 2) % _number_text(a))
+         for key, a in (("Bstar", star.Bstar), ("Dstar", star.Dstar), ("wstar", star.wstar),
+                        ("vstar", star.vstar), ("gain_star", star.gain_star))], 1)
+    return _json_object([("kind", json.dumps(transform.kind)), ("p", json.dumps(transform.p)),
+                         ("m", json.dumps(transform.m)), ("steps", json.dumps(steps)),
+                         ("iteration", "0"), ("blocks", blocks),
+                         ("transformed", transformed)], 0)
+
+
 def cmd_transform(args) -> int:
     cfg = _build_config(args)
     transform = _build_transform(cfg)
@@ -292,33 +382,10 @@ def cmd_transform(args) -> int:
         star = apply_p_transform(realized, transform, cfg.u0)
     else:
         star = apply_q_transform(realized, transform, cfg.u0)
-    doc = {
-        "kind": transform.kind,
-        "p": transform.p,
-        "m": transform.m,
-        "steps": transform.steps,
-        "iteration": 0,
-        "blocks": [
-            {
-                "k": k,
-                "col_perm": [int(c) for c in transform.col_perm[k]],
-                "matrix": transform.T[k].tolist(),
-                "inverse": transform.Tinv[k].tolist(),
-                "gain_product": transform.gain_products[k].tolist(),
-            }
-            for k in range(transform.steps)
-        ],
-        "transformed": {
-            "Bstar": star.Bstar.tolist(),
-            "Dstar": None if star.Dstar is None else star.Dstar.tolist(),
-            "wstar": star.wstar.tolist(),
-            "vstar": star.vstar.tolist(),
-            "gain_star": star.gain_star.tolist(),
-        },
-    }
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else open(args.out, "w", encoding="utf-8")) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(_transform_json(transform, star))
+        fh.write("\n")
     return 0
 
 

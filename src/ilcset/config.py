@@ -16,10 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaError
-from .ilc_engine import GAMMA_MODES, MODES
 from .plant import SEED_LIMIT, NominalSystem, StructuredD, UncertaintySpec
 from .schedule_lang import MatrixSchedule, ScheduleBuildError, build_schedule
 
+MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
+# The next-step-error (look-ahead) modes, which learn through Gamma.
+GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 _AMP_KEYS = ("A", "B", "C", "D", "w", "v", "r", "x0")
 # The largest count numpy can take as an array dimension, less one so that
 # N + 1 steps fit as well.

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
+from .config import GAMMA_MODES, MODES
 from .errors import (
     DimensionMismatchError,
     MissingDataError,
@@ -47,8 +48,6 @@ from .set_transform import (
 
 log = logging.getLogger(__name__)
 
-MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
-GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 CONVERGENCE_THRESHOLD = 1e-9
 
 

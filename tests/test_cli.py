@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -509,3 +510,122 @@ def test_version_runs_as_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
+    script = ("import sys; from ilcset.cli import main; "
+              "assert main(['check', '--preset', 'example1']) == 0; "
+              f"assert main(['transform', '--preset', 'example2', '--out', {str(tmp_path / 't.json')!r}]) == 0; "
+              "sys.exit('ilcset.ilc_engine' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    '{"uncertainty": {"seed": ' + "7" * 5001 + "}}",   # past int's 4300-digit limit
+    '{"run": ' + "[" * 100000 + "]" * 100000 + "}",   # past the decoder's recursion limit
+])
+def test_json_python_cannot_read_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /: invalid JSON: ")
+    assert "7777" not in err and len(err) < 300
+
+
+def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys):
+    # numpy refuses this count before allocating: L (N+1) m 8 bytes overflows intp.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a realization")
+    monkeypatch.setattr(ilcset.ilc_engine, "sample_iteration", no_draw)
+    assert main(["run", "--preset", "example1", "--iterations", str(2 ** 62)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /run/iterations: ")
+
+
+def _special_values(rng, shape):
+    """Seeded floats of every magnitude, with the values JSON and CSV spell out."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1.0, -2.5e-7]
+    flat = a.reshape(-1)
+    flat[: min(len(flat), len(specials))] = specials[: len(flat)]
+    return a
+
+
+ARRAY_SHAPES = [(), (0,), (3,), (2, 0), (0, 3), (4, 2, 1), (3, 2, 2), (2, 0, 3), (1, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("shape", ARRAY_SHAPES)
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.intp])
+def test_array_text_equals_indented_json_dumps(shape, level, dtype):
+    rng = np.random.default_rng(sum(shape) + 10 * level)
+    if dtype is np.float64:
+        a = _special_values(rng, shape)
+    else:
+        a = rng.integers(-10 ** 12, 10 ** 12, size=shape, dtype=dtype)
+    text = ilcset.cli._array_layout(a.shape, level) % ilcset.cli._number_text(a)
+    assert text == json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _reference_transform_doc(transform, star):
+    # The document transform wrote through json.dumps(doc, indent=2).
+    return {
+        "kind": transform.kind, "p": transform.p, "m": transform.m,
+        "steps": transform.steps, "iteration": 0,
+        "blocks": [{"k": k, "col_perm": [int(c) for c in transform.col_perm[k]],
+                    "matrix": transform.T[k].tolist(), "inverse": transform.Tinv[k].tolist(),
+                    "gain_product": transform.gain_products[k].tolist()}
+                   for k in range(transform.steps)],
+        "transformed": {name: None if getattr(star, name) is None
+                        else getattr(star, name).tolist()
+                        for name in ("Bstar", "Dstar", "wstar", "vstar", "gain_star")},
+    }
+
+
+@pytest.mark.parametrize("steps,p,m,n,star_steps,feedthrough", [
+    (5, 1, 2, 2, 5, True),
+    (4, 2, 3, 1, 3, False),   # the gamma kind: no Dstar, star stacks one step shorter
+    (3, 0, 2, 2, 3, True),    # empty per-step gain products
+    (0, 1, 2, 1, 0, True),    # no steps at all
+    (2, 1, 2, 0, 2, False),   # a zero-length state axis
+])
+def test_transform_json_equals_indented_json_dumps(steps, p, m, n, star_steps, feedthrough):
+    rng = np.random.default_rng(steps * 100 + p * 10 + m)
+    transform = SimpleNamespace(
+        kind="q" if feedthrough else "p", p=p, m=m, steps=steps,
+        col_perm=np.array([rng.permutation(m) for _ in range(steps)], dtype=np.intp)
+        .reshape(steps, m),
+        T=_special_values(rng, (steps, m, m)), Tinv=_special_values(rng, (steps, m, m)),
+        gain_products=_special_values(rng, (steps, p, p)))
+    star = SimpleNamespace(
+        Bstar=_special_values(rng, (star_steps, n, p)),
+        Dstar=_special_values(rng, (star_steps, p, p)) if feedthrough else None,
+        wstar=_special_values(rng, (star_steps, n, 1)),
+        vstar=_special_values(rng, (star_steps + 1, p, 1)),
+        gain_star=_special_values(rng, (steps, p, p)))
+    assert ilcset.cli._transform_json(transform, star) == json.dumps(
+        _reference_transform_doc(transform, star), indent=2)
+
+
+@pytest.mark.parametrize("L,steps,p,recorded", [
+    (3, 5, 1, [0, 1, 2]), (4, 3, 2, [0, 2]), (2, 1, 3, [1]), (1, 4, 0, [0]),
+])
+def test_trajectory_writer_equals_csv_writer(tmp_path, L, steps, p, recorded):
+    rng = np.random.default_rng(L * 100 + steps * 10 + p)
+    result = SimpleNamespace(outputs=_special_values(rng, (L, steps, p, 1)),
+                             references=_special_values(rng, (L, steps, p, 1)))
+    path = tmp_path / "traj.csv"
+    with np.errstate(invalid="ignore"):
+        ilcset.cli._write_trajectories(str(path), result, recorded)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(ilcset.cli._trajectory_header(p))
+            for l in recorded:
+                y, r = result.outputs[l, :, :, 0], result.references[l, :, :, 0]
+                for k in range(steps):
+                    writer.writerow([l, k, *y[k].tolist(), *r[k].tolist(),
+                                     *(r[k] - y[k]).tolist()])
+    assert path.read_bytes() == expected.read_bytes()

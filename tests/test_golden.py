@@ -15,6 +15,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from ilcset.cli import main
+from ilcset.presets import preset_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
@@ -47,9 +49,27 @@ STRUCTURED_CONFIG = {
 STRIDED_CONFIG = {**STRUCTURED_CONFIG,
                   "run": {**STRUCTURED_CONFIG["run"], "record_every": 3}}
 
+
+
+def _rescale_k(cell):
+    if isinstance(cell, list):
+        return [_rescale_k(c) for c in cell]
+    return re.sub(r"\bk\b", "(0.1*k)", cell) if isinstance(cell, str) else cell
+
+
+# example1 at N = 1000 with (0.1*k) for k in every schedule and gain cell, so
+# that each cell spans the range it spans at N = 100 (the benchmark's
+# long-horizon workload).
+LONG_HORIZON_CONFIG = preset_config("example1", iterations=10)
+LONG_HORIZON_CONFIG["system"] = {key: _rescale_k(value)
+                                 for key, value in LONG_HORIZON_CONFIG["system"].items()}
+LONG_HORIZON_CONFIG["system"]["N"] = 1000
+LONG_HORIZON_CONFIG["gains"] = {name: _rescale_k(grid)
+                                for name, grid in LONG_HORIZON_CONFIG["gains"].items()}
+
 # name -> (argv, output): "out" is the file passed as --out, "stdout" the
 # captured standard output, "traj" the trajectory CSV beside "out".
-# "{out}", "{config}" and "{strided}" are filled in per run.
+# "{out}", "{config}", "{strided}" and "{long}" are filled in per run.
 CASES = {
     "ex1_direct_xi.csv": (
         ["run", "--preset", "example1", "--iterations", L, "--out", "{out}"], "out"),
@@ -104,9 +124,15 @@ CASES = {
          "--out", "{out}"], "traj"),
     "ex1_transform.json": (["transform", "--preset", "example1", "--out", "{out}"], "out"),
     "ex2_transform.json": (["transform", "--preset", "example2", "--out", "{out}"], "out"),
+    "long_horizon_transform.json": (
+        ["transform", "--config", "{long}", "--seed", "7", "--out", "{out}"], "out"),
+    "long_horizon_traj_all.csv": (
+        ["run", "--config", "{long}", "--seed", "7", "--record-trajectories", "all",
+         "--out", "{out}"], "traj"),
 }
 DIGESTED = ("ex1_traj_all.csv", "ex2_transformed_gamma_traj_final.csv",
-            "structured_traj_every3.csv", "ex1_transform.json", "ex2_transform.json")
+            "structured_traj_every3.csv", "ex1_transform.json", "ex2_transform.json",
+            "long_horizon_transform.json", "long_horizon_traj_all.csv")
 
 
 def produce(name: str) -> bytes:
@@ -115,9 +141,11 @@ def produce(name: str) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         config, strided = Path(tmp) / "config.json", Path(tmp) / "strided.json"
+        long = Path(tmp) / "long.json"
         config.write_text(json.dumps(STRUCTURED_CONFIG), encoding="utf-8")
         strided.write_text(json.dumps(STRIDED_CONFIG), encoding="utf-8")
-        args = [a.format(out=out, config=config, strided=strided) for a in argv]
+        long.write_text(json.dumps(LONG_HORIZON_CONFIG), encoding="utf-8")
+        args = [a.format(out=out, config=config, strided=strided, long=long) for a in argv]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             status = main(args)
