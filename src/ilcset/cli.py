@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import errno
 import functools
 import importlib
 import json
-import logging
 import math
 import os
 import re
@@ -38,32 +36,13 @@ from .errors import IlcsetError, SchemaError
 from .plant import SEED_LIMIT, sample_iteration
 from .presets import PRESET_NAMES, preset_config
 from .schedule_lang import MatrixSchedule
-from .set_transform import (
-    build_p_transform,
-    build_q_transform,
-    apply_q_transform,
-    apply_p_transform,
-)
 
 if TYPE_CHECKING:
     from .ilc_engine import RunResult
 
-log = logging.getLogger(__name__)
-
 CSV_HEADER = ("l", "E_inf", "U_inf", "res_err_rec", "res_in_rec")
 EQUIVALENCE_TOL = 1e-9
 _SWEEP_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
-
-_LOG_LEVELS = {"error": logging.ERROR, "warn": logging.WARNING,
-               "info": logging.INFO, "debug": logging.DEBUG}
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("ILCSET_LOG", "warn").lower()
-    logging.basicConfig(level=_LOG_LEVELS.get(level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s",
-                        stream=sys.stderr)
-
 
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips, for reproducible output."""
@@ -99,21 +78,40 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _build_transform(cfg: ExperimentConfig):
+    # Imported here, so that check never loads the transform module.
+    from .set_transform import build_p_transform, build_q_transform
+
     if cfg.mode in GAMMA_MODES:
         return build_p_transform(cfg.system.B, cfg.system.C, cfg.gamma)
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
+def _physical_memory() -> int | None:
+    """The machine's memory in bytes, or None where the platform does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
-    """Reject a run whose largest per-trial stack, (L, N+1, seeds, rows, 1)
-    float64, is larger than numpy can address, before anything is drawn."""
+    """Reject a run whose trial stacks need more bytes than numpy can
+    address or the machine has, before any spec is built or anything drawn.
+    _learn allocates them up front, all float64: inputs (m rows), states
+    (n), outputs and references (p each), each (L, N+1, seeds, rows, 1),
+    and five (L, seeds) histories."""
     sysm = cfg.system
-    nbytes = cfg.iterations * (sysm.N + 1) * seeds * max(sysm.n, sysm.m, sysm.p) * 8
-    limit = int(np.iinfo(np.intp).max)
+    rows = sysm.m + sysm.n + 2 * sysm.p
+    nbytes = 8 * cfg.iterations * seeds * ((sysm.N + 1) * rows + 5)
+    limit, what = int(np.iinfo(np.intp).max), "numpy can address"
+    memory = _physical_memory()
+    if memory is not None and memory < limit:
+        limit, what = memory, "of physical memory"
     if nbytes > limit:
         raise SchemaError("/run/iterations",
-                          f"{cfg.iterations} trials of {seeds} seed(s) need a "
-                          f"{nbytes}-byte stack; numpy arrays hold at most {limit} bytes")
+                          f"{cfg.iterations} trials of {seeds} seed(s) need {nbytes} "
+                          f"bytes of trial stacks, more than the {limit} bytes {what}")
 
 
 def _execute(cfg: ExperimentConfig, seeds: range | None = None,
@@ -124,7 +122,7 @@ def _execute(cfg: ExperimentConfig, seeds: range | None = None,
 
     _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start)
     unc = (cfg.uncertainty if seeds is None
-           else [dataclasses.replace(cfg.uncertainty, seed=seed) for seed in seeds])
+           else [cfg.uncertainty._replace(seed=seed) for seed in seeds])
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
@@ -234,13 +232,15 @@ def _parse_sweep(text: str) -> range:
     return range(first, last + 1)
 
 
-def _sweep_rows(args, seeds: range) -> list:
-    """The metric rows of every seed in order, behind a seed column; the
-    config is built once and the seeds share one trial loop."""
+def _sweep_rows(args, seeds: range) -> tuple:
+    """The metric rows of every seed in order, behind a seed column, and the
+    distinct warnings of the seeds' runs; the config is built once and the
+    seeds share one trial loop."""
     cfg = _build_config(args)
     results = _execute(cfg, seeds)
-    return [[str(seed)] + row
+    rows = [[str(seed)] + row
             for seed, result in zip(seeds, results) for row in _metric_rows(result)]
+    return rows, tuple(dict.fromkeys(w for result in results for w in result.warnings))
 
 
 def cmd_run(args) -> int:
@@ -260,7 +260,11 @@ def cmd_run(args) -> int:
         if args.verify_set or args.record_trajectories != "none" or args.seed is not None:
             raise SchemaError("/sweep", "--sweep cannot be combined with "
                                         "--verify-set, --record-trajectories or --seed")
-        _write_csv(args.out, ("seed",) + CSV_HEADER, _sweep_rows(args, seeds))
+        rows, warnings = _sweep_rows(args, seeds)
+        # A sweep prints no summary, so its warnings go to stderr on their own.
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
         return 0
     if args.record_trajectories != "none" and args.out is None:
         raise SchemaError("/out", "--record-trajectories needs --out")
@@ -375,6 +379,8 @@ def _transform_json(transform, star) -> str:
 
 
 def cmd_transform(args) -> int:
+    from .set_transform import apply_p_transform, apply_q_transform
+
     cfg = _build_config(args)
     transform = _build_transform(cfg)
     realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
@@ -441,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

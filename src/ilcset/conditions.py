@@ -9,8 +9,7 @@ multiplier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +21,7 @@ SPECTRAL_THRESHOLD = 1.0
 LMI_THRESHOLD = 0.0
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Per-step values of one condition with its worst case and verdict.
 
     ``satisfied`` is strict: worst < threshold with zero slack.  ``margin``

@@ -10,8 +10,7 @@ violation before raising, each tagged with a JSON-pointer-style path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,8 +28,7 @@ _MAX_COUNT = int(np.iinfo(np.intp).max) - 1
 _SHOWN_CHARS = 30
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     system: NominalSystem
     uncertainty: UncertaintySpec
     xi: MatrixSchedule       # m x p

@@ -14,10 +14,8 @@ share the loop on a seed axis, each rounding exactly as it would alone.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .errors import (
 )
 from .matrix_core import per_step
 from .plant import (
+    Checked,
     NominalSystem,
     RealizedIteration,
     UncertaintySpec,
@@ -46,28 +45,28 @@ from .set_transform import (
     split_input,
 )
 
-log = logging.getLogger(__name__)
-
 CONVERGENCE_THRESHOLD = 1e-9
 
 
-@dataclass(frozen=True)
-class IlcConfig:
-    """Loop parameters: update mode, trial count, and the starting input."""
-
+class _IlcConfig(NamedTuple):
     mode: str
     iterations: int
     u0: np.ndarray         # (N+1, m, 1) input stack (N+1 (m, 1) arrays also work)
 
-    def __post_init__(self):
+
+class IlcConfig(Checked, _IlcConfig):
+    """Loop parameters: update mode, trial count, and the starting input."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.mode not in MODES:
             raise DimensionMismatchError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise DimensionMismatchError("iterations must be positive")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Worst-case violation of an iteration-domain identity over a run.
 
     per_iteration[i] is the worst residual of the transition from iteration
@@ -80,8 +79,7 @@ class ResidualReport:
     max_state_residual: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Everything recorded over one run.
 
     E_hist[l] = max_k ||e_l(k)||_inf and U_hist[l] = max_k ||u_l(k)||_inf,
@@ -161,12 +159,11 @@ def _converged_value(E_hist: Sequence[float]) -> float:
 
 
 def _precheck(report: ConditionReport) -> tuple:
+    """The run's warnings: one if its contraction condition is violated."""
     if report.satisfied:
         return ()
-    message = (f"condition {report.name} violated: worst {report.worst:.6g} "
-               f"at k={report.worst_k}; the run may diverge")
-    log.warning(message)
-    return (message,)
+    return (f"condition {report.name} violated: worst {report.worst:.6g} "
+            f"at k={report.worst_k}; the run may diverge",)
 
 
 def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
@@ -250,7 +247,7 @@ def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> Realiz
 def _with_lane_axis(realized: RealizedIteration) -> RealizedIteration:
     """The realization viewed with a unit lane axis ahead of the seed axis;
     x0, (S or 1, n, 1), already broadcasts against it."""
-    return replace(realized, **{name: getattr(realized, name)[:, None] for name in "ABCDwvr"})
+    return realized._replace(**{name: getattr(realized, name)[:, None] for name in "ABCDwvr"})
 
 
 def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple:
@@ -411,9 +408,9 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
         cfg: IlcConfig, counterpart: Optional[InputTransform] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
-    A violated contraction condition logs a warning but does not abort, so
-    divergent configurations stay runnable; numerical blow-up surfaces as
-    NonFinite carrying the offending step and iteration.  Given a transform
+    A violated contraction condition does not abort: its warning is kept in
+    RunResult.warnings, so divergent configurations stay runnable.  Numerical
+    blow-up surfaces as NonFinite carrying the offending step and iteration.  Given a transform
     as counterpart, the split-coordinate loop runs beside it on the same draws.
     unc may also be a sequence of UncertaintySpecs (one per seed, say): they
     run side by side through the one loop, and a list of RunResults, one

@@ -11,8 +11,7 @@ plus a bounded nonrepetitive perturbation resampled each iteration l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,10 +26,24 @@ _MASK64 = SEED_LIMIT - 1
 _TAG = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
 
 
-@dataclass(frozen=True)
-class NominalSystem:
-    """Repetitive (iteration-independent) part of the plant and task."""
+class Checked:
+    """Base of a NamedTuple record that checks its fields.  Construction,
+    _make and _replace (which goes through _make) all run the record's
+    _check, which raises on a bad field."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _NominalSystem(NamedTuple):
     n: int
     m: int
     p: int
@@ -44,7 +57,13 @@ class NominalSystem:
     r: MatrixSchedule
     x0: Mat
 
-    def __post_init__(self):
+
+class NominalSystem(Checked, _NominalSystem):
+    """Repetitive (iteration-independent) part of the plant and task."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         n, m, p = self.n, self.m, self.p
         expected = {
             "A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m),
@@ -63,8 +82,7 @@ class NominalSystem:
                 f"x0 has shape {self.x0.shape}, expected {(n, 1)}")
 
 
-@dataclass(frozen=True)
-class StructuredD:
+class StructuredD(NamedTuple):
     """Norm-bounded structure delta_D = E(k) Sigma_l(k) F(k), Sigma^T Sigma <= I;
     Sigma is s x s with s = E.cols."""
 
@@ -72,10 +90,7 @@ class StructuredD:
     F: MatrixSchedule  # s x m
 
 
-@dataclass(frozen=True)
-class UncertaintySpec:
-    """Per-entry uniform amplitudes (the bounds of the boundedness assumption)."""
-
+class _UncertaintySpec(NamedTuple):
     amp_A: float = 0.0
     amp_B: float = 0.0
     amp_C: float = 0.0
@@ -87,7 +102,13 @@ class UncertaintySpec:
     structured_D: Optional[StructuredD] = None
     seed: int = 0
 
-    def __post_init__(self):
+
+class UncertaintySpec(Checked, _UncertaintySpec):
+    """Per-entry uniform amplitudes (the bounds of the boundedness assumption)."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0 <= self.seed < SEED_LIMIT:
             raise DimensionMismatchError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in ("amp_A", "amp_B", "amp_C", "amp_D",
@@ -96,8 +117,7 @@ class UncertaintySpec:
                 raise DimensionMismatchError(f"{name} must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class RealizedIteration:
+class RealizedIteration(NamedTuple):
     """One iteration's fully sampled plant: nominal + perturbation at every k.
 
     Every per-step field is a stacked (N+1, rows, cols) array.  The trial

@@ -14,8 +14,7 @@ couples through C(k+1)B(k) with gain Gamma(k) and lives on k in 0..N-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -211,8 +210,7 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
                       b_cache=B.values, c_cache=C.values)
 
 
-@dataclass(frozen=True)
-class TransformedSystem:
+class TransformedSystem(NamedTuple):
     """The equivalent square system driven only by the p updated channels."""
 
     Bstar: np.ndarray           # (steps, n, p)

@@ -7,6 +7,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import textwrap
 from types import SimpleNamespace
 
 import numpy as np
@@ -513,10 +514,25 @@ def test_version_runs_as_module():
 
 
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
-    script = ("import sys; from ilcset.cli import main; "
-              "assert main(['check', '--preset', 'example1']) == 0; "
-              f"assert main(['transform', '--preset', 'example2', '--out', {str(tmp_path / 't.json')!r}]) == 0; "
-              "sys.exit('ilcset.ilc_engine' in sys.modules)")
+    # Each command loads only what it uses: check not even the transform
+    # module, and no command dataclasses or logging.
+    script = textwrap.dedent(f"""
+        import sys
+        from ilcset.cli import main
+
+        WATCHED = ("ilcset.ilc_engine", "ilcset.set_transform", "dataclasses", "logging")
+
+        def loaded():
+            return [name for name in WATCHED if name in sys.modules]
+
+        assert main(["check", "--preset", "example1"]) == 0
+        assert loaded() == [], loaded()
+        assert main(["transform", "--preset", "example2", "--out", {str(tmp_path / "t.json")!r}]) == 0
+        assert loaded() == ["ilcset.set_transform"], loaded()
+        assert main(["run", "--preset", "example1", "--iterations", "2",
+                     "--out", {str(tmp_path / "m.csv")!r}]) == 0
+        assert loaded() == ["ilcset.ilc_engine", "ilcset.set_transform"], loaded()
+    """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -535,13 +551,36 @@ def test_json_python_cannot_read_is_a_config_error(tmp_path, capsys, text):
 
 
 def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys):
-    # numpy refuses this count before allocating: L (N+1) m 8 bytes overflows intp.
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew a realization")
-    monkeypatch.setattr(ilcset.ilc_engine, "sample_iteration", no_draw)
-    assert main(["run", "--preset", "example1", "--iterations", str(2 ** 62)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: /run/iterations: ")
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(what)
+        return call
+    monkeypatch.setattr(ilcset.ilc_engine, "sample_iteration", refuse("drew a realization"))
+    monkeypatch.setattr(ilcset.ilc_engine, "_learn", refuse("allocated the stacks"))
+    monkeypatch.setattr(ilcset.plant.UncertaintySpec, "_replace", refuse("built a spec"))
+    for argv in (
+        # L (N+1) m 8 bytes overflows intp: numpy refuses it before allocating.
+        ["--preset", "example1", "--iterations", str(2 ** 62)],
+        # 8.8 TB of stacks fit in intp, but in no machine's memory.
+        ["--preset", "example1", "--iterations", str(2 ** 40)],
+        # So do one trial's stacks of 2**40 seeds, rejected before any spec is built.
+        ["--preset", "example2", "--iterations", "1", "--sweep", f"seeds=0..{2 ** 40 - 1}"],
+    ):
+        assert main(["run", *argv]) == 2, argv
+        assert capsys.readouterr().err.startswith("config error: /run/iterations: "), argv
+
+
+def test_sweep_prints_a_violated_condition(tmp_path):
+    # A sweep prints no summary, so the warning comes on stderr on its own,
+    # once for all seeds.
+    path = make_divergent_config(tmp_path, 3)
+    proc = subprocess.run([sys.executable, "-m", "ilcset.cli", "run", "--config", path,
+                           "--sweep", "seeds=0..2"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "condition rho_dxi violated" in proc.stderr
+    assert proc.stderr == ("warning: condition rho_dxi violated: worst 4 at k=0; "
+                           "the run may diverge\n")
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 3
 
 
 def _special_values(rng, shape):

@@ -2,7 +2,6 @@
 direct and split-coordinate runs, frozen channels, recursion residuals,
 and the closed-form input limit."""
 
-import dataclasses
 from functools import partial
 
 import numpy as np
@@ -73,6 +72,20 @@ def test_config_rejects_unknown_mode_and_bad_counts():
         IlcConfig(mode="sideways", iterations=5, u0=u0)
     with pytest.raises(DimensionMismatchError):
         IlcConfig(mode="direct-xi", iterations=0, u0=u0)
+
+
+@pytest.mark.parametrize("make_bad", [
+    lambda: UncertaintySpec(seed=0)._replace(seed=2 ** 64),
+    lambda: UncertaintySpec(seed=0)._replace(amp_D=-1.0),
+    lambda: IlcConfig(mode="direct-xi", iterations=5, u0=np.zeros((5, 1, 1)))
+    ._replace(mode="sideways"),
+    lambda: tiny_system(N=4)._replace(A=build_schedule([["0"]], 3)),   # horizon 3, not 4
+    lambda: tiny_system()._replace(D=build_schedule([["1", "0"]], 4)),  # (1, 2), not (1, 1)
+    lambda: UncertaintySpec._make([0.0] * 8 + [None, -1]),
+], ids=["seed", "amplitude", "mode", "horizon", "shape", "make"])
+def test_records_check_their_fields_on_replace(make_bad):
+    with pytest.raises(DimensionMismatchError):
+        make_bad()
 
 
 def test_scalar_feedthrough_error_halves_exactly():
@@ -229,7 +242,7 @@ def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
           if mode == "direct-xi" else
           (lambda unc: run_transformed(example1.system, unc, q_example1, engine,
                                        counterpart=gains)))
-    specs = [dataclasses.replace(example1.uncertainty, seed=seed) for seed in (3, 4, 5)]
+    specs = [example1.uncertainty._replace(seed=seed) for seed in (3, 4, 5)]
     side_by_side = go(specs)
     assert len(side_by_side) == 3
     for spec, result in zip(specs, side_by_side):
@@ -311,8 +324,7 @@ def test_verifiers_detect_tampered_data(example1):
                  IlcConfig(mode="direct-xi", iterations=4, u0=cfg.u0))
     tampered_inputs = list(list(seq) for seq in result.inputs)
     tampered_inputs[2][10] = tampered_inputs[2][10] + 0.5
-    bad = dataclasses.replace(result,
-                              inputs=tuple(tuple(seq) for seq in tampered_inputs))
+    bad = result._replace(inputs=tuple(tuple(seq) for seq in tampered_inputs))
     reals = realizations_for(cfg.system, cfg.uncertainty, 4)
     assert verify_input_recursion(bad, reals).max_residual > 1e-3
     assert verify_error_recursion(bad, reals).max_state_residual > 1e-3

@@ -1,7 +1,6 @@
 """Plant realization sampling and single-trial simulation."""
 
 import concurrent.futures
-import dataclasses
 import math
 import sys
 
@@ -339,8 +338,8 @@ def test_seed_axis_runs_each_trial_as_alone_and_reports_each_blow_up():
     # blow-up is reported on its own while the others' values are kept.
     cfg = build_preset("example1", seed=11)
     realized = sample_iteration(cfg.system, cfg.uncertainty, l=4)
-    batch = dataclasses.replace(realized, **{name: getattr(realized, name)[:, None]
-                                             for name in "ABCDwvr"})
+    batch = realized._replace(**{name: getattr(realized, name)[:, None]
+                                 for name in "ABCDwvr"})
     u = np.random.default_rng(3).normal(size=(101, 3, 3, 1))
     alone = [simulate(realized, u[:, s]) for s in range(3)]
     x, y = simulate(batch, u)
@@ -385,7 +384,7 @@ def test_output_divergence_reports_its_step():
     D[2] = 1e300
     u = np.zeros((5, 1, 1)) + 1e10
     with pytest.raises(NonFiniteError) as err:
-        simulate(dataclasses.replace(realized, D=D), u)
+        simulate(realized._replace(D=D), u)
     assert str(err.value).startswith("output diverged")
     assert err.value.k == 2
     assert err.value.iteration == 3
