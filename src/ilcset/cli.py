@@ -13,6 +13,7 @@ import contextlib
 import csv
 import errno
 import functools
+import gc
 import importlib
 import json
 import math
@@ -447,10 +448,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand in this process and return its exit status.
+
+    This is the entry for in-process callers; it leaves the garbage
+    collector as it found it.  `console_main` is the process entry."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A short output is still in stdout's buffer.  Flushing it here makes
+        # an unwritable stdout an io error, not a failure at shutdown.
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return status
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -462,5 +472,31 @@ def main(argv=None) -> int:
         return 1
 
 
+def console_main() -> int | str | None:
+    """The process entry (``ilcset`` and ``python -m ilcset.cli``): `main`
+    on the command line's arguments, then ready the process to exit.
+
+    If stdout still cannot be flushed, fd 1 is pointed at the null device,
+    so that the interpreter's own flush at exit has nothing left to fail on;
+    a failure that nothing reported yet (argparse's ``--help`` text, say)
+    becomes an io error.  Then every object is frozen: the interpreter's
+    collections at exit skip the frozen generation, which saves a traversal
+    of everything numpy and ilcset allocated."""
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's --help, --version and usage errors
+        status = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not status:
+            print(f"io error: {exc}", file=sys.stderr)
+            status = 2
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

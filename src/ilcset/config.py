@@ -105,7 +105,12 @@ def _normalize_grid(value, path: str, problems: _Collector):
                 ok = False
             parsed_row.append(src if src is not None else "0")
         grid.append(parsed_row)
-    return grid if ok else None
+    if not ok:
+        return None
+    if any(len(row) != len(grid[0]) for row in grid):
+        problems.add(path, "ragged grid")
+        return None
+    return grid
 
 
 def _schedule(doc: dict, key: str, shape: tuple, N: int, path: str,
@@ -117,9 +122,6 @@ def _schedule(doc: dict, key: str, shape: tuple, N: int, path: str,
     if grid is None:
         return None
     rows, cols = len(grid), len(grid[0])
-    if any(len(row) != cols for row in grid):
-        problems.add(f"{path}/{key}", "ragged grid")
-        return None
     if (rows, cols) != shape:
         problems.add(f"{path}/{key}", f"shape {(rows, cols)} does not match expected {shape}")
         return None

@@ -3,7 +3,10 @@ codes, the condition table, transform dumps, and the seed sweep."""
 
 import collections
 import csv
+import gc
+import importlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -511,6 +514,91 @@ def test_version_runs_as_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # Only the process entry freezes the heap; an in-process caller such as
+    # this test run keeps collecting what main leaves behind.
+    frozen = gc.get_freeze_count()
+    assert main(["check", "--preset", "example1"]) == 0
+    assert main(["run", "--preset", "example1", "--iterations", "2"]) == 0
+    assert main(["transform", "--preset", "example2", "--out", str(tmp_path / "t.json")]) == 0
+    with pytest.raises(SystemExit):
+        main(["check", "--preset", "no-such-preset"])
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_and_script_share_the_process_entry():
+    # python -m ilcset.cli freezes the heap before the interpreter exits...
+    script = textwrap.dedent("""
+        import atexit, gc, runpy, sys
+        atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+        sys.argv = ["ilcset", "check", "--preset", "example1"]
+        runpy.run_module("ilcset.cli", run_name="__main__", alter_sys=True)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("name ")
+    assert proc.stderr == "frozen True\n"
+    # ...and the installed ilcset command runs the same function.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["ilcset"].partition(":")
+    assert getattr(importlib.import_module(module), name) is ilcset.cli.console_main
+
+
+def test_profiler_still_reports_after_the_command():
+    # The process entry returns to the interpreter, so exit handlers such
+    # as cProfile's report still run.
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "ilcset.cli", "check",
+                           "--preset", "example1"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    table, _, stats = proc.stdout.partition("function calls")
+    assert table.startswith("name ") and stats
+
+
+def _buffered_env() -> dict:
+    # Unbuffered, every write reaches the fd at once and fails inside the
+    # command; buffered, a short output waits in stdout's buffer.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _assert_one_io_error(proc, message: str) -> None:
+    # run's summary goes to stderr ahead of the error; nothing follows it.
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"io error: {message}\n")
+    assert proc.stderr.count("io error") == 1
+    assert "Exception ignored" not in proc.stderr
+
+
+UNWRITABLE_STDOUT_ARGV = [
+    ["check", "--preset", "example1"],
+    ["run", "--preset", "example1", "--iterations", "2"],
+    ["--version"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_ARGV)
+def test_stdout_on_a_closed_pipe_is_an_io_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ilcset.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=_buffered_env())
+    finally:
+        os.close(write_end)
+    _assert_one_io_error(proc, "[Errno 32] Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_ARGV)
+def test_stdout_on_a_full_device_is_an_io_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "ilcset.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_buffered_env())
+    _assert_one_io_error(proc, "[Errno 28] No space left on device")
 
 
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):

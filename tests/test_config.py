@@ -185,6 +185,37 @@ def test_structured_feedthrough_failures_name_each_grid():
     assert "/uncertainty/structured_D/0/0" not in message
 
 
+def _two_output_doc(structured_D: dict) -> dict:
+    doc = minimal_doc()
+    doc["system"].update(m=2, p=2, B=[["1", "0"]], C=[["1"], ["0"]],
+                         D=[["1", "0"], ["0", "1"]], v=["0", "0"], r=["1", "1"])
+    doc["uncertainty"]["structured_D"] = structured_D
+    doc["gains"] = {"Xi": [["0.5", "0"], ["0", "0.5"]]}
+    return doc
+
+
+@pytest.mark.parametrize("structured_D, path", [
+    ({"E": [["0.1", "0.2"], ["0.3"]], "F": [["1", "0"], ["0", "1"]]},
+     "/uncertainty/structured_D/E"),
+    ({"E": [["0.1", "0.2"], ["0.3", "0.4"]], "F": [["1", "0"], ["1"]]},
+     "/uncertainty/structured_D/F"),
+])
+def test_ragged_structured_grid_reported_at_its_path(structured_D, path):
+    config_from_dict(_two_output_doc({"E": [["0.1"], ["0.2"]], "F": [["1", "0"]]}))
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(_two_output_doc(structured_D))
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: ragged grid"
+
+
+def test_ragged_system_grid_reported_at_its_path():
+    doc = minimal_doc()
+    doc["system"]["A"] = [["0.5"], ["0.5", "1"]]
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert str(exc.value) == "/system/A: ragged grid"
+
+
 def test_each_problem_path_printed_once():
     doc = minimal_doc()
     doc["system"]["A"] = [["1/(k-1)"]]
