@@ -32,7 +32,7 @@ from .conditions import (
     check_rho_gamma_cb,
     check_rho_xid,
 )
-from .config import GAMMA_MODES, ExperimentConfig, config_from_dict
+from .config import GAMMA_MODES, ExperimentConfig, _byte_limit, config_from_dict
 from .errors import IlcsetError, SchemaError
 from .plant import SEED_LIMIT, sample_iteration
 from .presets import PRESET_NAMES, preset_config
@@ -87,28 +87,15 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _physical_memory() -> int | None:
-    """The machine's memory in bytes, or None where the platform does not say."""
-    try:
-        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return pages * page_size if pages > 0 and page_size > 0 else None
-
-
 def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
     """Reject a run whose trial stacks need more bytes than numpy can
     address or the machine has, before any spec is built or anything drawn.
-    _learn allocates them up front, all float64: inputs (m rows), states
-    (n), outputs and references (p each), each (L, N+1, seeds, rows, 1),
-    and five (L, seeds) histories."""
-    sysm = cfg.system
-    rows = sysm.m + sysm.n + 2 * sysm.p
-    nbytes = 8 * cfg.iterations * seeds * ((sysm.N + 1) * rows + 5)
-    limit, what = int(np.iinfo(np.intp).max), "numpy can address"
-    memory = _physical_memory()
-    if memory is not None and memory < limit:
-        limit, what = memory, "of physical memory"
+    _learn allocates them up front, all float64, in _stack_shapes' shapes."""
+    from .ilc_engine import _stack_shapes
+
+    nbytes = sum(8 * math.prod(shape)
+                 for shape in _stack_shapes(cfg.system, cfg.iterations, seeds))
+    limit, what = _byte_limit()
     if nbytes > limit:
         raise SchemaError("/run/iterations",
                           f"{cfg.iterations} trials of {seeds} seed(s) need {nbytes} "
@@ -131,6 +118,13 @@ def _execute(cfg: ExperimentConfig, seeds: range | None = None,
                                counterpart=gains if verify_set else None)
     return run(cfg.system, unc, gains, engine,
                counterpart=_build_transform(cfg) if verify_set else None)
+
+
+def _require_stdout() -> None:
+    """Fail before any work when the command writes to stdout and fd 1 was
+    closed at start-up, which leaves sys.stdout None."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
 
 
 def _metric_rows(result: RunResult) -> list:
@@ -256,6 +250,10 @@ def cmd_run(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         if os.path.isdir(args.out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    # Only a sweep into --out writes nothing to stdout: other runs write
+    # the metrics CSV or the summary there.
+    if args.sweep is None or args.out is None:
+        _require_stdout()
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
         if args.verify_set or args.record_trajectories != "none" or args.seed is not None:
@@ -295,6 +293,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _require_stdout()
     cfg = _build_config(args)
     reports = _applicable_reports(cfg)
     names = [r.name for r in reports]
@@ -382,6 +381,8 @@ def _transform_json(transform, star) -> str:
 def cmd_transform(args) -> int:
     from .set_transform import apply_p_transform, apply_q_transform
 
+    if args.out is None:
+        _require_stdout()
     cfg = _build_config(args)
     transform = _build_transform(cfg)
     realized = sample_iteration(cfg.system, cfg.uncertainty, 0)

@@ -10,18 +10,18 @@ violation before raising, each tagged with a JSON-pointer-style path.
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SchemaError
-from .plant import SEED_LIMIT, NominalSystem, StructuredD, UncertaintySpec
+from .plant import CHANNELS, SEED_LIMIT, NominalSystem, StructuredD, UncertaintySpec, _shapes
 from .schedule_lang import MatrixSchedule, ScheduleBuildError, build_schedule
 
 MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
 # The next-step-error (look-ahead) modes, which learn through Gamma.
 GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
-_AMP_KEYS = ("A", "B", "C", "D", "w", "v", "r", "x0")
 # The largest count numpy can take as an array dimension, less one so that
 # N + 1 steps fit as well.
 _MAX_COUNT = int(np.iinfo(np.intp).max) - 1
@@ -113,6 +113,20 @@ def _normalize_grid(value, path: str, problems: _Collector):
     return grid
 
 
+def _byte_limit() -> tuple:
+    """The most bytes a run's arrays may take, and what sets it: what numpy
+    can address, or the machine's memory where the platform says and it
+    is less."""
+    limit, what = int(np.iinfo(np.intp).max), "numpy can address"
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return limit, what
+    if pages > 0 and page_size > 0 and pages * page_size < limit:
+        return pages * page_size, "of physical memory"
+    return limit, what
+
+
 def _schedule(doc: dict, key: str, shape: tuple, N: int, path: str,
               problems: _Collector) -> Optional[MatrixSchedule]:
     if key not in doc:
@@ -153,7 +167,7 @@ def _positive_int(doc: dict, key: str, path: str, problems: _Collector,
 
 
 def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
-    amps = dict.fromkeys(_AMP_KEYS, 0.0)
+    amps = dict.fromkeys(CHANNELS, 0.0)
     if doc is None:
         return amps
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
@@ -161,12 +175,12 @@ def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
             problems.add(path, f"amplitude must be a finite nonnegative number, "
                                f"got {_shown(doc)}")
             return None
-        return dict.fromkeys(_AMP_KEYS, float(doc))
+        return dict.fromkeys(CHANNELS, float(doc))
     if isinstance(doc, dict):
         ok = True
         for key, value in doc.items():
-            if key not in _AMP_KEYS:
-                problems.add(f"{path}/{key}", f"unknown quantity (expected one of {_AMP_KEYS})")
+            if key not in CHANNELS:
+                problems.add(f"{path}/{key}", f"unknown quantity (expected one of {CHANNELS})")
                 ok = False
                 continue
             if not _finite_number(value) or value < 0:
@@ -203,14 +217,18 @@ def config_from_dict(doc) -> ExperimentConfig:
     if p > m:
         problems.add("/system/p", f"output count p={p} exceeds input count m={m}")
         problems.raise_if_any()
+    shapes = _shapes(n, m, p)
+    # Every grid built below holds N + 1 float64 steps: the plant's
+    # schedules, both gains and the initial input.
+    cells = sum(rows * cols for rows, cols in shapes.values()) + 2 * m * p + m
+    nbytes, (limit, what) = 8 * (N + 1) * cells, _byte_limit()
+    if nbytes > limit:
+        problems.add("/system/N", f"{N + 1} steps of {cells} schedule cells need {nbytes} "
+                                  f"bytes, more than the {limit} bytes {what}")
+        problems.raise_if_any()
 
-    A = _schedule(sys_doc, "A", (n, n), N, "/system", problems)
-    B = _schedule(sys_doc, "B", (n, m), N, "/system", problems)
-    C = _schedule(sys_doc, "C", (p, n), N, "/system", problems)
-    D = _schedule(sys_doc, "D", (p, m), N, "/system", problems)
-    w = _schedule(sys_doc, "w", (n, 1), N, "/system", problems)
-    v = _schedule(sys_doc, "v", (p, 1), N, "/system", problems)
-    r = _schedule(sys_doc, "r", (p, 1), N, "/system", problems)
+    schedules = {name: _schedule(sys_doc, name, shape, N, "/system", problems)
+                 for name, shape in shapes.items()}
 
     x0 = None
     x0_doc = sys_doc.get("x0")
@@ -252,8 +270,7 @@ def config_from_dict(doc) -> ExperimentConfig:
                             structured = StructuredD(E=E, F=F)
         if amps is not None:
             uncertainty = UncertaintySpec(
-                amp_A=amps["A"], amp_B=amps["B"], amp_C=amps["C"], amp_D=amps["D"],
-                amp_w=amps["w"], amp_v=amps["v"], amp_r=amps["r"], amp_x0=amps["x0"],
+                **{f"amp_{name}": amp for name, amp in amps.items()},
                 structured_D=structured, seed=seed)
 
     gains_doc = doc.get("gains", {})
@@ -292,13 +309,13 @@ def config_from_dict(doc) -> ExperimentConfig:
         u0 = np.zeros((N + 1, m, 1))
 
     problems.raise_if_any()
-    system = NominalSystem(n=n, m=m, p=p, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
+    system = NominalSystem(n=n, m=m, p=p, N=N, x0=x0, **schedules)
 
     def _zero_schedule(sched: MatrixSchedule) -> bool:
         return not np.any(sched.values)
 
     if mode in GAMMA_MODES:
-        if not _zero_schedule(D):
+        if not _zero_schedule(system.D):
             problems.add("/run/mode", f"{mode} requires D identically zero")
         if uncertainty.amp_B or uncertainty.amp_C or uncertainty.amp_D \
                 or uncertainty.structured_D is not None:
@@ -309,7 +326,7 @@ def config_from_dict(doc) -> ExperimentConfig:
         if not _zero_schedule(gamma):
             problems.add("/run/mode", f"{mode} requires Gamma identically zero")
     if mode == "repetitive":
-        if any(getattr(uncertainty, f"amp_{q}") for q in _AMP_KEYS):
+        if any(getattr(uncertainty, f"amp_{q}") for q in CHANNELS):
             problems.add("/run/mode", "repetitive mode requires all amplitudes zero")
     problems.raise_if_any()
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .matrix_core import per_step
 from .plant import (
+    SCHEDULES,
     Checked,
     NominalSystem,
     RealizedIteration,
@@ -241,13 +242,13 @@ def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> Realiz
         return np.stack(fields, axis=axis)
 
     return RealizedIteration(l=l, N=sys.N, x0=stack("x0", 0),
-                             **{name: stack(name, 1) for name in "ABCDwvr"})
+                             **{name: stack(name, 1) for name in SCHEDULES})
 
 
 def _with_lane_axis(realized: RealizedIteration) -> RealizedIteration:
     """The realization viewed with a unit lane axis ahead of the seed axis;
     x0, (S or 1, n, 1), already broadcasts against it."""
-    return realized._replace(**{name: getattr(realized, name)[:, None] for name in "ABCDwvr"})
+    return realized._replace(**{name: getattr(realized, name)[:, None] for name in SCHEDULES})
 
 
 def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple:
@@ -265,6 +266,13 @@ def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple
         if faults[0] is not None:
             raise faults[0]
         return exc.trajectory
+
+
+def _stack_shapes(sys: NominalSystem, L: int, S: int) -> tuple:
+    """The float64 arrays _learn allocates for L trials of S seeds: the E and U
+    histories, three residuals, then the inputs, states, outputs and references."""
+    return ((L, S),) * 2 + ((L - 1, S),) * 3 + tuple(
+        (L, sys.N + 1, S, rows, 1) for rows in (sys.m, sys.n, sys.p, sys.p))
 
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
@@ -297,12 +305,9 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     report, xi_seq, gamma_seq, u, advance = law(S)
     other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
-    L, steps, look_ahead = cfg.iterations, sys.N + 1, cfg.mode in GAMMA_MODES
-    E_hist, U_hist = np.empty((L, S)), np.empty((L, S))
-    error_res, state_res, input_res = (np.empty((L - 1, S)) for _ in range(3))
-    inputs = np.empty((L,) + u.shape)
-    states = np.empty((L, steps, S, sys.n, 1))
-    outputs, references = (np.empty((L, steps, S, sys.p, 1)) for _ in range(2))
+    L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
+    (E_hist, U_hist, error_res, state_res, input_res, inputs, states, outputs,
+     references) = map(np.empty, _stack_shapes(sys, L, S))
     faults = [None] * S
     if other is not None:
         gap, u_other, advance_other = np.zeros(S), other[3], other[4]

@@ -22,8 +22,19 @@ from .schedule_lang import MatrixSchedule
 SEED_LIMIT = 1 << 64  # seeds lie in [0, 2**64): one Philox key word
 _MASK64 = SEED_LIMIT - 1
 
+# The plant's schedules in the order configs list them, each with its
+# (rows, cols) in the dimensions n (states), m (inputs) and p (outputs).
+SCHEDULES = {"A": "nn", "B": "nm", "C": "pn", "D": "pm", "w": "n1", "v": "p1", "r": "p1"}
+# The quantities with a nonrepetitive perturbation, each of amplitude amp_<name>.
+CHANNELS = (*SCHEDULES, "x0")
 # Stable stream tags: each perturbed quantity owns one substream per iteration.
-_TAG = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
+_TAG = {name: tag for tag, name in enumerate((*CHANNELS, "sigma"))}
+
+
+def _shapes(n: int, m: int, p: int) -> dict:
+    """Each schedule's (rows, cols) for n states, m inputs and p outputs."""
+    dims = {"n": n, "m": m, "p": p, "1": 1}
+    return {name: (dims[rows], dims[cols]) for name, (rows, cols) in SCHEDULES.items()}
 
 
 class Checked:
@@ -64,12 +75,7 @@ class NominalSystem(Checked, _NominalSystem):
     __slots__ = ()
 
     def _check(self) -> None:
-        n, m, p = self.n, self.m, self.p
-        expected = {
-            "A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m),
-            "w": (n, 1), "v": (p, 1), "r": (p, 1),
-        }
-        for name, shape in expected.items():
+        for name, shape in _shapes(self.n, self.m, self.p).items():
             sched = getattr(self, name)
             if sched.shape != shape:
                 raise DimensionMismatchError(
@@ -77,9 +83,9 @@ class NominalSystem(Checked, _NominalSystem):
             if sched.N != self.N:
                 raise DimensionMismatchError(
                     f"{name} schedule horizon {sched.N} != {self.N}")
-        if self.x0.shape != (n, 1):
+        if self.x0.shape != (self.n, 1):
             raise DimensionMismatchError(
-                f"x0 has shape {self.x0.shape}, expected {(n, 1)}")
+                f"x0 has shape {self.x0.shape}, expected {(self.n, 1)}")
 
 
 class StructuredD(NamedTuple):
@@ -111,10 +117,9 @@ class UncertaintySpec(Checked, _UncertaintySpec):
     def _check(self) -> None:
         if not 0 <= self.seed < SEED_LIMIT:
             raise DimensionMismatchError(f"seed must lie in [0, 2**64), got {self.seed}")
-        for name in ("amp_A", "amp_B", "amp_C", "amp_D",
-                     "amp_w", "amp_v", "amp_r", "amp_x0"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise DimensionMismatchError(f"{name} must be finite and nonnegative")
+        for name in CHANNELS:
+            if not 0 <= getattr(self, f"amp_{name}") < np.inf:
+                raise DimensionMismatchError(f"amp_{name} must be finite and nonnegative")
 
 
 class RealizedIteration(NamedTuple):
@@ -174,23 +179,17 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     value <= 1.
     """
     n, m, p, N = sys.n, sys.m, sys.p, sys.N
-    steps = N + 1
+    steps, sd = N + 1, unc.structured_D
     noise = _noise(unc.seed, l)
 
-    def perturbed(tag: str, sched: MatrixSchedule, amp: float) -> np.ndarray:
+    def perturbed(name: str) -> np.ndarray:
+        sched, amp = getattr(sys, name), getattr(unc, f"amp_{name}")
         if amp == 0.0:
             return sched.values
-        return sched.values + amp * noise(tag, steps, sched.shape)
+        return sched.values + amp * noise(name, steps, sched.shape)
 
-    A = perturbed("A", sys.A, unc.amp_A)
-    B = perturbed("B", sys.B, unc.amp_B)
-    C = perturbed("C", sys.C, unc.amp_C)
-    w = perturbed("w", sys.w, unc.amp_w)
-    v = perturbed("v", sys.v, unc.amp_v)
-    r = perturbed("r", sys.r, unc.amp_r)
-
-    if unc.structured_D is not None:
-        sd = unc.structured_D
+    fields = {name: perturbed(name) for name in SCHEDULES if name != "D" or sd is None}
+    if sd is not None:
         s = sd.E.cols
         if sd.E.rows != p or sd.F.shape != (s, m):
             raise DimensionMismatchError(
@@ -198,16 +197,14 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
                 f"do not match p={p}, s={s}, m={m}")
         sigmas = noise("sigma", steps, (s, s))
         sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
-        D = sys.D.values + sd.E.values @ sigmas @ sd.F.values
-    else:
-        D = perturbed("D", sys.D, unc.amp_D)
+        fields["D"] = sys.D.values + sd.E.values @ sigmas @ sd.F.values
 
     if unc.amp_x0 == 0.0:
         x0 = sys.x0
     else:
         x0 = sys.x0 + unc.amp_x0 * noise("x0", 1, (n, 1))[0]
 
-    return RealizedIteration(l=l, N=N, A=A, B=B, C=C, D=D, w=w, v=v, r=r, x0=x0)
+    return RealizedIteration(l=l, N=N, x0=x0, **fields)
 
 
 def _first_fault(bad_x: np.ndarray, bad_y: np.ndarray, l: int) -> Optional[NonFiniteError]:
@@ -242,8 +239,8 @@ def simulate(realized: RealizedIteration, u) -> tuple:
         raise DimensionMismatchError(f"input sequence has {len(u)} entries, expected {N + 1}")
     u = np.asarray(u, dtype=np.float64)
     A, w, x0 = realized.A, realized.w, realized.x0
-    batch = np.broadcast_shapes(x0.shape[:-2], *(a.shape[1:-2] for a in (
-        A, realized.B, realized.C, realized.D, w, realized.v, realized.r, u)))
+    batch = np.broadcast_shapes(x0.shape[:-2], u.shape[1:-2], *(
+        getattr(realized, name).shape[1:-2] for name in SCHEDULES))
     x = np.empty((N + 1,) + batch + x0.shape[-2:])
     x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):

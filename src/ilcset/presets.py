@@ -3,10 +3,10 @@
 Two benchmark plants share one 4-state tracking task over N = 100 steps:
 a direct-feedthrough plant driven through Xi with three inputs and two
 outputs, and a feedthrough-free variant of the same plant driven through
-Gamma.  The ``*-clean`` versions zero every uncertainty amplitude so the
-asymptotically perfect-tracking regime is reachable exactly.  Each preset
-is defined once, as the shipped document ``data/<name>.json``, which can
-be copied out and edited as a config file.
+Gamma.  Each plant is defined once, as the shipped document
+``data/<name>.json``, which can be copied out and edited as a config file;
+its ``<name>-clean`` preset zeroes every amplitude of that document, so the
+asymptotically perfect-tracking regime is reachable exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +25,12 @@ def preset_config(name: str, seed: int | None = None,
     count replaced where given (the documents ship 42 and 300)."""
     if name not in PRESET_NAMES:
         raise KeyError(f"unknown preset {name!r} (expected one of {PRESET_NAMES})")
-    source = resources.files(__package__) / "data" / f"{name}.json"
+    source = resources.files(__package__) / "data" / f"{name.removesuffix('-clean')}.json"
     doc = json.loads(source.read_text(encoding="utf-8"))
+    if name.endswith("-clean"):  # keeps the amplitudes' form: a number or an object
+        amps = doc["uncertainty"]["amplitudes"]
+        doc["uncertainty"]["amplitudes"] = (dict.fromkeys(amps, 0.0) if isinstance(amps, dict)
+                                            else 0.0)
     if seed is not None:
         doc["uncertainty"]["seed"] = seed
     if iterations is not None:

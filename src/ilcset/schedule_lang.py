@@ -37,6 +37,8 @@ from .errors import (
 from .matrix_core import Mat
 
 MAX_EXPONENT = 8
+# A cell whose tree is deeper than Python's recursion limit fails with this.
+_TOO_DEEP = "expression nested too deeply"
 _CONSTANTS = {"pi": math.pi}
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
 
@@ -370,13 +372,16 @@ class MatrixSchedule:
             for j in range(cols):
                 expr = exprs[i][j]
                 try:
-                    values[:, i, j] = _eval_cell(expr, steps)
-                except _NotExact:
-                    for k in range(N + 1):
-                        try:
-                            values[k, i, j] = eval_expr(expr, k)
-                        except EvalError as exc:
-                            failures.append((k, i, j, f"k={k}: {exc}"))
+                    try:
+                        values[:, i, j] = _eval_cell(expr, steps)
+                    except _NotExact:
+                        for k in range(N + 1):
+                            try:
+                                values[k, i, j] = eval_expr(expr, k)
+                            except EvalError as exc:
+                                failures.append((k, i, j, f"k={k}: {exc}"))
+                except RecursionError:
+                    failures.append((0, i, j, _TOO_DEEP))
         if failures:
             failures.sort(key=lambda f: f[:3])
             raise ScheduleBuildError([(i, j, detail) for _, i, j, detail in failures])
@@ -414,6 +419,9 @@ def build_schedule(grid: Sequence[Sequence[str]], N: int) -> MatrixSchedule:
                 expr_row.append(parse_expr(cell))
             except ParseError as exc:
                 failures.append((i, j, f"parse: {exc}"))
+                expr_row.append(Num(0.0))
+            except RecursionError:
+                failures.append((i, j, f"parse: {_TOO_DEEP}"))
                 expr_row.append(Num(0.0))
         exprs.append(expr_row)
     if failures:

@@ -20,8 +20,10 @@ import ilcset.cli
 import ilcset.ilc_engine
 import ilcset.plant
 from ilcset.cli import main
+from ilcset.errors import SchemaError
 from ilcset.ilc_engine import GAMMA_MODES, MODES
 from ilcset.plant import sample_iteration
+from ilcset.presets import build_preset
 
 CSV_HEADER = "l,E_inf,U_inf,res_err_rec,res_in_rec"
 
@@ -360,9 +362,13 @@ def test_largest_seed_still_runs(tmp_path):
     assert {row[0] for row in read_rows(sweep)[1:]} == {last}
 
 
+# The schedules of 2**50 steps fit in intp bytes but in no machine's memory,
+# those of 2**62 steps not in intp bytes: both are refused before any is built.
 @pytest.mark.parametrize("section, key, value",
-                         [("run", "iterations", 2 ** 63), ("system", "N", 10 ** 400)],
-                         ids=["iterations", "N"])
+                         [("run", "iterations", 2 ** 63), ("system", "N", 10 ** 400),
+                          ("system", "N", 2 ** 50), ("system", "N", 2 ** 62)],
+                         ids=["iterations", "N", "N-schedules-beyond-memory",
+                              "N-schedules-beyond-intp"])
 def test_count_numpy_cannot_index_exits_two(tmp_path, capsys, section, key, value):
     path = pathlib.Path(make_divergent_config(tmp_path, 3))
     doc = json.loads(path.read_text())
@@ -377,6 +383,22 @@ def test_count_numpy_cannot_index_exits_two(tmp_path, capsys, section, key, valu
 def test_iterations_flag_numpy_cannot_index_exits_two(capsys):
     assert main(["run", "--preset", "example1", "--iterations", str(2 ** 63)]) == 2
     assert capsys.readouterr().err.startswith("config error: /run/iterations: ")
+
+
+@pytest.mark.parametrize("cell, detail", [
+    ("(" * 250 + "1" + ")" * 250, "parse: expression nested too deeply"),
+    ("-" * 500 + "1", "parse: expression nested too deeply"),
+    # The parser reads a sum in a loop, but the tree is left-deep, so the
+    # evaluation recurses once per term.
+    ("+".join(["0.0001"] * 1000), "expression nested too deeply"),
+], ids=["parentheses", "minuses", "long-sum"])
+def test_expression_nested_too_deeply_is_a_config_error(tmp_path, capsys, cell, detail):
+    path = pathlib.Path(make_divergent_config(tmp_path, 3))
+    doc = json.loads(path.read_text())
+    doc["system"]["A"][0][0] = cell
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: /system/A/0/0: {detail}\n"
 
 
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],
@@ -601,6 +623,42 @@ def test_stdout_on_a_full_device_is_an_io_error(argv):
     _assert_one_io_error(proc, "[Errno 28] No space left on device")
 
 
+def _with_stdout_closed(argv):
+    """The CLI started with fd 1 closed, as a shell's ``ilcset ... >&-`` starts it."""
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh",
+                           sys.executable, "-m", "ilcset.cli", *argv],
+                          stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--preset", "example1"],
+    ["run", "--preset", "example1", "--iterations", "2"],
+    ["run", "--preset", "example2", "--iterations", "2", "--sweep", "seeds=0..1"],
+    ["transform", "--preset", "example1"],
+    # The summary, --verify-set's gap with it, goes to stdout beside --out.
+    ["run", "--preset", "example1", "--iterations", "2", "--verify-set", "--out", "m.csv"],
+], ids=["check", "run", "sweep", "transform", "run-out"])
+def test_closed_stdout_is_an_io_error_before_any_work(tmp_path, argv):
+    argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+    proc = _with_stdout_closed(argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "io error: [Errno 9] stdout is closed\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--preset", "example1", "--out", "t.json"],
+    ["run", "--preset", "example2", "--iterations", "2", "--sweep", "seeds=0..1",
+     "--out", "s.csv"],
+], ids=["transform", "sweep"])
+def test_closed_stdout_is_no_error_when_nothing_goes_there(tmp_path, argv):
+    out = tmp_path / argv[-1]
+    proc = _with_stdout_closed(argv[:-1] + [str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert out.stat().st_size > 0
+
+
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
     # Each command loads only what it uses: check not even the transform
     # module, and no command dataclasses or logging.
@@ -656,6 +714,32 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
     ):
         assert main(["run", *argv]) == 2, argv
         assert capsys.readouterr().err.startswith("config error: /run/iterations: "), argv
+
+
+def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch):
+    # The check and _learn read one layout, so the check counts exactly the
+    # bytes the loop allocates: a budget one byte short refuses the run.
+    allocated = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def empty(shape):
+            allocated.append(np.empty(shape))
+            return allocated[-1]
+
+    cfg = build_preset("example1", iterations=3)
+    monkeypatch.setattr(ilcset.ilc_engine, "np", SpyNumpy())
+    ilcset.cli._execute(cfg, range(2))
+    assert len(allocated) == 9
+    nbytes = sum(a.nbytes for a in allocated)
+    monkeypatch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes, "allowed"))
+    ilcset.cli._check_stack_size(cfg, 2)
+    monkeypatch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes - 1, "allowed"))
+    with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
+        ilcset.cli._check_stack_size(cfg, 2)
 
 
 def test_sweep_prints_a_violated_condition(tmp_path):

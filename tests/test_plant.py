@@ -10,6 +10,9 @@ import pytest
 from ilcset.errors import DimensionMismatchError, NonFiniteError
 from ilcset.matrix_core import spectral_norms
 from ilcset.plant import (
+    _TAG,
+    CHANNELS,
+    SCHEDULES,
     NominalSystem,
     StructuredD,
     UncertaintySpec,
@@ -22,6 +25,14 @@ from ilcset.schedule_lang import MatrixSchedule, build_schedule
 
 TAGS = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
 MASK64 = (1 << 64) - 1
+
+
+def test_stream_tags_keep_their_values():
+    # A tag is part of every draw's Philox key: renumbering one changes
+    # every realization of that quantity.
+    assert _TAG == TAGS
+    assert CHANNELS == ("A", "B", "C", "D", "w", "v", "r", "x0")
+    assert tuple(SCHEDULES) == CHANNELS[:-1]
 
 
 def fresh_noise(seed, l, tag, count, shape):

@@ -6,10 +6,12 @@ and 100, plus a handful of frozen decimal literals."""
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from ilcset.plant import UncertaintySpec
 from ilcset.presets import (
     PRESET_NAMES,
     build_preset,
@@ -132,6 +134,43 @@ def test_uncertainty_amplitudes(example1, example2, example1_clean, example2_cle
         assert all(getattr(clean.uncertainty, f"amp_{q}") == 0.0
                    for q in ("A", "B", "C", "D", "w", "v", "r", "x0"))
     assert unc1.seed == 42 and unc2.seed == 42
+
+
+@pytest.mark.parametrize("base", ["example1", "example2"])
+def test_clean_preset_is_its_base_without_uncertainty(base):
+    noisy, clean = build_preset(base), build_preset(f"{base}-clean")
+    for name in ("n", "m", "p", "N"):
+        assert getattr(clean.system, name) == getattr(noisy.system, name)
+    for name in ("A", "B", "C", "D", "w", "v", "r"):
+        np.testing.assert_array_equal(getattr(clean.system, name).values,
+                                      getattr(noisy.system, name).values)
+    np.testing.assert_array_equal(clean.system.x0, noisy.system.x0)
+    np.testing.assert_array_equal(clean.xi.values, noisy.xi.values)
+    np.testing.assert_array_equal(clean.gamma.values, noisy.gamma.values)
+    np.testing.assert_array_equal(clean.u0, noisy.u0)
+    assert (clean.mode, clean.iterations, clean.record_every) == (
+        noisy.mode, noisy.iterations, noisy.record_every)
+    assert clean.uncertainty == UncertaintySpec(seed=noisy.uncertainty.seed)
+    assert clean.uncertainty.structured_D is None
+
+
+@pytest.mark.parametrize("base", ["example1", "example2"])
+def test_clean_document_keeps_the_amplitudes_form(base):
+    # A number stays a number and an object keeps its keys; nothing else
+    # in the document differs.
+    noisy, clean = preset_config(base), preset_config(f"{base}-clean")
+    amps = noisy["uncertainty"]["amplitudes"]
+    expected = dict.fromkeys(amps, 0.0) if isinstance(amps, dict) else 0.0
+    assert clean["uncertainty"]["amplitudes"] == expected
+    assert type(clean["uncertainty"]["amplitudes"]) is type(amps)
+    clean["uncertainty"]["amplitudes"] = amps
+    assert clean == noisy
+
+
+def test_only_the_base_documents_ship():
+    data = resources.files("ilcset") / "data"
+    assert sorted(entry.name for entry in data.iterdir()) == ["example1.json",
+                                                             "example2.json"]
 
 
 def test_seed_and_iteration_overrides():
