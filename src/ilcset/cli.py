@@ -87,14 +87,14 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
+def _check_stack_size(cfg: ExperimentConfig, seeds: int, kept: int) -> None:
     """Reject a run whose trial stacks need more bytes than numpy can
     address or the machine has, before any spec is built or anything drawn.
     _learn allocates them up front, all float64, in _stack_shapes' shapes."""
     from .ilc_engine import _stack_shapes
 
     nbytes = sum(8 * math.prod(shape)
-                 for shape in _stack_shapes(cfg.system, cfg.iterations, seeds))
+                 for shape in _stack_shapes(cfg.system, cfg.iterations, seeds, kept))
     limit, what = _byte_limit()
     if nbytes > limit:
         raise SchemaError("/run/iterations",
@@ -102,29 +102,52 @@ def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
                           f"bytes of trial stacks, more than the {limit} bytes {what}")
 
 
-def _execute(cfg: ExperimentConfig, seeds: range | None = None,
+def _recorded_trials(cfg: ExperimentConfig, record: str) -> range:
+    """The trials whose signals --record-trajectories writes: none, the
+    last, or every record_every-th from the first."""
+    L = cfg.iterations
+    return {"none": range(0), "final": range(L - 1, L),
+            "all": range(0, L, cfg.record_every)}[record]
+
+
+def _execute(cfg: ExperimentConfig, keep: range, seeds: range | None = None,
              verify_set: bool = False) -> RunResult | list:
-    """Run cfg's loop: under cfg.uncertainty, or under each seed of seeds side
-    by side, which gives one RunResult per seed."""
+    """Run cfg's loop, recording the trials in keep: under cfg.uncertainty,
+    or under each seed of seeds side by side, which gives one RunResult per
+    seed."""
     from .ilc_engine import IlcConfig, run, run_transformed
 
-    _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start)
+    _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start, len(keep))
     unc = (cfg.uncertainty if seeds is None
            else [cfg.uncertainty._replace(seed=seed) for seed in seeds])
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
         return run_transformed(cfg.system, unc, _build_transform(cfg), engine,
-                               counterpart=gains if verify_set else None)
+                               counterpart=gains if verify_set else None, keep=keep)
     return run(cfg.system, unc, gains, engine,
-               counterpart=_build_transform(cfg) if verify_set else None)
+               counterpart=_build_transform(cfg) if verify_set else None, keep=keep)
 
 
-def _require_stdout() -> None:
-    """Fail before any work when the command writes to stdout and fd 1 was
-    closed at start-up, which leaves sys.stdout None."""
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, "stdout is closed")
+def _require_open(stream: str) -> None:
+    """Fail before any work when the command writes to this standard stream
+    ("stdout" or "stderr") and its fd was closed at start-up, which leaves
+    sys.stdout or sys.stderr None."""
+    if getattr(sys, stream) is None:
+        raise OSError(errno.EBADF, f"{stream} is closed")
+
+
+def _diagnose(line: str) -> None:
+    """Write one diagnostic line to stderr and nowhere else.  print(file=None)
+    would write to stdout, so with fd 2 closed at start-up the line is
+    dropped; a write that fails is dropped too, so that the exit status
+    the command already chose stands."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _metric_rows(result: RunResult) -> list:
@@ -158,10 +181,10 @@ def _trajectory_header(p: int) -> list:
             + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
 
 
-def _write_trajectories(path: str, result: RunResult, iterations) -> None:
-    """The trajectory CSV: one row l, k, y, r, e = r - y per recorded
-    iteration l and step k, in csv.writer's bytes.  Each iteration's rows
-    come from one row template, so one iteration's text is held at a time."""
+def _write_trajectories(path: str, result: RunResult) -> None:
+    """The trajectory CSV: one row l, k, y, r, e = r - y per step k of each
+    trial l the result kept, in csv.writer's bytes.  Each trial's rows come
+    from one row template, so one trial's text is held at a time."""
     _, steps, p, _ = result.outputs.shape
     # %r of a Python float is csv.writer's text for it, as _fmt's is.
     rows = (",".join(["%d", "%d"] + ["%r"] * (3 * p)) + "\r\n") * steps
@@ -169,8 +192,8 @@ def _write_trajectories(path: str, result: RunResult, iterations) -> None:
     table[:, 1] = range(steps)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(_trajectory_header(p))
-        for l in iterations:
-            y, r = result.outputs[l, :, :, 0], result.references[l, :, :, 0]
+        for i, l in enumerate(result.kept):
+            y, r = result.outputs[i, :, :, 0], result.references[i, :, :, 0]
             table[:, 0] = l
             table[:, 2:] = np.concatenate([y, r, r - y], axis=1)
             fh.write(rows % tuple(table.ravel().tolist()))
@@ -232,7 +255,7 @@ def _sweep_rows(args, seeds: range) -> tuple:
     distinct warnings of the seeds' runs; the config is built once and the
     seeds share one trial loop."""
     cfg = _build_config(args)
-    results = _execute(cfg, seeds)
+    results = _execute(cfg, range(0), seeds)
     rows = [[str(seed)] + row
             for seed, result in zip(seeds, results) for row in _metric_rows(result)]
     return rows, tuple(dict.fromkeys(w for result in results for w in result.warnings))
@@ -251,9 +274,12 @@ def cmd_run(args) -> int:
         if os.path.isdir(args.out):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     # Only a sweep into --out writes nothing to stdout: other runs write
-    # the metrics CSV or the summary there.
+    # the metrics CSV or the summary there.  The summary of a run without
+    # --out goes to stderr.
     if args.sweep is None or args.out is None:
-        _require_stdout()
+        _require_open("stdout")
+    if args.sweep is None and args.out is None:
+        _require_open("stderr")
     if args.sweep is not None:
         seeds = _parse_sweep(args.sweep)
         if args.verify_set or args.record_trajectories != "none" or args.seed is not None:
@@ -262,20 +288,19 @@ def cmd_run(args) -> int:
         rows, warnings = _sweep_rows(args, seeds)
         # A sweep prints no summary, so its warnings go to stderr on their own.
         for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
+            _diagnose(f"warning: {w}")
         _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
         return 0
     if args.record_trajectories != "none" and args.out is None:
         raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
-    result = _execute(cfg, verify_set=args.verify_set)
+    result = _execute(cfg, _recorded_trials(cfg, args.record_trajectories),
+                      verify_set=args.verify_set)
     _write_csv(args.out, CSV_HEADER, _metric_rows(result))
 
     if args.record_trajectories != "none":
-        recorded = ([result.iterations - 1] if args.record_trajectories == "final"
-                    else range(0, result.iterations, cfg.record_every))
-        _write_trajectories(_traj_path(args.out), result, recorded)
+        _write_trajectories(_traj_path(args.out), result)
 
     info = sys.stdout if args.out is not None else sys.stderr
     for line in _summary_lines(result):
@@ -293,7 +318,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _require_stdout()
+    _require_open("stdout")
     cfg = _build_config(args)
     reports = _applicable_reports(cfg)
     names = [r.name for r in reports]
@@ -382,7 +407,7 @@ def cmd_transform(args) -> int:
     from .set_transform import apply_p_transform, apply_q_transform
 
     if args.out is None:
-        _require_stdout()
+        _require_open("stdout")
     cfg = _build_config(args)
     transform = _build_transform(cfg)
     realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
@@ -463,13 +488,13 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         return status
     except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _diagnose(f"config error: {exc}")
         return 2
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        _diagnose(f"io error: {exc}")
         return 2
     except IlcsetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 1
 
 
@@ -493,7 +518,7 @@ def console_main() -> int | str | None:
     except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not status:
-            print(f"io error: {exc}", file=sys.stderr)
+            _diagnose(f"io error: {exc}")
             status = 2
     gc.freeze()
     return status

@@ -90,8 +90,10 @@ class RunResult(NamedTuple):
     tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
     stacks the run effectively applied, retained so recorded data can be
     re-checked against the iteration-domain recursions afterwards.
-    inputs, states, outputs and references stack each trial's (N+1, rows, 1)
-    signal by trial; trial l's tracking error is references[l] - outputs[l].
+    inputs, states, outputs and references stack the (N+1, rows, 1) signals
+    of the kept trials, in order: row i holds trial kept[i], whose tracking
+    error is references[i] - outputs[i].  By default every trial is kept, so
+    row l is trial l.  final_input is the last trial's input, kept or not.
     The results of specs run side by side are views into shared stacks.
     error_recursion / input_recursion are the residuals of both recursions,
     checked transition by transition on the realizations the run drew;
@@ -104,10 +106,12 @@ class RunResult(NamedTuple):
     iterations: int
     E_hist: tuple
     U_hist: tuple
-    inputs: np.ndarray      # inputs[l][k]: the input applied on iteration l
-    states: np.ndarray      # states[l][k]: x_l(k)
-    outputs: np.ndarray     # outputs[l][k]: y_l(k)
-    references: np.ndarray  # references[l][k]: r_l(k)
+    kept: range             # the trials the stacks below hold, in order
+    inputs: np.ndarray      # inputs[i][k]: the input applied on trial kept[i]
+    states: np.ndarray      # states[i][k]: x_l(k) for l = kept[i]
+    outputs: np.ndarray     # outputs[i][k]: y_l(k)
+    references: np.ndarray  # references[i][k]: r_l(k)
+    final_input: np.ndarray  # the input applied on the last trial
     converged_value: float
     xi_seq: np.ndarray
     gamma_seq: np.ndarray
@@ -116,10 +120,6 @@ class RunResult(NamedTuple):
     error_recursion: Optional[ResidualReport] = None
     input_recursion: Optional[ResidualReport] = None
     equivalence_gap: Optional[float] = None
-
-    @property
-    def final_input(self) -> np.ndarray:
-        return self.inputs[-1]
 
 
 def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
@@ -268,16 +268,17 @@ def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple
         return exc.trajectory
 
 
-def _stack_shapes(sys: NominalSystem, L: int, S: int) -> tuple:
-    """The float64 arrays _learn allocates for L trials of S seeds: the E and U
-    histories, three residuals, then the inputs, states, outputs and references."""
+def _stack_shapes(sys: NominalSystem, L: int, S: int, K: int) -> tuple:
+    """The float64 arrays _learn allocates for L trials of S seeds, K of
+    them recorded: the E and U histories, three residuals, then the kept
+    trials' inputs, states, outputs and references."""
     return ((L, S),) * 2 + ((L - 1, S),) * 3 + tuple(
-        (L, sys.N + 1, S, rows, 1) for rows in (sys.m, sys.n, sys.p, sys.p))
+        (K, sys.N + 1, S, rows, 1) for rows in (sys.m, sys.n, sys.p, sys.p))
 
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
-           cfg: IlcConfig, law: Callable,
-           counterpart: Optional[Callable] = None) -> RunResult | list:
+           cfg: IlcConfig, law: Callable, counterpart: Optional[Callable] = None,
+           keep: Optional[range] = None) -> RunResult | list:
     """The trial loop of both coordinate systems.
 
     unc is one UncertaintySpec, or a sequence of S of them (seeds) that run
@@ -285,10 +286,13 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     the seed axis after the step axis, (N+1, S, rows, cols).  law(S) builds
     (report, xi_seq, gamma_seq, u0, advance) for S seeds; advance(l, u, e)
     forms the input of trial l + 1 from trial l's input and tracking error.
-    Trial l draws its realizations once, simulates them under the input u,
-    writes the input, states, outputs and reference into the run's stacks
+    Trial l draws its realizations once, simulates them under the input u
     and forms the tracking error once, for the metrics, the checks of the
     transition from trial l - 1 against both recursions, and the update.
+    Only the trials in keep (every trial when None) have their input,
+    states, outputs and reference written into the run's stacks; the
+    checks hold trial l - 1's on their own, so a run that keeps no trial
+    holds a fixed amount of signal data, whatever its length.
     A counterpart law shares that simulate call: its input rides beside u
     on a lane axis ahead of the seed axis, (N+1, 2, S, m, 1), over the
     realization viewed with a unit lane axis, and only its worst output gap
@@ -306,8 +310,11 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
     L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
+    keep = range(L) if keep is None else keep
+    if keep and not (0 <= keep[0] < L and 0 <= keep[-1] < L):
+        raise DimensionMismatchError(f"kept trials {keep} outside the run's {L}")
     (E_hist, U_hist, error_res, state_res, input_res, inputs, states, outputs,
-     references) = map(np.empty, _stack_shapes(sys, L, S))
+     references) = map(np.empty, _stack_shapes(sys, L, S, len(keep)))
     faults = [None] * S
     if other is not None:
         gap, u_other, advance_other = np.zeros(S), other[3], other[4]
@@ -323,16 +330,20 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                                  faults)
                 x, y, y_other = x[:, 0], y[:, 0], y[:, 1]
                 gap = np.maximum(gap, _worst(y - y_other))
-            inputs[l], states[l], outputs[l], references[l] = u, x, y, realized.r
+            if l in keep:
+                i = keep.index(l)
+                inputs[i], states[i], outputs[i], references[i] = u, x, y, realized.r
+                # Go on with the stacks' copies, so that the checks of the
+                # next transition hold no second copy of a kept trial.
+                u, x = inputs[i], states[i]
             e = realized.r - y
             E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
             if l:
                 error_res[l - 1], state_res[l - 1] = _error_residuals(
-                    previous, realized, states[l - 1], x, e_previous, e,
-                    inputs[l - 1], u, xi_seq)
+                    previous, realized, x_previous, x, e_previous, e, u_previous, u, xi_seq)
                 input_res[l - 1] = _input_residual(
-                    look_ahead, previous, states[l - 1], inputs[l - 1], u, xi_seq, gamma_seq)
-            previous, e_previous = realized, e
+                    look_ahead, previous, x_previous, u_previous, u, xi_seq, gamma_seq)
+            previous, x_previous, u_previous, e_previous = realized, x, u, e
             if l + 1 < L:
                 u = advance(l, u, e)
                 if other is not None:
@@ -344,10 +355,10 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     def result(s: int) -> RunResult:
         E = tuple(E_hist[:, s].tolist())
         return RunResult(mode=cfg.mode, iterations=L,
-                         E_hist=E, U_hist=tuple(U_hist[:, s].tolist()),
+                         E_hist=E, U_hist=tuple(U_hist[:, s].tolist()), kept=keep,
                          inputs=inputs[:, :, s], states=states[:, :, s],
                          outputs=outputs[:, :, s], references=references[:, :, s],
-                         converged_value=_converged_value(E),
+                         final_input=u[:, s], converged_value=_converged_value(E),
                          xi_seq=xi_seq, gamma_seq=gamma_seq,
                          condition_report=report, warnings=warnings,
                          error_recursion=_report("error_recursion", error_res[:, s].tolist(),
@@ -410,7 +421,8 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
 
 
 def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], gains: tuple,
-        cfg: IlcConfig, counterpart: Optional[InputTransform] = None) -> RunResult | list:
+        cfg: IlcConfig, counterpart: Optional[InputTransform] = None,
+        keep: Optional[range] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
     A violated contraction condition does not abort: its warning is kept in
@@ -419,15 +431,18 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
     as counterpart, the split-coordinate loop runs beside it on the same draws.
     unc may also be a sequence of UncertaintySpecs (one per seed, say): they
     run side by side through the one loop, and a list of RunResults, one
-    per spec in order, comes back.
+    per spec in order, comes back.  keep, a range of trial indices, picks
+    the trials whose signals the result records (every trial by default).
     """
     return _learn(sys, unc, cfg, partial(_direct_law, sys, gains, cfg),
-                  None if counterpart is None else partial(_split_law, sys, counterpart, cfg))
+                  None if counterpart is None else partial(_split_law, sys, counterpart, cfg),
+                  keep)
 
 
 def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                     transform: InputTransform, cfg: IlcConfig,
-                    counterpart: Optional[tuple] = None) -> RunResult | list:
+                    counterpart: Optional[tuple] = None,
+                    keep: Optional[range] = None) -> RunResult | list:
     """Split-coordinate loop: update the p active channels only.
 
     The frozen channels keep their initial split values for the whole run;
@@ -436,15 +451,17 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[Uncertai
     uses the collapsed square gain, so its loop matrix coincides with the
     direct one and the same contraction condition applies.  Given (Xi,
     Gamma) as counterpart, the direct loop runs beside it on the same draws.
-    A sequence of specs as unc runs them side by side, as in run.
+    A sequence of specs as unc runs them side by side, and keep picks the
+    recorded trials, as in run.
     """
     return _learn(sys, unc, cfg, partial(_split_law, sys, transform, cfg),
-                  None if counterpart is None else partial(_direct_law, sys, counterpart, cfg))
+                  None if counterpart is None else partial(_direct_law, sys, counterpart, cfg),
+                  keep)
 
 
 def _require_logged(result: RunResult) -> None:
-    if len(result.states) < 2 or len(result.inputs) < 2:
-        raise MissingDataError("run must retain at least two iterations of data")
+    if result.iterations < 2 or result.kept != range(result.iterations):
+        raise MissingDataError("run must retain every trial's data, and at least two")
 
 
 def realizations_for(sys: NominalSystem, unc: UncertaintySpec,

@@ -659,6 +659,40 @@ def test_closed_stdout_is_no_error_when_nothing_goes_there(tmp_path, argv):
     assert out.stat().st_size > 0
 
 
+RUN_SUMMARY_TO_STDERR = ["run", "--preset", "example1", "--iterations", "2"]
+RUN_MISSING_CONFIG = ["run", "--config", "missing.json"]
+SWEEP_WITH_WARNING = ["run", "--config", "divergent.json", "--sweep", "seeds=0..1"]
+
+
+@pytest.mark.parametrize("redirect, argv, status, lines", [
+    # Closed, the run stops before any trial; read-only, writing the summary
+    # fails after the metrics CSV.
+    ("2>&-", RUN_SUMMARY_TO_STDERR, 2, 0),
+    ("2</dev/null", RUN_SUMMARY_TO_STDERR, 2, 3),
+    ("2>&-", RUN_MISSING_CONFIG, 2, 0),
+    ("2</dev/null", RUN_MISSING_CONFIG, 2, 0),
+    ("2>&-", SWEEP_WITH_WARNING, 0, 5),
+    ("2</dev/null", SWEEP_WITH_WARNING, 0, 5),
+], ids=["closed-run", "read-only-run", "closed-io-error", "read-only-io-error",
+        "closed-sweep-warning", "read-only-sweep-warning"])
+def test_stderr_that_cannot_be_written_leaves_stdout_clean(tmp_path, redirect, argv,
+                                                           status, lines):
+    # Closed, fd 2 leaves sys.stderr None, and print(file=None) would write
+    # to stdout; read-only, as a shell wrapper can leave it, every write to
+    # it fails.  Diagnostics are dropped, never moved to stdout, and a
+    # dropped one leaves the exit status as it was.
+    make_divergent_config(tmp_path, 2)
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                           sys.executable, "-m", "ilcset.cli", *argv],
+                          stdout=subprocess.PIPE, text=True)
+    assert proc.returncode == status
+    rows = proc.stdout.splitlines()
+    assert len(rows) == lines
+    assert all(row.startswith(("l,", "seed,")) for row in rows[:1])
+    assert all(row[0].isdigit() for row in rows[1:])
+
+
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
     # Each command loads only what it uses: check not even the transform
     # module, and no command dataclasses or logging.
@@ -719,6 +753,9 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
 def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch):
     # The check and _learn read one layout, so the check counts exactly the
     # bytes the loop allocates: a budget one byte short refuses the run.
+    # The trial stacks hold only the trials the invocation writes: none for
+    # a sweep or a run without trajectories, the last one for "final", every
+    # record_every-th for "all".
     allocated = []
 
     class SpyNumpy:
@@ -730,16 +767,26 @@ def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch):
             allocated.append(np.empty(shape))
             return allocated[-1]
 
-    cfg = build_preset("example1", iterations=3)
+    cfg = build_preset("example1", iterations=7)._replace(record_every=3)
     monkeypatch.setattr(ilcset.ilc_engine, "np", SpyNumpy())
-    ilcset.cli._execute(cfg, range(2))
-    assert len(allocated) == 9
-    nbytes = sum(a.nbytes for a in allocated)
-    monkeypatch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes, "allowed"))
-    ilcset.cli._check_stack_size(cfg, 2)
-    monkeypatch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes - 1, "allowed"))
-    with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
-        ilcset.cli._check_stack_size(cfg, 2)
+    for record, seeds, kept in (("none", range(2), 0), ("none", None, 0),
+                                ("final", None, 1), ("all", None, 3)):
+        allocated.clear()
+        keep = ilcset.cli._recorded_trials(cfg, record)
+        assert len(keep) == kept
+        ilcset.cli._execute(cfg, keep, seeds)
+        S = 1 if seeds is None else len(seeds)
+        assert [a.shape[:3] for a in allocated] == (
+            [(7, S)] * 2 + [(6, S)] * 3 + [(kept, 101, S)] * 4), record
+        # Five histories, and the four trial stacks only when a trial is kept.
+        assert sum(a.size > 0 for a in allocated) == (9 if kept else 5), record
+        nbytes = sum(a.nbytes for a in allocated)
+        with monkeypatch.context() as patch:
+            patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes, "allowed"))
+            ilcset.cli._check_stack_size(cfg, S, kept)
+            patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes - 1, "allowed"))
+            with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
+                ilcset.cli._check_stack_size(cfg, S, kept)
 
 
 def test_sweep_prints_a_violated_condition(tmp_path):
@@ -821,21 +868,24 @@ def test_transform_json_equals_indented_json_dumps(steps, p, m, n, star_steps, f
 
 
 @pytest.mark.parametrize("L,steps,p,recorded", [
-    (3, 5, 1, [0, 1, 2]), (4, 3, 2, [0, 2]), (2, 1, 3, [1]), (1, 4, 0, [0]),
+    (3, 5, 1, range(3)), (4, 3, 2, range(0, 4, 2)), (2, 1, 3, range(1, 2)),
+    (1, 4, 0, range(1)),
 ])
 def test_trajectory_writer_equals_csv_writer(tmp_path, L, steps, p, recorded):
+    # Of an L-trial run, the result holds only the recorded trials, in order.
     rng = np.random.default_rng(L * 100 + steps * 10 + p)
-    result = SimpleNamespace(outputs=_special_values(rng, (L, steps, p, 1)),
-                             references=_special_values(rng, (L, steps, p, 1)))
+    K = len(recorded)
+    result = SimpleNamespace(kept=recorded, outputs=_special_values(rng, (K, steps, p, 1)),
+                             references=_special_values(rng, (K, steps, p, 1)))
     path = tmp_path / "traj.csv"
     with np.errstate(invalid="ignore"):
-        ilcset.cli._write_trajectories(str(path), result, recorded)
+        ilcset.cli._write_trajectories(str(path), result)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(ilcset.cli._trajectory_header(p))
-            for l in recorded:
-                y, r = result.outputs[l, :, :, 0], result.references[l, :, :, 0]
+            for i, l in enumerate(recorded):
+                y, r = result.outputs[i, :, :, 0], result.references[i, :, :, 0]
                 for k in range(steps):
                     writer.writerow([l, k, *y[k].tolist(), *r[k].tolist(),
                                      *(r[k] - y[k]).tolist()])

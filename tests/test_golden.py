@@ -67,6 +67,9 @@ LONG_HORIZON_CONFIG["system"]["N"] = 1000
 LONG_HORIZON_CONFIG["gains"] = {name: _rescale_k(grid)
                                 for name, grid in LONG_HORIZON_CONFIG["gains"].items()}
 
+VERIFY_SET_RECORDING = ["run", "--preset", "example1", "--iterations", "30", "--verify-set",
+                        "--out", "{out}", "--record-trajectories"]
+
 # name -> (argv, output): "out" is the file passed as --out, "stdout" the
 # captured standard output, "traj" the trajectory CSV beside "out".
 # "{out}", "{config}", "{strided}" and "{long}" are filled in per run.
@@ -129,10 +132,18 @@ CASES = {
     "long_horizon_traj_all.csv": (
         ["run", "--config", "{long}", "--seed", "7", "--record-trajectories", "all",
          "--out", "{out}"], "traj"),
+    # Trajectories together with --verify-set's lane axis: the metrics CSV
+    # and the trajectory CSV, recording every trial or the last one.
+    "ex1_verify_set_all.csv": (VERIFY_SET_RECORDING + ["all"], "out"),
+    "ex1_verify_set_traj_all.csv": (VERIFY_SET_RECORDING + ["all"], "traj"),
+    "ex1_verify_set_final.csv": (VERIFY_SET_RECORDING + ["final"], "out"),
+    "ex1_verify_set_traj_final.csv": (VERIFY_SET_RECORDING + ["final"], "traj"),
 }
 DIGESTED = ("ex1_traj_all.csv", "ex2_transformed_gamma_traj_final.csv",
             "structured_traj_every3.csv", "ex1_transform.json", "ex2_transform.json",
-            "long_horizon_transform.json", "long_horizon_traj_all.csv")
+            "long_horizon_transform.json", "long_horizon_traj_all.csv",
+            "ex1_verify_set_all.csv", "ex1_verify_set_traj_all.csv",
+            "ex1_verify_set_final.csv", "ex1_verify_set_traj_final.csv")
 
 
 def produce(name: str) -> bytes:

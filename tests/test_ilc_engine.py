@@ -2,6 +2,7 @@
 direct and split-coordinate runs, frozen channels, recursion residuals,
 and the closed-form input limit."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -432,6 +433,75 @@ def test_limit_input_from_direct_run(example2_clean, p_example2):
     gap = max(inf_norm(limit[k] - result.final_input[k])
               for k in range(cfg.system.N + 1))
     assert gap <= 1e-6
+
+
+def test_limit_input_needs_no_kept_trial(example2_clean, p_example2):
+    # The final input is a field of its own, so the limit check reads the
+    # same input whether or not the run kept any trial's signals.
+    cfg = example2_clean
+    engine = IlcConfig(mode="transformed-gamma", iterations=250, u0=cfg.u0)
+    every, none = (run_transformed(cfg.system, cfg.uncertainty, p_example2, engine, keep=keep)
+                   for keep in (None, range(0)))
+    assert len(every.inputs) == 250 and len(none.inputs) == 0
+    assert np.array_equal(none.final_input, every.inputs[-1])
+    assert np.array_equal(limit_input(cfg.system, p_example2, cfg.u0, none),
+                          limit_input(cfg.system, p_example2, cfg.u0, every))
+
+
+def test_kept_trials_are_rows_of_the_full_record(example1):
+    # A run that keeps some trials records exactly those rows of the run
+    # that keeps every trial, and the same metrics.
+    cfg = example1
+    engine = IlcConfig(mode="direct-xi", iterations=12, u0=cfg.u0)
+    full = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine)
+    for keep in (range(1, 12, 4), range(11, 12), range(0)):
+        part = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine, keep=keep)
+        assert part.kept == keep and part.E_hist == full.E_hist
+        assert part.error_recursion == full.error_recursion
+        for name in ("inputs", "states", "outputs", "references"):
+            assert np.array_equal(getattr(part, name), getattr(full, name)[keep]), name
+        assert np.array_equal(part.final_input, full.final_input)
+        # The recursions can be re-checked only on every trial's record.
+        with pytest.raises(MissingDataError):
+            verify_input_recursion(part, realizations_for(cfg.system, cfg.uncertainty, 12))
+    for keep in (range(12, 13), range(-1, 3), range(0, 13)):
+        with pytest.raises(DimensionMismatchError):
+            run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine, keep=keep)
+
+
+def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, example1):
+    # The numpy bytes held when the last trial starts, at L = 3 and at
+    # L = 300 with no trial kept, differ by the five (L, S) and (L-1, S)
+    # float64 histories alone: the recursion checks carry one trial.
+    cfg, S = example1, 2
+    seeds = [cfg.uncertainty._replace(seed=s) for s in range(S)]
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    draw = ilcset.ilc_engine._draw
+
+    def numpy_bytes():
+        return sum(trace.size for trace in
+                   tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
+
+    def held_at_last_trial(L):
+        held = []
+
+        def spy(sys, uncs, l):
+            if l == L - 1:
+                held.append(numpy_bytes())
+            return draw(sys, uncs, l)
+
+        monkeypatch.setattr(ilcset.ilc_engine, "_draw", spy)
+        tracemalloc.start()
+        try:
+            before = numpy_bytes()
+            run(cfg.system, seeds, (cfg.xi, cfg.gamma),
+                IlcConfig(mode="direct-xi", iterations=L, u0=cfg.u0), keep=range(0))
+        finally:
+            tracemalloc.stop()
+        return held[0] - before
+
+    held_at_last_trial(3)  # numpy's and the draws' one-time set-up
+    assert held_at_last_trial(300) - held_at_last_trial(3) == 5 * (300 - 3) * S * 8
 
 
 def test_limit_input_rejects_unconverged(example2_clean, p_example2):
