@@ -15,7 +15,7 @@ share the loop on a seed axis, each rounding exactly as it would alone.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,13 +38,9 @@ from .plant import (
     simulate,
 )
 from .schedule_lang import MatrixSchedule
-from .set_transform import (
-    InputTransform,
-    PTransform,
-    QTransform,
-    assemble_input,
-    split_input,
-)
+
+if TYPE_CHECKING:
+    from .set_transform import InputTransform, PTransform
 
 CONVERGENCE_THRESHOLD = 1e-9
 
@@ -390,6 +386,9 @@ def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig, seeds: int) ->
 def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
                seeds: int) -> tuple:
     """The update law of the p active channels of the split input."""
+    # Imported here, so that a direct run never loads the transform module.
+    from .set_transform import PTransform, QTransform, assemble_input, split_input
+
     m, p, N = sys.m, sys.p, sys.N
     zero_gains = np.zeros((N + 1, m, p))
     look_ahead = cfg.mode in GAMMA_MODES
@@ -513,6 +512,8 @@ def limit_input(sys: NominalSystem, transform: PTransform, u0,
     empirically converged input.  The supplied run must have essentially
     vanished tracking error, otherwise its final input is not yet the limit.
     """
+    from .set_transform import assemble_input, split_input  # see _split_law
+
     final_E = result.E_hist[-1]
     if final_E > CONVERGENCE_THRESHOLD:
         raise NotConvergedError(

@@ -11,6 +11,7 @@ plus a bounded nonrepetitive perturbation resampled each iteration l.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -222,9 +223,9 @@ def simulate(realized: RealizedIteration, u) -> tuple:
     """Run one trial under the given (N+1, m, 1) input stack and return its
     states x, (N+1, n, 1), and outputs y, (N+1, p, 1).
 
-    The state recursion stops at k = N-1; u[N] feeds only the output
-    equation at the final step.  Only the state recursion loops over k;
-    the input and output terms are batched matmuls over the horizon.
+    u[N] feeds only the output equation.  Only the state recursion loops
+    over k, forming (A x(k) + B u(k)) + w(k) in that order: by ndarray.dot
+    for one trial with C-contiguous A steps, else by a batched matmul.
 
     Axes between the step axis and the matrix axes are batch axes: an
     (N+1, S, m, 1) input on a realization whose fields are (N+1, S or 1,
@@ -245,9 +246,19 @@ def simulate(realized: RealizedIteration, u) -> tuple:
     x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         Bu = realized.B[:N] @ u[:N]
-        # x(k+1) = (A x(k) + B u(k)) + w(k), summed in place in x's own row.
-        for A_k, x_k, x_next, Bu_k, w_k in zip(A, x, x[1:], Bu, w):
-            np.add(np.add(A_k @ x_k, Bu_k, out=x_next), w_k, out=x_next)
+        # dot: matmul's BLAS gemv at half the call cost, but it does not
+        # broadcast and its BLAS flags follow the strides.
+        if math.prod(batch) == 1 and A[0].flags.c_contiguous:
+            product = np.ndarray.dot
+            A_s, x_s, Bu_s, w_s = (a.reshape(len(a), *a.shape[-2:]) for a in (A, x, Bu, w))
+        else:
+            product, A_s, x_s = np.matmul, A, x
+            Bu_s, w_s = (np.ascontiguousarray(np.broadcast_to(a, a.shape[:1] + x.shape[1:]))
+                         for a in (Bu, w))
+        for A_k, x_k, x_next, Bu_k, w_k in zip(A_s, x_s, x_s[1:], Bu_s, w_s):
+            product(A_k, x_k, x_next)
+            x_next += Bu_k
+            x_next += w_k
         y = realized.C @ x + realized.D @ u + realized.v
     if np.isfinite(x[1:]).all() and np.isfinite(y).all():
         return x, y

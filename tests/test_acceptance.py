@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from ilcset import cli, ilc_engine
+from ilcset import cli, set_transform
 from ilcset.conditions import (
     check_lmi,
     check_rho_cb_gamma,
@@ -56,7 +56,7 @@ def _split_run(label, cfg, transform, mode, iterations, frozen_shares):
         return assemble_input(t, u1star, u2star)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ilc_engine, "assemble_input", spy)
+        patch.setattr(set_transform, "assemble_input", spy)
         result = run_transformed(cfg.system, cfg.uncertainty, transform,
                                  IlcConfig(mode=mode, iterations=iterations, u0=cfg.u0))
     # The loop carries a seed axis after the step axis, one seed here.

@@ -19,6 +19,7 @@ import pytest
 import ilcset.cli
 import ilcset.ilc_engine
 import ilcset.plant
+import ilcset.set_transform
 from ilcset.cli import main
 from ilcset.errors import SchemaError
 from ilcset.ilc_engine import GAMMA_MODES, MODES
@@ -166,7 +167,12 @@ def test_check_table_and_requirements(capsys):
     assert main(["check", "--preset", "example1", "--require", "rho_xid"]) == 1
     assert main(["check", "--preset", "example1", "--require-all"]) == 1
     capsys.readouterr()
-    assert main(["check", "--preset", "example1", "--require", "bogus"]) == 2
+    # An unknown name is a config error found before the table is printed.
+    assert main(["check", "--preset", "example1", "--require", "rho_dxi",
+                 "--require", "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: /require: not applicable here: ['bogus']")
 
 
 def test_check_look_ahead_family(capsys):
@@ -445,16 +451,18 @@ def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
     # the split-coordinate side.
     calls = collections.Counter()
 
-    def spy(name):
-        real = getattr(ilcset.ilc_engine, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(ilcset.ilc_engine, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    for name in ("sample_iteration", "simulate", "assemble_input", "split_input"):
-        spy(name)
+    for name in ("sample_iteration", "simulate"):
+        spy(ilcset.ilc_engine, name)
+    for name in ("assemble_input", "split_input"):
+        spy(ilcset.set_transform, name)
     assert main(["run", "--preset", "example1", "--iterations", "30", "--verify-set",
                  "--out", str(tmp_path / "m.csv")]) == 0
     assert calls == {"sample_iteration": 30, "simulate": 30,
@@ -694,27 +702,44 @@ def test_stderr_that_cannot_be_written_leaves_stdout_clean(tmp_path, redirect, a
 
 
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
-    # Each command loads only what it uses: check not even the transform
-    # module, and no command dataclasses or logging.
-    script = textwrap.dedent(f"""
-        import sys
-        from ilcset.cli import main
+    # Each command loads only what it uses: check neither the engine nor
+    # the transform module, a direct run not the transform module, and no
+    # command dataclasses or logging.  A run loads its modules before the
+    # config is built, so that compiling them does not fragment the heap
+    # under the config's arrays.  Each command runs in a fresh interpreter.
+    out = ["--out", str(tmp_path / "out")]
+    run = ["run", "--preset", "example1", "--iterations", "2"]
+    engine, transform = "ilcset.ilc_engine", "ilcset.set_transform"
+    for argv, expected in ((["check", "--preset", "example1"], []),
+                           (["transform", "--preset", "example2", *out], [transform]),
+                           ([*run, *out], [engine]),
+                           ([*run, "--verify-set", *out], [engine, transform]),
+                           ([*run, "--mode", "transformed-xi", *out], [engine, transform])):
+        script = textwrap.dedent(f"""
+            import sys
+            import ilcset.cli
+            from ilcset.cli import main
 
-        WATCHED = ("ilcset.ilc_engine", "ilcset.set_transform", "dataclasses", "logging")
+            WATCHED = ("ilcset.ilc_engine", "ilcset.set_transform", "dataclasses", "logging")
 
-        def loaded():
-            return [name for name in WATCHED if name in sys.modules]
+            def loaded():
+                return [name for name in WATCHED if name in sys.modules]
 
-        assert main(["check", "--preset", "example1"]) == 0
-        assert loaded() == [], loaded()
-        assert main(["transform", "--preset", "example2", "--out", {str(tmp_path / "t.json")!r}]) == 0
-        assert loaded() == ["ilcset.set_transform"], loaded()
-        assert main(["run", "--preset", "example1", "--iterations", "2",
-                     "--out", {str(tmp_path / "m.csv")!r}]) == 0
-        assert loaded() == ["ilcset.ilc_engine", "ilcset.set_transform"], loaded()
-    """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+            at_config = []
+            build = ilcset.cli.config_from_dict
+
+            def spy(doc):
+                at_config.append(loaded())
+                return build(doc)
+
+            ilcset.cli.config_from_dict = spy
+            assert main({argv!r}) == 0
+            assert loaded() == {expected!r}, loaded()
+            if {argv[0]!r} == "run":
+                assert at_config == [{expected!r}], at_config
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("text", [

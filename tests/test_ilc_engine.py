@@ -10,6 +10,7 @@ import pytest
 
 import ilcset.conditions
 import ilcset.ilc_engine
+import ilcset.set_transform
 from ilcset.config import config_from_dict
 from ilcset.errors import (
     DimensionMismatchError,
@@ -267,7 +268,7 @@ def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
         shares.append(u2star.copy())
         return assemble_input(transform, u1star, u2star)
 
-    monkeypatch.setattr(ilcset.ilc_engine, "assemble_input", spy)
+    monkeypatch.setattr(ilcset.set_transform, "assemble_input", spy)
     for cfg, transform, mode in ((example1, q_example1, "transformed-xi"),
                                  (example2, p_example2, "transformed-gamma"),
                                  (example2, p_example2, "repetitive")):

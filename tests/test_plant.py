@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from ilcset.config import config_from_dict
 from ilcset.errors import DimensionMismatchError, NonFiniteError
+from ilcset.ilc_engine import _draw, _with_lane_axis
 from ilcset.matrix_core import spectral_norms
 from ilcset.plant import (
     _TAG,
@@ -21,6 +23,7 @@ from ilcset.plant import (
 )
 from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
+from test_golden import LONG_HORIZON_CONFIG
 
 
 TAGS = {"A": 0, "B": 1, "C": 2, "D": 3, "w": 4, "v": 5, "r": 6, "x0": 7, "sigma": 8}
@@ -365,6 +368,104 @@ def test_seed_axis_runs_each_trial_as_alone_and_reports_each_blow_up():
         None, "output diverged (l=4, k=40)", "output diverged (l=4, k=10)"]
     assert err.value is err.value.faults[1]
     assert np.array_equal(err.value.trajectory[1][:, 0], alone[0][1])
+
+
+def stepwise(realized, u, index=()):
+    """Reference: the states and outputs of one trial of a batch, by the
+    recursion x = A[k] @ x + B[k] @ u[k] + w[k] on its 2-D per-step slices,
+    in the order the model states it.  index picks the trial on the batch
+    axes, which each field broadcasts over."""
+    batch = np.broadcast_shapes(u.shape[1:-2], realized.x0.shape[:-2],
+                                *(getattr(realized, name).shape[1:-2] for name in SCHEDULES))
+
+    def trial(a):
+        return np.broadcast_to(a, a.shape[:1] + batch + a.shape[-2:])[(slice(None),) + index]
+
+    A, B, C, D, w, v = map(trial, (realized.A, realized.B, realized.C, realized.D,
+                                   realized.w, realized.v))
+    u = trial(u)
+    x = np.broadcast_to(realized.x0, batch + realized.x0.shape[-2:])[index]
+    states, outputs = [], []
+    for k in range(realized.N + 1):
+        states.append(x)
+        outputs.append(C[k] @ x + D[k] @ u[k] + v[k])
+        x = A[k] @ x + B[k] @ u[k] + w[k]
+    return np.stack(states), np.stack(outputs)
+
+
+def assert_trial_is_stepwise(realized, u, x, y, index=()):
+    ref_x, ref_y = stepwise(realized, u, index)
+    assert np.array_equal(x[(slice(None),) + index], ref_x)
+    assert np.array_equal(y[(slice(None),) + index], ref_y)
+
+
+def test_single_trial_in_the_loop_layout_is_the_stepwise_recursion():
+    # The trial loop's S = 1 layout, (N+1, 1, rows, cols), at N = 1000 on
+    # the long-horizon plant: the single-trial kernel (ndarray.dot on 2-D
+    # step views, taken for C-contiguous A steps) over 1000 steps.
+    cfg = config_from_dict(LONG_HORIZON_CONFIG)
+    realized = _draw(cfg.system, [cfg.uncertainty._replace(seed=7)], 3)
+    assert realized.A.shape == (1001, 1, 4, 4) and realized.A[0].flags.c_contiguous
+    u = np.random.default_rng(5).normal(size=(1001, 1, 3, 1))
+    x, y = simulate(realized, u)
+    assert x.shape == (1001, 1, 4, 1)
+    assert_trial_is_stepwise(realized, u, x, y, (0,))
+
+
+def test_lanes_and_seeds_are_each_the_stepwise_recursion_alone():
+    # The batch kernel (one matmul per step): _with_lane_axis's two lanes
+    # share A and w, and four seeds each have their own A.  Every trial is
+    # the recursion on its own slices and the single-trial kernel's result.
+    cfg = build_preset("example1", seed=11)
+    rng = np.random.default_rng(6)
+    realized = _draw(cfg.system, [cfg.uncertainty], 2)
+    lanes = _with_lane_axis(realized)
+    u = rng.normal(size=(101, 2, 1, 3, 1))
+    x, y = simulate(lanes, u)
+    assert x.shape == (101, 2, 1, 4, 1)
+    for lane in range(2):
+        assert_trial_is_stepwise(lanes, u, x, y, (lane, 0))
+        alone = simulate(realized, u[:, lane])
+        assert np.array_equal(x[:, lane], alone[0]) and np.array_equal(y[:, lane], alone[1])
+
+    specs = [cfg.uncertainty._replace(seed=seed) for seed in range(4)]
+    seeds = _draw(cfg.system, specs, 2)
+    assert seeds.A.shape == (101, 4, 4, 4)
+    u = rng.normal(size=(101, 4, 3, 1))
+    x, y = simulate(seeds, u)
+    for s, spec in enumerate(specs):
+        assert_trial_is_stepwise(seeds, u, x, y, (s,))
+        alone = simulate(sample_iteration(cfg.system, spec, 2), u[:, s])
+        assert np.array_equal(x[:, s], alone[0]) and np.array_equal(y[:, s], alone[1])
+
+
+@pytest.mark.parametrize("layout", [
+    np.asfortranarray,
+    lambda A: np.ascontiguousarray(A.swapaxes(-1, -2)).swapaxes(-1, -2),
+], ids=["fortran-stack", "fortran-steps"])
+def test_non_contiguous_steps_are_the_stepwise_recursion(layout):
+    # A Fortran-ordered copy of the whole A stack, and one whose every step
+    # is Fortran-ordered: neither has C-contiguous steps, so both take the
+    # batch kernel, which must still be the recursion on those operands.
+    cfg = build_preset("example1", seed=11)
+    realized = sample_iteration(cfg.system, cfg.uncertainty, 4)
+    realized = realized._replace(A=layout(realized.A))
+    assert not realized.A[0].flags.c_contiguous
+    u = np.random.default_rng(7).normal(size=(101, 3, 1))
+    x, y = simulate(realized, u)
+    assert_trial_is_stepwise(realized, u, x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dot_is_matmul_bit_for_bit(n):
+    # The single-trial kernel's ndarray.dot(A, x, out) and the model's A @ x
+    # reach the same BLAS product on C-contiguous (n, n) and (n, 1) operands.
+    rng = np.random.default_rng(n)
+    out = np.empty((n, 1))
+    for _ in range(500):
+        A, x = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4), rng.normal(size=(n, 1))
+        np.ndarray.dot(A, x, out)
+        assert np.array_equal(out, A @ x)
 
 
 def test_final_input_feeds_output_only():
