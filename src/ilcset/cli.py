@@ -42,6 +42,7 @@ if TYPE_CHECKING:
     from .ilc_engine import RunResult
 
 CSV_HEADER = ("l", "E_inf", "U_inf", "res_err_rec", "res_in_rec")
+_BLOCK = 128  # trajectory rows formatted at a time
 EQUIVALENCE_TOL = 1e-9
 _SWEEP_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -87,14 +88,13 @@ def _build_transform(cfg: ExperimentConfig):
     return build_q_transform(cfg.system.D, cfg.xi)
 
 
-def _check_stack_size(cfg: ExperimentConfig, seeds: int, kept: int) -> None:
-    """Reject a run whose trial stacks need more bytes than numpy can
-    address or the machine has, before any spec is built or anything drawn.
-    _learn allocates them up front, all float64, in _stack_shapes' shapes."""
+def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
+    """Reject a run whose histories need more bytes than numpy can address
+    or the machine has, before anything is drawn; _learn allocates them up
+    front, in _stack_shapes' shapes."""
     from .ilc_engine import _stack_shapes
 
-    nbytes = sum(8 * math.prod(shape)
-                 for shape in _stack_shapes(cfg.system, cfg.iterations, seeds, kept))
+    nbytes = sum(8 * math.prod(shape) for shape in _stack_shapes(cfg.iterations, seeds))
     limit, what = _byte_limit()
     if nbytes > limit:
         raise SchemaError("/run/iterations",
@@ -102,31 +102,22 @@ def _check_stack_size(cfg: ExperimentConfig, seeds: int, kept: int) -> None:
                           f"bytes of trial stacks, more than the {limit} bytes {what}")
 
 
-def _recorded_trials(cfg: ExperimentConfig, record: str) -> range:
-    """The trials whose signals --record-trajectories writes: none, the
-    last, or every record_every-th from the first."""
-    L = cfg.iterations
-    return {"none": range(0), "final": range(L - 1, L),
-            "all": range(0, L, cfg.record_every)}[record]
-
-
-def _execute(cfg: ExperimentConfig, keep: range, seeds: range | None = None,
-             verify_set: bool = False) -> RunResult | list:
-    """Run cfg's loop, recording the trials in keep: under cfg.uncertainty,
-    or under each seed of seeds side by side, which gives one RunResult per
-    seed."""
+def _prepare(cfg: ExperimentConfig, seeds: range | None = None,
+             verify_set: bool = False) -> functools.partial:
+    """cfg's loop, built but not started; called with sink=, it runs under
+    cfg.uncertainty, or each seed of seeds, for one RunResult per seed."""
     from .ilc_engine import IlcConfig, run, run_transformed
 
-    _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start, len(keep))
+    _check_stack_size(cfg, 1 if seeds is None else seeds.stop - seeds.start)
     unc = (cfg.uncertainty if seeds is None
            else [cfg.uncertainty._replace(seed=seed) for seed in seeds])
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
     if cfg.mode.startswith("transformed"):
-        return run_transformed(cfg.system, unc, _build_transform(cfg), engine,
-                               counterpart=gains if verify_set else None, keep=keep)
-    return run(cfg.system, unc, gains, engine,
-               counterpart=_build_transform(cfg) if verify_set else None, keep=keep)
+        return functools.partial(run_transformed, cfg.system, unc, _build_transform(cfg),
+                                 engine, counterpart=gains if verify_set else None)
+    return functools.partial(run, cfg.system, unc, gains, engine,
+                             counterpart=_build_transform(cfg) if verify_set else None)
 
 
 def _require_open(stream: str) -> None:
@@ -138,10 +129,9 @@ def _require_open(stream: str) -> None:
 
 
 def _diagnose(line: str) -> None:
-    """Write one diagnostic line to stderr and nowhere else.  print(file=None)
-    would write to stdout, so with fd 2 closed at start-up the line is
-    dropped; a write that fails is dropped too, so that the exit status
-    the command already chose stands."""
+    """Write one diagnostic line to stderr and nowhere else: with fd 2
+    closed at start-up (print(file=None) would write to stdout) or a write
+    that fails, it is dropped, and the exit status already chosen stands."""
     if sys.stderr is None:
         return
     try:
@@ -150,25 +140,13 @@ def _diagnose(line: str) -> None:
         pass
 
 
-def _metric_rows(result: RunResult) -> list:
-    rows = []
-    for l in range(result.iterations):
-        row = [str(l), _fmt(result.E_hist[l]), _fmt(result.U_hist[l])]
-        if result.error_recursion is not None and l >= 1:
-            row.append(_fmt(result.error_recursion.per_iteration[l - 1]))
-            row.append(_fmt(result.input_recursion.per_iteration[l - 1]))
-        else:
-            row.extend(["", ""])
-        rows.append(row)
-    return rows
+def _trial_values(trial) -> np.ndarray:
+    """Each seed's E, U and, after trial 0, error and input residuals."""
+    return np.stack([trial.E, trial.U, *(trial.residuals or ())[::2]], axis=1)
 
 
-def _write_csv(path, header, rows) -> None:
-    with (contextlib.nullcontext(sys.stdout) if path is None
-          else open(path, "w", newline="", encoding="utf-8")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _metric_row(l: int, *values: float) -> list:
+    return [str(l), *map(_fmt, values)] + ["", ""] * (l == 0)
 
 
 def _traj_path(out: str) -> str:
@@ -176,27 +154,47 @@ def _traj_path(out: str) -> str:
     return stem + "_traj" + (ext or ".csv")
 
 
-def _trajectory_header(p: int) -> list:
-    return (["l", "k"] + [f"y{i + 1}" for i in range(p)]
-            + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
+def _trajectory_writer(fh, p: int):
+    """Write the trajectory header to fh; write(l, y, r) then writes a row
+    l, k, y, r, e = r - y per step of trial l's (steps, p) signals, in
+    csv.writer's bytes, _BLOCK rows at a time from one row template."""
+    # %r of a Python float is csv.writer's text for it, as _fmt's is; k is
+    # a float in the block and exact, so %d writes it as the integer.
+    tail = ",%d" + ",%r" * (3 * p) + "\r\n"
+    csv.writer(fh).writerow(["l", "k"] + [f"{c}{i + 1}" for c in "yre" for i in range(p)])
+
+    def write(l: int, y: np.ndarray, r: np.ndarray) -> None:
+        row = str(l) + tail
+        table = np.concatenate([np.arange(len(y), dtype=np.float64)[:, None], y, r, r - y],
+                               axis=1)
+        for start in range(0, len(y), _BLOCK):
+            block = table[start:start + _BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    return write
 
 
-def _write_trajectories(path: str, result: RunResult) -> None:
-    """The trajectory CSV: one row l, k, y, r, e = r - y per step k of each
-    trial l the result kept, in csv.writer's bytes.  Each trial's rows come
-    from one row template, so one trial's text is held at a time."""
-    _, steps, p, _ = result.outputs.shape
-    # %r of a Python float is csv.writer's text for it, as _fmt's is.
-    rows = (",".join(["%d", "%d"] + ["%r"] * (3 * p)) + "\r\n") * steps
-    table = np.empty((steps, 2 + 3 * p), dtype=object)
-    table[:, 1] = range(steps)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(_trajectory_header(p))
-        for i, l in enumerate(result.kept):
-            y, r = result.outputs[i, :, :, 0], result.references[i, :, :, 0]
-            table[:, 0] = l
-            table[:, 2:] = np.concatenate([y, r, r - y], axis=1)
-            fh.write(rows % tuple(table.ravel().tolist()))
+@contextlib.contextmanager
+def _writers(args, cfg: ExperimentConfig):
+    """A single run's sink, with --out (or stdout) and the _traj.csv open:
+    it writes each trial's metric row, and the trajectory rows of recorded
+    trials (the last, or every record_every-th), as the trial finishes."""
+    with contextlib.ExitStack() as files:
+        def open_csv(path):
+            return files.enter_context(open(path, "w", newline="", encoding="utf-8"))
+
+        metrics = csv.writer(sys.stdout if args.out is None else open_csv(args.out))
+        metrics.writerow(CSV_HEADER)
+        L = cfg.iterations
+        recorded = {"none": range(0), "final": range(L - 1, L),
+                    "all": range(0, L, cfg.record_every)}[args.record_trajectories]
+        if recorded:
+            write = _trajectory_writer(open_csv(_traj_path(args.out)), cfg.system.p)
+
+        def sink(trial) -> None:
+            metrics.writerow(_metric_row(trial.l, *_trial_values(trial)[0].tolist()))
+            if trial.l in recorded:
+                write(trial.l, trial.y[:, 0, :, 0], trial.r[:, 0, :, 0])
+        yield sink
 
 
 def _applicable_reports(cfg: ExperimentConfig) -> list:
@@ -251,34 +249,33 @@ def _parse_sweep(text: str) -> range:
 
 
 def _sweep_rows(args, seeds: range) -> tuple:
-    """The metric rows of every seed in order, behind a seed column, and the
-    distinct warnings of the seeds' runs; the config is built once and the
-    seeds share one trial loop."""
+    """Every seed's metric rows in order, behind a seed column, and the
+    seeds' distinct warnings; the seeds share one trial loop."""
     cfg = _build_config(args)
-    results = _execute(cfg, range(0), seeds)
-    rows = [[str(seed)] + row
-            for seed, result in zip(seeds, results) for row in _metric_rows(result)]
+    values = []
+    results = _prepare(cfg, seeds)(sink=lambda trial: values.append(_trial_values(trial)))
+    rows = [[str(seed)] + _metric_row(l, *trial[s].tolist())
+            for s, seed in enumerate(seeds) for l, trial in enumerate(values)]
     return rows, tuple(dict.fromkeys(w for result in results for w in result.warnings))
 
 
 def cmd_run(args) -> int:
-    # Only run needs the engine, and only a run that builds a transform needs
-    # the transform module. They are loaded before the config is built:
-    # compiled after the config's arrays exist, their transient compile memory
-    # fragments the heap further and the sweep's peak RSS rose by ~0.4 MB.
-    # The transform module goes first: compiled after the engine, it raised
-    # --verify-set's peak RSS by ~0.15 MB.  A transformed mode named only in
-    # the config file loads it later, when the transform is built.
+    # Only run needs the engine, and only a run that builds a transform the
+    # transform module.  Compiled after the config's arrays exist, they
+    # fragment the heap (the sweep's peak RSS rose by ~0.4 MB).  The order of
+    # the two moves --verify-set's peak RSS by ~0.1 MB: engine first is lower.
+    # A transformed mode named only in the config file loads it later.
+    importlib.import_module(f"{__package__}.ilc_engine")
     if args.verify_set or (args.mode or "").startswith("transformed"):
         importlib.import_module(f"{__package__}.set_transform")
-    importlib.import_module(f"{__package__}.ilc_engine")
-    # Fail before any trial runs when --out cannot be opened for writing
-    # because its directory is missing or it names a directory.
-    if args.out is not None:
-        if not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-        if os.path.isdir(args.out):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    # Fail before any trial when --out or its _traj.csv cannot be opened:
+    # its directory is missing or it names a directory.
+    for path in ([] if args.out is None else [args.out] + [
+            _traj_path(args.out)] * (args.record_trajectories != "none")):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     # Only a sweep into --out writes nothing to stdout: other runs write
     # the metrics CSV or the summary there.  The summary of a run without
     # --out goes to stderr.
@@ -295,18 +292,17 @@ def cmd_run(args) -> int:
         # A sweep prints no summary, so its warnings go to stderr on their own.
         for w in warnings:
             _diagnose(f"warning: {w}")
-        _write_csv(args.out, ("seed",) + CSV_HEADER, rows)
+        with (contextlib.nullcontext(sys.stdout) if args.out is None
+              else open(args.out, "w", newline="", encoding="utf-8")) as fh:
+            csv.writer(fh).writerows([("seed",) + CSV_HEADER] + rows)
         return 0
     if args.record_trajectories != "none" and args.out is None:
         raise SchemaError("/out", "--record-trajectories needs --out")
 
     cfg = _build_config(args)
-    result = _execute(cfg, _recorded_trials(cfg, args.record_trajectories),
-                      verify_set=args.verify_set)
-    _write_csv(args.out, CSV_HEADER, _metric_rows(result))
-
-    if args.record_trajectories != "none":
-        _write_trajectories(_traj_path(args.out), result)
+    loop = _prepare(cfg, verify_set=args.verify_set)
+    with _writers(args, cfg) as sink:
+        result = loop(sink=sink)
 
     info = sys.stdout if args.out is not None else sys.stderr
     for line in _summary_lines(result):
@@ -505,15 +501,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> int | str | None:
-    """The process entry (``ilcset`` and ``python -m ilcset.cli``): `main`
-    on the command line's arguments, then ready the process to exit.
+    """The process entry (``ilcset`` and ``python -m ilcset.cli``): `main`,
+    then ready the process to exit.
 
     If stdout still cannot be flushed, fd 1 is pointed at the null device,
-    so that the interpreter's own flush at exit has nothing left to fail on;
-    a failure that nothing reported yet (argparse's ``--help`` text, say)
-    becomes an io error.  Then every object is frozen: the interpreter's
-    collections at exit skip the frozen generation, which saves a traversal
-    of everything numpy and ilcset allocated."""
+    so that the interpreter's flush at exit cannot fail; a failure nothing
+    reported yet (argparse's ``--help`` text, say) becomes an io error.
+    Then every object is frozen, so the collections at exit skip them."""
     try:
         status = main()
     except SystemExit as exc:  # argparse's --help, --version and usage errors

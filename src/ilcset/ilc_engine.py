@@ -86,11 +86,10 @@ class RunResult(NamedTuple):
     tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
     stacks the run effectively applied, retained so recorded data can be
     re-checked against the iteration-domain recursions afterwards.
-    inputs, states, outputs and references stack the (N+1, rows, 1) signals
-    of the kept trials, in order: row i holds trial kept[i], whose tracking
-    error is references[i] - outputs[i].  By default every trial is kept, so
-    row l is trial l.  final_input is the last trial's input, kept or not.
-    The results of specs run side by side are views into shared stacks.
+    inputs, states, outputs and references stack every trial's (N+1, rows, 1)
+    signals, row l for trial l, or are None for a run given a sink.
+    final_input is the last trial's input.  The results of specs run side
+    by side are views into shared stacks.
     error_recursion / input_recursion are the residuals of both recursions,
     checked transition by transition on the realizations the run drew;
     they are None when the run has fewer than two iterations.
@@ -102,11 +101,6 @@ class RunResult(NamedTuple):
     iterations: int
     E_hist: tuple
     U_hist: tuple
-    kept: range             # the trials the stacks below hold, in order
-    inputs: np.ndarray      # inputs[i][k]: the input applied on trial kept[i]
-    states: np.ndarray      # states[i][k]: x_l(k) for l = kept[i]
-    outputs: np.ndarray     # outputs[i][k]: y_l(k)
-    references: np.ndarray  # references[i][k]: r_l(k)
     final_input: np.ndarray  # the input applied on the last trial
     converged_value: float
     xi_seq: np.ndarray
@@ -116,6 +110,26 @@ class RunResult(NamedTuple):
     error_recursion: Optional[ResidualReport] = None
     input_recursion: Optional[ResidualReport] = None
     equivalence_gap: Optional[float] = None
+    inputs: Optional[np.ndarray] = None      # inputs[l][k]: u_l(k)
+    states: Optional[np.ndarray] = None      # states[l][k]: x_l(k)
+    outputs: Optional[np.ndarray] = None     # outputs[l][k]: y_l(k)
+    references: Optional[np.ndarray] = None  # references[l][k]: r_l(k)
+
+
+class Trial(NamedTuple):
+    """A finished trial of S seeds, as the loop hands it to a sink: each
+    seed's E and U (see RunResult) and worst (error, state, input) residuals
+    of the transition from trial l - 1 (None on trial 0), and the trial's
+    (N+1, S, rows, 1) signals, the loop's own arrays: copy them to keep."""
+
+    l: int
+    E: np.ndarray
+    U: np.ndarray
+    residuals: Optional[tuple]
+    u: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
 
 
 def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
@@ -264,17 +278,15 @@ def _simulate(realized: RealizedIteration, u: np.ndarray, faults: list) -> tuple
         return exc.trajectory
 
 
-def _stack_shapes(sys: NominalSystem, L: int, S: int, K: int) -> tuple:
-    """The float64 arrays _learn allocates for L trials of S seeds, K of
-    them recorded: the E and U histories, three residuals, then the kept
-    trials' inputs, states, outputs and references."""
-    return ((L, S),) * 2 + ((L - 1, S),) * 3 + tuple(
-        (K, sys.N + 1, S, rows, 1) for rows in (sys.m, sys.n, sys.p, sys.p))
+def _stack_shapes(L: int, S: int) -> tuple:
+    """The float64 arrays _learn allocates for L trials of S seeds given a
+    sink: the E and U histories and three residuals."""
+    return ((L, S),) * 2 + ((L - 1, S),) * 3
 
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
            cfg: IlcConfig, law: Callable, counterpart: Optional[Callable] = None,
-           keep: Optional[range] = None) -> RunResult | list:
+           sink: Optional[Callable] = None) -> RunResult | list:
     """The trial loop of both coordinate systems.
 
     unc is one UncertaintySpec, or a sequence of S of them (seeds) that run
@@ -285,10 +297,9 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     Trial l draws its realizations once, simulates them under the input u
     and forms the tracking error once, for the metrics, the checks of the
     transition from trial l - 1 against both recursions, and the update.
-    Only the trials in keep (every trial when None) have their input,
-    states, outputs and reference written into the run's stacks; the
-    checks hold trial l - 1's on their own, so a run that keeps no trial
-    holds a fixed amount of signal data, whatever its length.
+    Each finished trial goes to sink(Trial), or without a sink into the
+    results' stacks.  The checks hold trial l - 1 on their own, so a run
+    given a sink holds a fixed amount of signal data, whatever its length.
     A counterpart law shares that simulate call: its input rides beside u
     on a lane axis ahead of the seed axis, (N+1, 2, S, m, 1), over the
     realization viewed with a unit lane axis, and only its worst output gap
@@ -296,7 +307,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     sequence.  A seed that blows up raises its NonFiniteError once every
     seed before it has finished, so the first failing seed in order is
     reported; within a trial, the main run's blow-up comes before the
-    counterpart's.
+    counterpart's.  The sink has then had every trial before it.
     """
     uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
     if not uncs:
@@ -306,11 +317,15 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
     L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
-    keep = range(L) if keep is None else keep
-    if keep and not (0 <= keep[0] < L and 0 <= keep[-1] < L):
-        raise DimensionMismatchError(f"kept trials {keep} outside the run's {L}")
-    (E_hist, U_hist, error_res, state_res, input_res, inputs, states, outputs,
-     references) = map(np.empty, _stack_shapes(sys, L, S, len(keep)))
+    E_hist, U_hist, error_res, state_res, input_res = map(np.empty, _stack_shapes(L, S))
+    signals = {}
+    if sink is None:
+        signals = {name: np.empty((L, sys.N + 1, S, rows, 1)) for name, rows in (
+            ("inputs", sys.m), ("states", sys.n), ("outputs", sys.p), ("references", sys.p))}
+
+        def sink(trial: Trial) -> None:
+            for stack, signal in zip(signals.values(), trial[4:]):
+                stack[trial.l] = signal
     faults = [None] * S
     if other is not None:
         gap, u_other, advance_other = np.zeros(S), other[3], other[4]
@@ -326,19 +341,16 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                                  faults)
                 x, y, y_other = x[:, 0], y[:, 0], y[:, 1]
                 gap = np.maximum(gap, _worst(y - y_other))
-            if l in keep:
-                i = keep.index(l)
-                inputs[i], states[i], outputs[i], references[i] = u, x, y, realized.r
-                # Go on with the stacks' copies, so that the checks of the
-                # next transition hold no second copy of a kept trial.
-                u, x = inputs[i], states[i]
             e = realized.r - y
             E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
+            residuals = None
             if l:
-                error_res[l - 1], state_res[l - 1] = _error_residuals(
-                    previous, realized, x_previous, x, e_previous, e, u_previous, u, xi_seq)
-                input_res[l - 1] = _input_residual(
-                    look_ahead, previous, x_previous, u_previous, u, xi_seq, gamma_seq)
+                residuals = (*_error_residuals(previous, realized, x_previous, x, e_previous,
+                                               e, u_previous, u, xi_seq),
+                             _input_residual(look_ahead, previous, x_previous, u_previous,
+                                             u, xi_seq, gamma_seq))
+                error_res[l - 1], state_res[l - 1], input_res[l - 1] = residuals
+            sink(Trial(l, E_hist[l], U_hist[l], residuals, u, x, y, realized.r))
             previous, x_previous, u_previous, e_previous = realized, x, u, e
             if l + 1 < L:
                 u = advance(l, u, e)
@@ -351,9 +363,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     def result(s: int) -> RunResult:
         E = tuple(E_hist[:, s].tolist())
         return RunResult(mode=cfg.mode, iterations=L,
-                         E_hist=E, U_hist=tuple(U_hist[:, s].tolist()), kept=keep,
-                         inputs=inputs[:, :, s], states=states[:, :, s],
-                         outputs=outputs[:, :, s], references=references[:, :, s],
+                         E_hist=E, U_hist=tuple(U_hist[:, s].tolist()),
                          final_input=u[:, s], converged_value=_converged_value(E),
                          xi_seq=xi_seq, gamma_seq=gamma_seq,
                          condition_report=report, warnings=warnings,
@@ -361,7 +371,8 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                                                  state_res[:, s].tolist()),
                          input_recursion=_report("input_recursion",
                                                  input_res[:, s].tolist()),
-                         equivalence_gap=None if other is None else float(gap[s]))
+                         equivalence_gap=None if other is None else float(gap[s]),
+                         **{name: stack[:, :, s] for name, stack in signals.items()})
 
     results = [result(s) for s in range(S)]
     return results[0] if isinstance(unc, UncertaintySpec) else results
@@ -421,7 +432,7 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
 
 def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], gains: tuple,
         cfg: IlcConfig, counterpart: Optional[InputTransform] = None,
-        keep: Optional[range] = None) -> RunResult | list:
+        sink: Optional[Callable] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
     A violated contraction condition does not abort: its warning is kept in
@@ -430,18 +441,18 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
     as counterpart, the split-coordinate loop runs beside it on the same draws.
     unc may also be a sequence of UncertaintySpecs (one per seed, say): they
     run side by side through the one loop, and a list of RunResults, one
-    per spec in order, comes back.  keep, a range of trial indices, picks
-    the trials whose signals the result records (every trial by default).
+    per spec in order, comes back.  Given a sink, each finished Trial goes
+    to sink(trial) as it finishes, and the results keep no trial's signals.
     """
     return _learn(sys, unc, cfg, partial(_direct_law, sys, gains, cfg),
                   None if counterpart is None else partial(_split_law, sys, counterpart, cfg),
-                  keep)
+                  sink)
 
 
 def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                     transform: InputTransform, cfg: IlcConfig,
                     counterpart: Optional[tuple] = None,
-                    keep: Optional[range] = None) -> RunResult | list:
+                    sink: Optional[Callable] = None) -> RunResult | list:
     """Split-coordinate loop: update the p active channels only.
 
     The frozen channels keep their initial split values for the whole run;
@@ -450,16 +461,16 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[Uncertai
     uses the collapsed square gain, so its loop matrix coincides with the
     direct one and the same contraction condition applies.  Given (Xi,
     Gamma) as counterpart, the direct loop runs beside it on the same draws.
-    A sequence of specs as unc runs them side by side, and keep picks the
-    recorded trials, as in run.
+    A sequence of specs as unc runs them side by side, and a sink takes
+    each finished trial, as in run.
     """
     return _learn(sys, unc, cfg, partial(_split_law, sys, transform, cfg),
                   None if counterpart is None else partial(_direct_law, sys, counterpart, cfg),
-                  keep)
+                  sink)
 
 
 def _require_logged(result: RunResult) -> None:
-    if result.iterations < 2 or result.kept != range(result.iterations):
+    if result.iterations < 2 or result.inputs is None:
         raise MissingDataError("run must retain every trial's data, and at least two")
 
 

@@ -301,18 +301,59 @@ def test_sweep_reports_first_diverging_seed(tmp_path, capsys, spec, first):
 # With Xi = 1.9 the nominal loop factor is -0.9, so --verify-set's transform
 # builds; the realized factors 1 - 1.9 D_l, D_l uniform on [-4, 6], still
 # grow the error until trial 545 overflows.  Both lanes blow up there, and
-# the main run's fault is the one reported.
+# the main run's fault is the one reported.  The rows of trials 0..544 are
+# written, as the run cut at 545 trials writes them.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi"])
 def test_verify_set_reports_the_main_runs_blow_up(tmp_path, capsys, mode):
     path = make_divergent_config(tmp_path, 600, amp_D=5.0, xi="1.9")
-    out = tmp_path / "m.csv"
-    assert main(["run", "--config", path, "--mode", mode, "--verify-set",
-                 "--out", str(out)]) == 1
+    out, cut = tmp_path / "m.csv", tmp_path / "cut.csv"
+    argv = ["run", "--config", path, "--mode", mode, "--verify-set"]
+    assert main(argv + ["--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: output diverged (l=545, k=0)\n"
-    assert not out.exists()
+    main(argv + ["--iterations", "545", "--out", str(cut)])
+    capsys.readouterr()
+    assert len(read_rows(out)) == 1 + 545
+    assert out.read_bytes() == cut.read_bytes()
+
+
+# The error of make_divergent_config's loop grows as 4^l until trial 512
+# overflows.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [["--out", "m.csv"],
+                                   ["--out", "m.csv", "--record-trajectories", "all"], []],
+                         ids=["out", "trajectories", "stdout"])
+def test_diverged_run_keeps_its_finished_rows(monkeypatch, tmp_path, capsys, flags):
+    # Each trial's rows are written as it finishes, so the run that stops
+    # at trial 512 leaves the rows of trials 0..511, byte for byte as the
+    # run cut at 512 trials writes them; its exit status and error line are
+    # as before, and no summary follows them.
+    path = make_divergent_config(tmp_path, 600)
+
+    def run_in(name, *extra):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = main(["run", "--config", path, *flags, *extra])
+        return code, capsys.readouterr()
+
+    code, diverged = run_in("diverged")
+    assert code == 1
+    assert diverged.err == "error: output diverged (l=512, k=0)\n"
+    code, cut = run_in("cut", "--iterations", "512")
+    assert code == 0
+    if not flags:
+        assert diverged.out == cut.out
+        assert len(diverged.out.splitlines()) == 1 + 512
+        return
+    assert diverged.out == ""
+    names = ["m.csv"] + ["m_traj.csv"] * ("--record-trajectories" in flags)
+    for name in names:
+        assert (tmp_path / "diverged" / name).read_bytes() == (
+            tmp_path / "cut" / name).read_bytes(), name
+    assert sorted(os.listdir(tmp_path / "diverged")) == names
+    assert len(read_rows(tmp_path / "diverged" / "m.csv")) == 1 + 512
 
 
 def test_non_finite_grid_cell_exits_two(tmp_path, capsys):
@@ -489,6 +530,23 @@ def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, caps
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"io error: {message}\n"
+
+
+def test_unopenable_trajectory_path_fails_before_any_trial(monkeypatch, tmp_path, capsys):
+    # The _traj.csv is checked with --out: no trial runs and no CSV is made.
+    def no_draw(sys, uncs, l):
+        raise AssertionError("trial ran")
+
+    monkeypatch.setattr(ilcset.ilc_engine, "_draw", no_draw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m_traj.csv").mkdir()
+    code = main(["run", "--preset", "example1", "--iterations", "3",
+                 "--record-trajectories", "all", "--out", "m.csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "io error: [Errno 21] Is a directory: 'm_traj.csv'\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_verify_set_unbuildable_transform_fails_before_any_trial(tmp_path, capsys):
@@ -706,15 +764,19 @@ def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
     # the transform module, a direct run not the transform module, and no
     # command dataclasses or logging.  A run loads its modules before the
     # config is built, so that compiling them does not fragment the heap
-    # under the config's arrays.  Each command runs in a fresh interpreter.
-    out = ["--out", str(tmp_path / "out")]
+    # under the config's arrays.  Each command runs in a fresh interpreter,
+    # all of them at once.
     run = ["run", "--preset", "example1", "--iterations", "2"]
     engine, transform = "ilcset.ilc_engine", "ilcset.set_transform"
-    for argv, expected in ((["check", "--preset", "example1"], []),
-                           (["transform", "--preset", "example2", *out], [transform]),
-                           ([*run, *out], [engine]),
-                           ([*run, "--verify-set", *out], [engine, transform]),
-                           ([*run, "--mode", "transformed-xi", *out], [engine, transform])):
+    procs = []
+    for i, (argv, expected) in enumerate((
+            (["check", "--preset", "example1"], []),
+            (["transform", "--preset", "example2"], [transform]),
+            (run, [engine]),
+            ([*run, "--verify-set"], [engine, transform]),
+            ([*run, "--mode", "transformed-xi"], [engine, transform]))):
+        if argv[0] != "check":
+            argv = [*argv, "--out", str(tmp_path / f"out{i}")]
         script = textwrap.dedent(f"""
             import sys
             import ilcset.cli
@@ -738,8 +800,12 @@ def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
             if {argv[0]!r} == "run":
                 assert at_config == [{expected!r}], at_config
         """)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, (argv, proc.stderr)
+        procs.append((argv, subprocess.Popen([sys.executable, "-c", script],
+                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                             text=True)))
+    for argv, proc in procs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, (argv, err)
 
 
 @pytest.mark.parametrize("text", [
@@ -775,12 +841,11 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
         assert capsys.readouterr().err.startswith("config error: /run/iterations: "), argv
 
 
-def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch):
+def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch, tmp_path, capsys):
     # The check and _learn read one layout, so the check counts exactly the
     # bytes the loop allocates: a budget one byte short refuses the run.
-    # The trial stacks hold only the trials the invocation writes: none for
-    # a sweep or a run without trajectories, the last one for "final", every
-    # record_every-th for "all".
+    # Every run of the CLI hands its trials to a sink, so the loop allocates
+    # the five histories and no trial stack, whatever trials it writes.
     allocated = []
 
     class SpyNumpy:
@@ -792,26 +857,23 @@ def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch):
             allocated.append(np.empty(shape))
             return allocated[-1]
 
-    cfg = build_preset("example1", iterations=7)._replace(record_every=3)
+    cfg = build_preset("example1", iterations=7)
     monkeypatch.setattr(ilcset.ilc_engine, "np", SpyNumpy())
-    for record, seeds, kept in (("none", range(2), 0), ("none", None, 0),
-                                ("final", None, 1), ("all", None, 3)):
+    for flags, S in ((["--sweep", "seeds=0..1"], 2), ([], 1),
+                     (["--record-trajectories", "final"], 1),
+                     (["--record-trajectories", "all"], 1)):
         allocated.clear()
-        keep = ilcset.cli._recorded_trials(cfg, record)
-        assert len(keep) == kept
-        ilcset.cli._execute(cfg, keep, seeds)
-        S = 1 if seeds is None else len(seeds)
-        assert [a.shape[:3] for a in allocated] == (
-            [(7, S)] * 2 + [(6, S)] * 3 + [(kept, 101, S)] * 4), record
-        # Five histories, and the four trial stacks only when a trial is kept.
-        assert sum(a.size > 0 for a in allocated) == (9 if kept else 5), record
+        assert main(["run", "--preset", "example1", "--iterations", "7", *flags,
+                     "--out", str(tmp_path / "m.csv")]) == 0
+        capsys.readouterr()
+        assert [a.shape for a in allocated] == [(7, S)] * 2 + [(6, S)] * 3, flags
         nbytes = sum(a.nbytes for a in allocated)
         with monkeypatch.context() as patch:
             patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes, "allowed"))
-            ilcset.cli._check_stack_size(cfg, S, kept)
+            ilcset.cli._check_stack_size(cfg, S)
             patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes - 1, "allowed"))
             with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
-                ilcset.cli._check_stack_size(cfg, S, kept)
+                ilcset.cli._check_stack_size(cfg, S)
 
 
 def test_sweep_prints_a_violated_condition(tmp_path):
@@ -894,23 +956,26 @@ def test_transform_json_equals_indented_json_dumps(steps, p, m, n, star_steps, f
 
 @pytest.mark.parametrize("L,steps,p,recorded", [
     (3, 5, 1, range(3)), (4, 3, 2, range(0, 4, 2)), (2, 1, 3, range(1, 2)),
-    (1, 4, 0, range(1)),
+    (1, 4, 0, range(1)), (2, 300, 2, range(2)), (1, 256, 1, range(1)),
 ])
 def test_trajectory_writer_equals_csv_writer(tmp_path, L, steps, p, recorded):
-    # Of an L-trial run, the result holds only the recorded trials, in order.
+    # Of an L-trial run, the writer is handed the recorded trials, in order;
+    # 256 and 300 steps take more than one block of rows.
     rng = np.random.default_rng(L * 100 + steps * 10 + p)
     K = len(recorded)
-    result = SimpleNamespace(kept=recorded, outputs=_special_values(rng, (K, steps, p, 1)),
-                             references=_special_values(rng, (K, steps, p, 1)))
+    outputs, references = (_special_values(rng, (K, steps, p)) for _ in range(2))
     path = tmp_path / "traj.csv"
     with np.errstate(invalid="ignore"):
-        ilcset.cli._write_trajectories(str(path), result)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            write = ilcset.cli._trajectory_writer(fh, p)
+            for l, y, r in zip(recorded, outputs, references):
+                write(l, y, r)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(ilcset.cli._trajectory_header(p))
-            for i, l in enumerate(recorded):
-                y, r = result.outputs[i, :, :, 0], result.references[i, :, :, 0]
+            writer.writerow(["l", "k"] + [f"y{i + 1}" for i in range(p)]
+                            + [f"r{i + 1}" for i in range(p)] + [f"e{i + 1}" for i in range(p)])
+            for l, y, r in zip(recorded, outputs, references):
                 for k in range(steps):
                     writer.writerow([l, k, *y[k].tolist(), *r[k].tolist(),
                                      *(r[k] - y[k]).tolist()])

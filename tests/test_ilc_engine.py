@@ -441,39 +441,58 @@ def test_limit_input_needs_no_kept_trial(example2_clean, p_example2):
     # same input whether or not the run kept any trial's signals.
     cfg = example2_clean
     engine = IlcConfig(mode="transformed-gamma", iterations=250, u0=cfg.u0)
-    every, none = (run_transformed(cfg.system, cfg.uncertainty, p_example2, engine, keep=keep)
-                   for keep in (None, range(0)))
-    assert len(every.inputs) == 250 and len(none.inputs) == 0
+    every, none = (run_transformed(cfg.system, cfg.uncertainty, p_example2, engine, sink=sink)
+                   for sink in (None, lambda trial: None))
+    assert len(every.inputs) == 250 and none.inputs is None
     assert np.array_equal(none.final_input, every.inputs[-1])
     assert np.array_equal(limit_input(cfg.system, p_example2, cfg.u0, none),
                           limit_input(cfg.system, p_example2, cfg.u0, every))
 
 
 def test_kept_trials_are_rows_of_the_full_record(example1):
-    # A run that keeps some trials records exactly those rows of the run
-    # that keeps every trial, and the same metrics.
+    # A sink is handed every trial in order, with the metrics, residuals
+    # and signals that the runs keeping every trial record, seed s of a
+    # side-by-side run on axis 1; the run given it keeps no signals.
     cfg = example1
     engine = IlcConfig(mode="direct-xi", iterations=12, u0=cfg.u0)
-    full = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine)
-    for keep in (range(1, 12, 4), range(11, 12), range(0)):
-        part = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine, keep=keep)
-        assert part.kept == keep and part.E_hist == full.E_hist
+    specs = [cfg.uncertainty, cfg.uncertainty._replace(seed=7)]
+    fulls = [run(cfg.system, unc, (cfg.xi, cfg.gamma), engine) for unc in specs]
+    trials = []
+
+    def sink(trial):
+        trials.append(trial._replace(**{name: getattr(trial, name).copy()
+                                        for name in ("u", "x", "y", "r")}))
+
+    parts = run(cfg.system, specs, (cfg.xi, cfg.gamma), engine, sink=sink)
+    assert [trial.l for trial in trials] == list(range(12))
+    for s, (full, part) in enumerate(zip(fulls, parts)):
+        assert part.inputs is part.states is part.outputs is part.references is None
+        assert part.E_hist == full.E_hist and part.U_hist == full.U_hist
         assert part.error_recursion == full.error_recursion
-        for name in ("inputs", "states", "outputs", "references"):
-            assert np.array_equal(getattr(part, name), getattr(full, name)[keep]), name
+        assert part.input_recursion == full.input_recursion
         assert np.array_equal(part.final_input, full.final_input)
+        assert trials[0].residuals is None
+        states = []
+        for l, trial in enumerate(trials):
+            assert (trial.E[s], trial.U[s]) == (full.E_hist[l], full.U_hist[l])
+            if l:
+                error, state, inputs = (residual[s] for residual in trial.residuals)
+                assert error == full.error_recursion.per_iteration[l - 1]
+                assert inputs == full.input_recursion.per_iteration[l - 1]
+                states.append(state)
+            for name, stack in (("u", full.inputs), ("x", full.states),
+                                ("y", full.outputs), ("r", full.references)):
+                assert np.array_equal(getattr(trial, name)[:, s], stack[l]), (name, l)
+        assert max(states) == full.error_recursion.max_state_residual
         # The recursions can be re-checked only on every trial's record.
         with pytest.raises(MissingDataError):
-            verify_input_recursion(part, realizations_for(cfg.system, cfg.uncertainty, 12))
-    for keep in (range(12, 13), range(-1, 3), range(0, 13)):
-        with pytest.raises(DimensionMismatchError):
-            run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine, keep=keep)
+            verify_input_recursion(part, realizations_for(cfg.system, specs[s], 12))
 
 
 def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, example1):
     # The numpy bytes held when the last trial starts, at L = 3 and at
-    # L = 300 with no trial kept, differ by the five (L, S) and (L-1, S)
-    # float64 histories alone: the recursion checks carry one trial.
+    # L = 30 with a sink, differ by the five (L, S) and (L-1, S) float64
+    # histories alone: the recursion checks carry one trial.
     cfg, S = example1, 2
     seeds = [cfg.uncertainty._replace(seed=s) for s in range(S)]
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -496,13 +515,13 @@ def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, exam
         try:
             before = numpy_bytes()
             run(cfg.system, seeds, (cfg.xi, cfg.gamma),
-                IlcConfig(mode="direct-xi", iterations=L, u0=cfg.u0), keep=range(0))
+                IlcConfig(mode="direct-xi", iterations=L, u0=cfg.u0), sink=lambda trial: None)
         finally:
             tracemalloc.stop()
         return held[0] - before
 
     held_at_last_trial(3)  # numpy's and the draws' one-time set-up
-    assert held_at_last_trial(300) - held_at_last_trial(3) == 5 * (300 - 3) * S * 8
+    assert held_at_last_trial(30) - held_at_last_trial(3) == 5 * (30 - 3) * S * 8
 
 
 def test_limit_input_rejects_unconverged(example2_clean, p_example2):
