@@ -66,16 +66,24 @@ def _load_doc(args) -> dict:
         if not isinstance(doc, dict):
             raise SchemaError("/", "top level must be an object")
     if args.seed is not None:
-        doc.setdefault("uncertainty", {})["seed"] = args.seed
+        _override(doc, "uncertainty", "seed", args.seed)
     if args.iterations is not None:
-        doc.setdefault("run", {})["iterations"] = args.iterations
+        _override(doc, "run", "iterations", args.iterations)
     return doc
+
+
+def _override(doc: dict, section: str, key: str, value) -> None:
+    """Set doc[section][key] from a flag; a section that is there but not
+    an object is left for config_from_dict to report."""
+    part = doc.setdefault(section, {})
+    if isinstance(part, dict):
+        part[key] = value
 
 
 def _build_config(args) -> ExperimentConfig:
     doc = _load_doc(args)
     if getattr(args, "mode", None):
-        doc.setdefault("run", {})["mode"] = args.mode
+        _override(doc, "run", "mode", args.mode)
     return config_from_dict(doc)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import IlcsetError
 from .matrix_core import spectral_radii, symmetric_eigvals
 from .schedule_lang import MatrixSchedule
 
@@ -192,17 +192,16 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
 
     ``lambda_grid`` must be a nonempty 1-D array of finite, positive,
     strictly increasing multipliers; anything else raises
-    DimensionMismatchError, since the search brackets on log(lam).
+    IlcsetError, since the search brackets on log(lam).
     """
     p, m = D.rows, D.cols
     if E.rows != p or F.cols != m or E.cols != F.rows:
-        raise DimensionMismatchError(
-            f"structure grids E {E.shape}, F {F.shape} do not fit D {D.shape}")
+        raise IlcsetError(f"structure grids E {E.shape}, F {F.shape} do not fit D {D.shape}")
     grid = (default_lambda_grid() if lambda_grid is None
             else np.asarray(lambda_grid, dtype=np.float64))
     if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
             or not (grid > 0).all() or not (np.diff(grid) > 0).all()):
-        raise DimensionMismatchError(
+        raise IlcsetError(
             f"lambda grid must be a nonempty 1-D array of finite, positive, "
             f"strictly increasing values, got {grid!r}")
     S = np.eye(p) - D.values @ Xi.values

@@ -1,24 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is an IlcsetError.  A subclass exists only where a caller tells
+it apart: the CLI gives SchemaError its own exit status, schedule building
+catches ParseError, EvalError and ScheduleBuildError, the loop catches
+NonFiniteError, and ConditionViolatedError carries the failing step and value.
+"""
 
 
 class IlcsetError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class DimensionMismatchError(IlcsetError):
-    """Operands do not conform (wrong shapes for the requested operation)."""
-
-
-class NonSquareError(IlcsetError):
-    """A square matrix was required."""
-
-
-class NoConvergenceError(IlcsetError):
-    """The eigenvalue computation failed to converge."""
-
-
-class SingularError(IlcsetError):
-    """Matrix is singular to working precision (pivot under threshold)."""
 
 
 class ParseError(IlcsetError):
@@ -34,10 +24,6 @@ class ParseError(IlcsetError):
                          + (f" (expected {', '.join(sorted(expected))})" if expected else ""))
         self.offset = offset
         self.expected = frozenset(expected)
-
-
-class UnknownFunctionError(ParseError):
-    """Identifier in function position is not one of sin, cos, exp."""
 
 
 class EvalError(IlcsetError):
@@ -58,10 +44,6 @@ class ScheduleBuildError(IlcsetError):
         self.failures = list(failures)
 
 
-class RankDeficientError(IlcsetError):
-    """Coupling matrix does not have full row rank (relative degree condition fails)."""
-
-
 class ConditionViolatedError(IlcsetError):
     """A required spectral-radius condition fails at some time step.
 
@@ -74,10 +56,6 @@ class ConditionViolatedError(IlcsetError):
         super().__init__(f"{message}: rho={value:.6g} at k={k}")
         self.k = k
         self.value = value
-
-
-class ModelMismatchError(IlcsetError):
-    """Plant does not have the structure required by the requested operation."""
 
 
 class NonFiniteError(IlcsetError):
@@ -101,14 +79,6 @@ class NonFiniteError(IlcsetError):
         super().__init__(f"{message} ({where})")
         self.k = k
         self.iteration = iteration
-
-
-class MissingDataError(IlcsetError):
-    """A diagnostic needs per-iteration data that was not recorded."""
-
-
-class NotConvergedError(IlcsetError):
-    """A limit formula was requested from a run that has not converged."""
 
 
 class SchemaError(IlcsetError):

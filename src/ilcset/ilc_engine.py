@@ -21,12 +21,7 @@ import numpy as np
 
 from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
 from .config import GAMMA_MODES, MODES
-from .errors import (
-    DimensionMismatchError,
-    MissingDataError,
-    NonFiniteError,
-    NotConvergedError,
-)
+from .errors import IlcsetError, NonFiniteError
 from .matrix_core import per_step
 from .plant import (
     SCHEDULES,
@@ -40,7 +35,7 @@ from .plant import (
 from .schedule_lang import MatrixSchedule
 
 if TYPE_CHECKING:
-    from .set_transform import InputTransform, PTransform
+    from .set_transform import InputTransform
 
 CONVERGENCE_THRESHOLD = 1e-9
 
@@ -58,9 +53,9 @@ class IlcConfig(Checked, _IlcConfig):
 
     def _check(self) -> None:
         if self.mode not in MODES:
-            raise DimensionMismatchError(f"unknown mode {self.mode!r}")
+            raise IlcsetError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
-            raise DimensionMismatchError("iterations must be positive")
+            raise IlcsetError("iterations must be positive")
 
 
 class ResidualReport(NamedTuple):
@@ -139,7 +134,7 @@ def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
     """
     N = len(u) - 1
     if len(e) != N + 1:
-        raise DimensionMismatchError("input and error sequences differ in length")
+        raise IlcsetError("input and error sequences differ in length")
     u = np.asarray(u, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     # Divergent configurations are allowed to overflow here; the next
@@ -311,7 +306,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     """
     uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
     if not uncs:
-        raise DimensionMismatchError("no uncertainty spec to run")
+        raise IlcsetError("no uncertainty spec to run")
     S = len(uncs)
     report, xi_seq, gamma_seq, u, advance = law(S)
     other = None if counterpart is None else counterpart(S)
@@ -398,13 +393,13 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
                seeds: int) -> tuple:
     """The update law of the p active channels of the split input."""
     # Imported here, so that a direct run never loads the transform module.
-    from .set_transform import PTransform, QTransform, assemble_input, split_input
+    from .set_transform import assemble_input, split_input
 
     m, p, N = sys.m, sys.p, sys.N
     zero_gains = np.zeros((N + 1, m, p))
     look_ahead = cfg.mode in GAMMA_MODES
-    if not isinstance(transform, PTransform if look_ahead else QTransform):
-        raise DimensionMismatchError(f"{cfg.mode} needs a " + (
+    if transform.kind != ("gamma" if look_ahead else "xi"):
+        raise IlcsetError(f"{cfg.mode} needs a " + (
             "state-coupled transform on k in 0..N-1" if look_ahead
             else "feedthrough-coupled transform"))
     if look_ahead:
@@ -471,7 +466,7 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[Uncertai
 
 def _require_logged(result: RunResult) -> None:
     if result.iterations < 2 or result.inputs is None:
-        raise MissingDataError("run must retain every trial's data, and at least two")
+        raise IlcsetError("run must retain every trial's data, and at least two")
 
 
 def realizations_for(sys: NominalSystem, unc: UncertaintySpec,
@@ -514,7 +509,7 @@ def verify_input_recursion(result: RunResult,
         for l in range(len(inputs) - 1)])
 
 
-def limit_input(sys: NominalSystem, transform: PTransform, u0,
+def limit_input(sys: NominalSystem, transform: InputTransform, u0,
                 result: RunResult) -> np.ndarray:
     """Closed-form limit of the input in the uncertainty-free look-ahead case.
 
@@ -527,8 +522,7 @@ def limit_input(sys: NominalSystem, transform: PTransform, u0,
 
     final_E = result.E_hist[-1]
     if final_E > CONVERGENCE_THRESHOLD:
-        raise NotConvergedError(
-            f"final error {final_E:.3e} above {CONVERGENCE_THRESHOLD:.0e}")
+        raise IlcsetError(f"final error {final_E:.3e} above {CONVERGENCE_THRESHOLD:.0e}")
     N = sys.N
     u1_inf = split_input(transform, result.final_input[:N])[0]
     u0 = np.asarray(u0, dtype=np.float64)

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NonSquareError,
-    SingularError,
-)
+from .errors import IlcsetError
 
 Mat = np.ndarray
 
@@ -23,7 +18,7 @@ PIVOT_RTOL = 1e-12        # pivot magnitude below PIVOT_RTOL * ||M||_inf => sing
 
 def _require_square(m: Mat) -> None:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise NonSquareError(f"square matrix required, got shape {m.shape}")
+        raise IlcsetError(f"square matrix required, got shape {m.shape}")
 
 
 def inf_norms(m: Mat) -> np.ndarray:
@@ -46,14 +41,14 @@ def spectral_radii(m: Mat) -> np.ndarray:
     try:
         eigs = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise IlcsetError(f"eigenvalue iteration failed: {exc}") from exc
     return np.max(np.abs(eigs), axis=-1)
 
 
 def spectral_radius(m: Mat) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     if m.ndim != 2:
-        raise NonSquareError(f"square matrix required, got shape {m.shape}")
+        raise IlcsetError(f"square matrix required, got shape {m.shape}")
     return float(spectral_radii(m))
 
 
@@ -63,7 +58,7 @@ def symmetric_eigvals(m: Mat) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+        raise IlcsetError(f"eigenvalue iteration failed: {exc}") from exc
 
 
 def spectral_norms(m: Mat) -> np.ndarray:
@@ -81,7 +76,7 @@ def invert(m: Mat) -> Mat:
 
     Every matrix goes through the same steps, column by column, as a
     one-matrix elimination would, so each inverse is bit-equal to
-    inverting that matrix alone.  Raises SingularError when a pivot
+    inverting that matrix alone.  Raises IlcsetError when a pivot
     magnitude falls below PIVOT_RTOL * ||m||_inf; in a stack the error
     names the pivot of the first singular matrix in stack order.
     """
@@ -114,8 +109,8 @@ def invert(m: Mat) -> Mat:
             aug[:, others] -= aug[:, others, col][:, :, None] * aug[:, col][:, None, :]
     if singular.any():
         first = int(np.argmax(singular))
-        raise SingularError(f"pivot {bad_pivot[first]:.3e} below threshold "
-                            f"{threshold[first]:.3e}")
+        raise IlcsetError(f"pivot {bad_pivot[first]:.3e} below threshold "
+                          f"{threshold[first]:.3e}")
     return np.ascontiguousarray(aug[:, :, n:]).reshape(m.shape)
 
 
@@ -135,9 +130,9 @@ def block2x2(m11: Mat, m12: Mat, m21: Mat, m22: Mat) -> Mat:
     Blocks may be stacks (..., rows, cols); the leading axes broadcast.
     """
     if m11.shape[-2] != m12.shape[-2] or m21.shape[-2] != m22.shape[-2]:
-        raise DimensionMismatchError("block row heights do not match")
+        raise IlcsetError("block row heights do not match")
     if m11.shape[-1] != m21.shape[-1] or m12.shape[-1] != m22.shape[-1]:
-        raise DimensionMismatchError("block column widths do not match")
+        raise IlcsetError("block column widths do not match")
     top = m11.shape[-2]
     left = m11.shape[-1]
     lead = np.broadcast_shapes(*(b.shape[:-2] for b in (m11, m12, m21, m22)))

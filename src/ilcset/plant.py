@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import IlcsetError, NonFiniteError
 from .matrix_core import Mat, spectral_norms
 from .schedule_lang import MatrixSchedule
 
@@ -79,14 +79,11 @@ class NominalSystem(Checked, _NominalSystem):
         for name, shape in _shapes(self.n, self.m, self.p).items():
             sched = getattr(self, name)
             if sched.shape != shape:
-                raise DimensionMismatchError(
-                    f"{name} schedule has shape {sched.shape}, expected {shape}")
+                raise IlcsetError(f"{name} schedule has shape {sched.shape}, expected {shape}")
             if sched.N != self.N:
-                raise DimensionMismatchError(
-                    f"{name} schedule horizon {sched.N} != {self.N}")
+                raise IlcsetError(f"{name} schedule horizon {sched.N} != {self.N}")
         if self.x0.shape != (self.n, 1):
-            raise DimensionMismatchError(
-                f"x0 has shape {self.x0.shape}, expected {(self.n, 1)}")
+            raise IlcsetError(f"x0 has shape {self.x0.shape}, expected {(self.n, 1)}")
 
 
 class StructuredD(NamedTuple):
@@ -117,10 +114,10 @@ class UncertaintySpec(Checked, _UncertaintySpec):
 
     def _check(self) -> None:
         if not 0 <= self.seed < SEED_LIMIT:
-            raise DimensionMismatchError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise IlcsetError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in CHANNELS:
             if not 0 <= getattr(self, f"amp_{name}") < np.inf:
-                raise DimensionMismatchError(f"amp_{name} must be finite and nonnegative")
+                raise IlcsetError(f"amp_{name} must be finite and nonnegative")
 
 
 class RealizedIteration(NamedTuple):
@@ -193,7 +190,7 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     if sd is not None:
         s = sd.E.cols
         if sd.E.rows != p or sd.F.shape != (s, m):
-            raise DimensionMismatchError(
+            raise IlcsetError(
                 f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
                 f"do not match p={p}, s={s}, m={m}")
         sigmas = noise("sigma", steps, (s, s))
@@ -237,7 +234,7 @@ def simulate(realized: RealizedIteration, u) -> tuple:
     """
     N = realized.N
     if len(u) != N + 1:
-        raise DimensionMismatchError(f"input sequence has {len(u)} entries, expected {N + 1}")
+        raise IlcsetError(f"input sequence has {len(u)} entries, expected {N + 1}")
     u = np.asarray(u, dtype=np.float64)
     A, w, x0 = realized.A, realized.w, realized.x0
     batch = np.broadcast_shapes(x0.shape[:-2], u.shape[1:-2], *(

@@ -28,12 +28,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    EvalError,
-    ParseError,
-    ScheduleBuildError,
-    UnknownFunctionError,
-)
+from .errors import EvalError, ParseError, ScheduleBuildError
 from .matrix_core import Mat
 
 MAX_EXPONENT = 8
@@ -201,8 +196,8 @@ class _Parser:
                 arg = self.expr()
                 self.expect("rparen")
                 return Call(tok.text, arg)
-            raise UnknownFunctionError(f"unknown identifier {tok.text!r}", tok.offset,
-                                       expected=("k", "pi") + tuple(sorted(_FUNCTIONS)))
+            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset,
+                             expected=("k", "pi") + tuple(sorted(_FUNCTIONS)))
         if tok.kind == "lparen":
             self.advance()
             inner = self.expr()

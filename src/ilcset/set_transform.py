@@ -18,12 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    ConditionViolatedError,
-    DimensionMismatchError,
-    ModelMismatchError,
-    RankDeficientError,
-)
+from .errors import ConditionViolatedError, IlcsetError
 from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
 from .matrix_core import Mat, block2x2, inf_norms, invert, per_step
 from .plant import RealizedIteration
@@ -47,7 +42,7 @@ def select_nonsingular_block(M: Mat):
     M = np.asarray(M, dtype=np.float64)
     p, m = M.shape
     if p > m:
-        raise RankDeficientError(f"more rows than columns: {M.shape}")
+        raise IlcsetError(f"more rows than columns: {M.shape}")
     scale = float(np.max(np.abs(M))) if M.size else 0.0
     threshold = RANK_RTOL * max(scale, np.finfo(np.float64).tiny)
     work = M.copy()
@@ -58,8 +53,7 @@ def select_nonsingular_block(M: Mat):
         col = remaining[col_off]
         pivot = abs(work[row, col])
         if pivot <= threshold:
-            raise RankDeficientError(
-                f"row rank {row} < {p} (pivot {pivot:.3e} in row {row})")
+            raise IlcsetError(f"row rank {row} < {p} (pivot {pivot:.3e} in row {row})")
         remaining.pop(col_off)
         chosen.append(col)
         for r in range(row + 1, p):
@@ -94,7 +88,7 @@ def _take_rows(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class InputTransform:
-    """Per-step forward/inverse matrices shared by both transform kinds.
+    """Per-step forward/inverse matrices of either transform family.
 
     For each defined k the forward matrix is
 
@@ -111,11 +105,19 @@ class InputTransform:
     (steps, p, m) and ``gain`` (steps, m, p).  ``report`` is the contraction
     condition rho(I - G(k)) < 1 the builder checked, which the split loop
     reports as its own.
+
+    ``kind`` names the family.  "xi" couples through the feedthrough D(k)
+    with gain Xi(k) on k in 0..N.  "gamma" couples through C(k+1)B(k) with
+    gain Gamma(k) on k in 0..N-1, and keeps the nominal B/C stacks
+    ``b_cache``/``c_cache`` (None for "xi"), so the repetitive precondition
+    can be enforced when transforming a realization.
     """
 
-    kind = "generic"
-
-    def __init__(self, coupling, gain, perms, report: ConditionReport):
+    def __init__(self, kind: str, coupling, gain, perms, report: ConditionReport,
+                 b_cache=None, c_cache=None):
+        self.kind = kind
+        self.b_cache = b_cache
+        self.c_cache = c_cache
         self.report = report
         self.coupling = np.asarray(coupling, dtype=np.float64)
         self.gain = np.asarray(gain, dtype=np.float64)
@@ -144,26 +146,6 @@ class InputTransform:
         self.active_columns = np.ascontiguousarray(self.Tinv[:, :, :p])
 
 
-class QTransform(InputTransform):
-    """Feedthrough-coupled transform: coupling D(k), gain Xi(k), k in 0..N."""
-
-    kind = "xi"
-
-
-class PTransform(InputTransform):
-    """First-Markov-parameter transform: coupling C(k+1)B(k), gain Gamma(k),
-    defined on k in 0..N-1.  Keeps the nominal B/C stacks so the repetitive
-    precondition can be enforced when transforming a realization.
-    """
-
-    kind = "gamma"
-
-    def __init__(self, coupling, gain, perms, report, b_cache, c_cache):
-        super().__init__(coupling, gain, perms, report)
-        self.b_cache = b_cache
-        self.c_cache = c_cache
-
-
 def _build(coupling, report: ConditionReport, label: str):
     """Column permutations for the coupling stack, once the contraction
     condition holds at every step."""
@@ -180,7 +162,7 @@ def _build(coupling, report: ConditionReport, label: str):
     return perms
 
 
-def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> QTransform:
+def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> InputTransform:
     """Construct the feedthrough-coupled transform for k in 0..N.
 
     Requires rho(I - D(k)Xi(k)) < 1 at every step; a single column
@@ -188,26 +170,24 @@ def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> QTransform:
     over the whole horizon.
     """
     if D.cols != Xi.rows or D.rows != Xi.cols or D.N != Xi.N:
-        raise DimensionMismatchError(
-            f"D {D.shape} and gain {Xi.shape} do not conform")
+        raise IlcsetError(f"D {D.shape} and gain {Xi.shape} do not conform")
     report = check_rho_dxi(D, Xi)
     perms = _build(D.values, report, "feedthrough-gain")
-    return QTransform(D.values, Xi.values, perms, report)
+    return InputTransform("xi", D.values, Xi.values, perms, report)
 
 
 def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
-                      Gamma: MatrixSchedule) -> PTransform:
+                      Gamma: MatrixSchedule) -> InputTransform:
     """Construct the C(k+1)B(k)-coupled transform for k in 0..N-1."""
     if B.rows != C.cols or B.cols != Gamma.rows or C.rows != Gamma.cols:
-        raise DimensionMismatchError(
-            f"B {B.shape}, C {C.shape}, gain {Gamma.shape} do not conform")
+        raise IlcsetError(f"B {B.shape}, C {C.shape}, gain {Gamma.shape} do not conform")
     if not (B.N == C.N == Gamma.N):
-        raise DimensionMismatchError("schedule horizons differ")
+        raise IlcsetError("schedule horizons differ")
     coupling = C.values[1:] @ B.values[:-1]
     report = check_rho_cb_gamma(B, C, Gamma)
     perms = _build(coupling, report, "coupling-gain")
-    return PTransform(coupling, Gamma.values[:-1], perms, report,
-                      b_cache=B.values, c_cache=C.values)
+    return InputTransform("gamma", coupling, Gamma.values[:-1], perms, report,
+                          b_cache=B.values, c_cache=C.values)
 
 
 class TransformedSystem(NamedTuple):
@@ -224,7 +204,7 @@ def _initial_input_correction(transform: InputTransform, u0: np.ndarray) -> np.n
     return transform.frozen_mix @ _take_rows(u0, transform.col_perm)
 
 
-def apply_q_transform(realized: RealizedIteration, q: QTransform,
+def apply_q_transform(realized: RealizedIteration, q: InputTransform,
                        u0) -> TransformedSystem:
     """Square the feedthrough-coupled plant for one realized iteration.
 
@@ -233,13 +213,11 @@ def apply_q_transform(realized: RealizedIteration, q: QTransform,
     the initial input.
     """
     if q.steps != realized.N + 1:
-        raise DimensionMismatchError(
-            f"transform defined on {q.steps} steps, plant horizon {realized.N}")
+        raise IlcsetError(f"transform defined on {q.steps} steps, plant horizon {realized.N}")
     if realized.D.shape[1:] != (q.p, q.m):
-        raise DimensionMismatchError(
-            f"plant D shape {realized.D.shape[1:]} vs transform {(q.p, q.m)}")
+        raise IlcsetError(f"plant D shape {realized.D.shape[1:]} vs transform {(q.p, q.m)}")
     if len(u0) != realized.N + 1:
-        raise DimensionMismatchError("initial input length mismatch")
+        raise IlcsetError("initial input length mismatch")
     Bk = _take_columns(realized.B, q.col_perm)
     Dk = _take_columns(realized.D, q.col_perm)
     correction = _initial_input_correction(q, np.asarray(u0, dtype=np.float64))
@@ -251,17 +229,17 @@ def apply_q_transform(realized: RealizedIteration, q: QTransform,
 
 
 def _first_mismatch(checks) -> None:
-    """Raise ModelMismatchError for the earliest flagged step, in check order."""
+    """Raise IlcsetError for the earliest flagged step, in check order."""
     first = min((int(np.argmax(flags)) for _, flags in checks if flags.any()),
                 default=None)
     if first is None:
         return
     for message, flags in checks:
         if flags[first]:
-            raise ModelMismatchError(f"{message} at k={first}")
+            raise IlcsetError(f"{message} at k={first}")
 
 
-def apply_p_transform(realized: RealizedIteration, p: PTransform,
+def apply_p_transform(realized: RealizedIteration, p: InputTransform,
                        u0) -> TransformedSystem:
     """Square the feedthrough-free plant for one realized iteration.
 
@@ -270,10 +248,9 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
     The resulting coupling satisfies C(k+1) Bstar(k) = I.
     """
     if p.steps != realized.N:
-        raise DimensionMismatchError(
-            f"transform defined on {p.steps} steps, expected {realized.N}")
+        raise IlcsetError(f"transform defined on {p.steps} steps, expected {realized.N}")
     if len(u0) != realized.N + 1:
-        raise DimensionMismatchError("initial input length mismatch")
+        raise IlcsetError("initial input length mismatch")
     _first_mismatch((
         ("feedthrough must be zero, nonzero", np.any(realized.D != 0.0, axis=(1, 2))),
         ("B is nonrepetitive", np.any(realized.B != p.b_cache, axis=(1, 2))),
@@ -286,8 +263,7 @@ def apply_p_transform(realized: RealizedIteration, p: PTransform,
     too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
     if too_large.size:
         k = int(too_large[0])
-        raise ModelMismatchError(
-            f"coupling inverse residual {residuals[k]:.3e} at k={k}")
+        raise IlcsetError(f"coupling inverse residual {residuals[k]:.3e} at k={k}")
     correction = _initial_input_correction(p, np.asarray(u0, dtype=np.float64)[:N])
     return TransformedSystem(Bstar=Bstar, Dstar=None,
                              wstar=realized.w[:N] + Bk @ correction,
@@ -303,8 +279,7 @@ def split_input(transform: InputTransform, u):
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim < 3 or u.shape[0] != transform.steps or u.shape[-2:] != (transform.m, 1):
-        raise DimensionMismatchError(
-            f"input shape {u.shape}, expected {(transform.steps, transform.m, 1)}")
+        raise IlcsetError(f"input shape {u.shape}, expected {(transform.steps, transform.m, 1)}")
     star = per_step(transform.T, u) @ _take_rows(u, transform.col_perm)
     return star[..., :transform.p, :], star[..., transform.p:, :]
 
@@ -314,7 +289,7 @@ def assemble_input(transform: InputTransform, u1star, u2star) -> np.ndarray:
     steps, p, m = transform.steps, transform.p, transform.m
     batch = u1star.shape[1:-2]
     if u1star.shape != (steps,) + batch + (p, 1) or u2star.shape != (steps,) + batch + (m - p, 1):
-        raise DimensionMismatchError(
+        raise IlcsetError(
             f"split shapes {u1star.shape}, {u2star.shape} do not match "
             f"steps={steps}, p={p}, m={m}")
     permuted = per_step(transform.Tinv, u1star) @ np.concatenate([u1star, u2star], axis=-2)

@@ -232,6 +232,20 @@ def test_mode_override(tmp_path, capsys):
     assert "mode: transformed-xi" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", [None, [], "x"], ids=["null", "list", "string"])
+@pytest.mark.parametrize("flag, section", [("--seed", "uncertainty"), ("--iterations", "run"),
+                                           ("--mode", "run")])
+def test_flag_on_a_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, flag,
+                                                                    section, value):
+    path = pathlib.Path(make_divergent_config(tmp_path, 3))
+    doc = json.loads(path.read_text())
+    doc[section] = value
+    path.write_text(json.dumps(doc))
+    arg = "direct-xi" if flag == "--mode" else "3"
+    assert main(["check", "--config", str(path), flag, arg]) == 2
+    assert capsys.readouterr().err == f"config error: /{section}: expected an object\n"
+
+
 def test_divergent_run_exits_one(tmp_path, capsys):
     path = make_divergent_config(tmp_path, 600)
     code = main(["run", "--config", path, "--out", str(tmp_path / "m.csv")])
@@ -653,6 +667,37 @@ def _buffered_env() -> dict:
     return env
 
 
+@pytest.fixture(scope="module")
+def started_together(tmp_path_factory):
+    """The children of one parametrized test, started together.
+
+    On its first call with a given start and cases, started_together(cases,
+    start, case) calls start(directory, c), which starts a child, for every c
+    in cases, each with a fresh directory, so that the children run side by
+    side.  It then waits on case's own child and returns its
+    CompletedProcess and directory.
+    """
+    batches = {}
+
+    def finished(cases, start, case):
+        key = (start, id(cases))
+        if key not in batches:
+            batches[key] = []
+            for c in cases:
+                directory = tmp_path_factory.mktemp("child")
+                batches[key].append((start(directory, c), directory))
+        proc, directory = batches[key][cases.index(case)]
+        out, err = proc.communicate(timeout=120)
+        return subprocess.CompletedProcess(proc.args, proc.returncode, out, err), directory
+
+    yield finished
+    for batch in batches.values():
+        for proc, _ in batch:
+            if proc.returncode is None:  # its case did not run, or timed out
+                proc.kill()
+                proc.communicate()
+
+
 def _assert_one_io_error(proc, message: str) -> None:
     # run's summary goes to stderr ahead of the error; nothing follows it.
     assert proc.returncode == 2
@@ -668,69 +713,82 @@ UNWRITABLE_STDOUT_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_ARGV)
-def test_stdout_on_a_closed_pipe_is_an_io_error(argv):
+def _start_on_closed_pipe(directory, argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "ilcset.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=_buffered_env())
+        return subprocess.Popen([sys.executable, "-m", "ilcset.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, env=_buffered_env())
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_ARGV)
+def test_stdout_on_a_closed_pipe_is_an_io_error(started_together, argv):
+    proc, _ = started_together(UNWRITABLE_STDOUT_ARGV, _start_on_closed_pipe, argv)
     _assert_one_io_error(proc, "[Errno 32] Broken pipe")
+
+
+def _start_on_full_device(directory, argv):
+    with open("/dev/full", "w") as full:
+        return subprocess.Popen([sys.executable, "-m", "ilcset.cli", *argv], stdout=full,
+                                stderr=subprocess.PIPE, text=True, env=_buffered_env())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("argv", UNWRITABLE_STDOUT_ARGV)
-def test_stdout_on_a_full_device_is_an_io_error(argv):
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "ilcset.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=_buffered_env())
+def test_stdout_on_a_full_device_is_an_io_error(started_together, argv):
+    proc, _ = started_together(UNWRITABLE_STDOUT_ARGV, _start_on_full_device, argv)
     _assert_one_io_error(proc, "[Errno 28] No space left on device")
 
 
-def _with_stdout_closed(argv):
-    """The CLI started with fd 1 closed, as a shell's ``ilcset ... >&-`` starts it."""
-    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh",
-                           sys.executable, "-m", "ilcset.cli", *argv],
-                          stderr=subprocess.PIPE, text=True)
+def _with_stdout_closed(directory, argv):
+    """The CLI started with fd 1 closed, as a shell's ``ilcset ... >&-`` starts it;
+    each argument ending in .csv or .json names a file in directory."""
+    argv = [str(directory / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]
+    return subprocess.Popen(["sh", "-c", 'exec "$@" >&-', "sh",
+                             sys.executable, "-m", "ilcset.cli", *argv],
+                            stderr=subprocess.PIPE, text=True)
 
 
-@pytest.mark.parametrize("argv", [
+STDOUT_NEEDED_ARGV = [
     ["check", "--preset", "example1"],
     ["run", "--preset", "example1", "--iterations", "2"],
     ["run", "--preset", "example2", "--iterations", "2", "--sweep", "seeds=0..1"],
     ["transform", "--preset", "example1"],
     # The summary, --verify-set's gap with it, goes to stdout beside --out.
     ["run", "--preset", "example1", "--iterations", "2", "--verify-set", "--out", "m.csv"],
-], ids=["check", "run", "sweep", "transform", "run-out"])
-def test_closed_stdout_is_an_io_error_before_any_work(tmp_path, argv):
-    argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
-    proc = _with_stdout_closed(argv)
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_NEEDED_ARGV,
+                         ids=["check", "run", "sweep", "transform", "run-out"])
+def test_closed_stdout_is_an_io_error_before_any_work(started_together, argv):
+    proc, directory = started_together(STDOUT_NEEDED_ARGV, _with_stdout_closed, argv)
     assert proc.returncode == 2
     assert proc.stderr == "io error: [Errno 9] stdout is closed\n"
-    assert list(tmp_path.iterdir()) == []
+    assert list(directory.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
+STDOUT_UNUSED_ARGV = [
     ["transform", "--preset", "example1", "--out", "t.json"],
     ["run", "--preset", "example2", "--iterations", "2", "--sweep", "seeds=0..1",
      "--out", "s.csv"],
-], ids=["transform", "sweep"])
-def test_closed_stdout_is_no_error_when_nothing_goes_there(tmp_path, argv):
-    out = tmp_path / argv[-1]
-    proc = _with_stdout_closed(argv[:-1] + [str(out)])
+]
+
+
+@pytest.mark.parametrize("argv", STDOUT_UNUSED_ARGV, ids=["transform", "sweep"])
+def test_closed_stdout_is_no_error_when_nothing_goes_there(started_together, argv):
+    proc, directory = started_together(STDOUT_UNUSED_ARGV, _with_stdout_closed, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert out.stat().st_size > 0
+    assert (directory / argv[-1]).stat().st_size > 0
 
 
 RUN_SUMMARY_TO_STDERR = ["run", "--preset", "example1", "--iterations", "2"]
 RUN_MISSING_CONFIG = ["run", "--config", "missing.json"]
 SWEEP_WITH_WARNING = ["run", "--config", "divergent.json", "--sweep", "seeds=0..1"]
-
-
-@pytest.mark.parametrize("redirect, argv, status, lines", [
+UNWRITABLE_STDERR_CASES = [
     # Closed, the run stops before any trial; read-only, writing the summary
     # fails after the metrics CSV.
     ("2>&-", RUN_SUMMARY_TO_STDERR, 2, 0),
@@ -739,19 +797,30 @@ SWEEP_WITH_WARNING = ["run", "--config", "divergent.json", "--sweep", "seeds=0..
     ("2</dev/null", RUN_MISSING_CONFIG, 2, 0),
     ("2>&-", SWEEP_WITH_WARNING, 0, 5),
     ("2</dev/null", SWEEP_WITH_WARNING, 0, 5),
-], ids=["closed-run", "read-only-run", "closed-io-error", "read-only-io-error",
-        "closed-sweep-warning", "read-only-sweep-warning"])
-def test_stderr_that_cannot_be_written_leaves_stdout_clean(tmp_path, redirect, argv,
+]
+
+
+def _start_with_unwritable_stderr(directory, case):
+    redirect, argv, _, _ = case
+    make_divergent_config(directory, 2)
+    argv = [str(directory / arg) if arg.endswith(".json") else arg for arg in argv]
+    return subprocess.Popen(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                             sys.executable, "-m", "ilcset.cli", *argv],
+                            stdout=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("redirect, argv, status, lines", UNWRITABLE_STDERR_CASES,
+                         ids=["closed-run", "read-only-run", "closed-io-error",
+                              "read-only-io-error", "closed-sweep-warning",
+                              "read-only-sweep-warning"])
+def test_stderr_that_cannot_be_written_leaves_stdout_clean(started_together, redirect, argv,
                                                            status, lines):
     # Closed, fd 2 leaves sys.stderr None, and print(file=None) would write
     # to stdout; read-only, as a shell wrapper can leave it, every write to
     # it fails.  Diagnostics are dropped, never moved to stdout, and a
     # dropped one leaves the exit status as it was.
-    make_divergent_config(tmp_path, 2)
-    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
-    proc = subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
-                           sys.executable, "-m", "ilcset.cli", *argv],
-                          stdout=subprocess.PIPE, text=True)
+    proc, _ = started_together(UNWRITABLE_STDERR_CASES, _start_with_unwritable_stderr,
+                               (redirect, argv, status, lines))
     assert proc.returncode == status
     rows = proc.stdout.splitlines()
     assert len(rows) == lines

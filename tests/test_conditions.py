@@ -13,7 +13,7 @@ from ilcset.conditions import (
     check_rho_gamma_cb,
     check_rho_xid,
 )
-from ilcset.errors import DimensionMismatchError, NoConvergenceError
+from ilcset.errors import IlcsetError
 from ilcset.matrix_core import spectral_norms
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 
@@ -349,7 +349,8 @@ def test_lmi_eigenvalue_calls_per_search(monkeypatch, N):
                                   [1.0, math.inf], [math.nan], [1.0, 1.0], [2.0, 1.0]])
 def test_lmi_rejects_bad_lambda_grid(grid):
     zero = zeros_like(1, 1)
-    with pytest.raises(DimensionMismatchError, match="lambda grid"):
+    with pytest.raises(IlcsetError, match="lambda grid must be a nonempty 1-D array of finite, "
+                                          "positive, strictly increasing values, got array"):
         check_lmi(constant([[1.0]]), constant([[0.5]]), zero, zero, lambda_grid=grid)
 
 
@@ -359,7 +360,8 @@ def test_lmi_eigenvalue_failure_raises_no_convergence(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     zero = zeros_like(1, 1)
-    with pytest.raises(NoConvergenceError, match="did not converge"):
+    with pytest.raises(IlcsetError,
+                       match="eigenvalue iteration failed: Eigenvalues did not converge"):
         check_lmi(constant([[1.0]]), constant([[0.5]]), zero, zero)
 
 

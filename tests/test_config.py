@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ilcset.config import config_from_dict
-from ilcset.errors import DimensionMismatchError, SchemaError
+from ilcset.errors import IlcsetError, SchemaError
 from ilcset.plant import UncertaintySpec
 
 
@@ -311,7 +311,7 @@ def test_json_non_finite_grid_cells_rejected_at_their_paths():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_uncertainty_spec_rejects_non_finite_amplitudes(value):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="amp_D must be finite and nonnegative"):
         UncertaintySpec(amp_D=value)
 
 
@@ -334,7 +334,7 @@ def test_largest_seed_accepted():
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
 def test_uncertainty_spec_rejects_seed_outside_the_key(seed):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match=r"seed must lie in \[0, 2\*\*64\), got " + str(seed)):
         UncertaintySpec(seed=seed)
 
 

@@ -12,12 +12,7 @@ import ilcset.conditions
 import ilcset.ilc_engine
 import ilcset.set_transform
 from ilcset.config import config_from_dict
-from ilcset.errors import (
-    DimensionMismatchError,
-    MissingDataError,
-    NonFiniteError,
-    NotConvergedError,
-)
+from ilcset.errors import IlcsetError, NonFiniteError
 from ilcset.ilc_engine import (
     IlcConfig,
     limit_input,
@@ -64,29 +59,33 @@ def test_update_input_hand_example():
 
 def test_update_input_length_mismatch():
     xi = const_gain(0.1, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="input and error sequences differ in length"):
         update_input([np.zeros((1, 1))] * 2, [np.zeros((1, 1))] * 3, xi, xi)
 
 
 def test_config_rejects_unknown_mode_and_bad_counts():
     u0 = tuple(np.zeros((3, 1, 1)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="unknown mode 'sideways'"):
         IlcConfig(mode="sideways", iterations=5, u0=u0)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="iterations must be positive"):
         IlcConfig(mode="direct-xi", iterations=0, u0=u0)
 
 
-@pytest.mark.parametrize("make_bad", [
-    lambda: UncertaintySpec(seed=0)._replace(seed=2 ** 64),
-    lambda: UncertaintySpec(seed=0)._replace(amp_D=-1.0),
-    lambda: IlcConfig(mode="direct-xi", iterations=5, u0=np.zeros((5, 1, 1)))
-    ._replace(mode="sideways"),
-    lambda: tiny_system(N=4)._replace(A=build_schedule([["0"]], 3)),   # horizon 3, not 4
-    lambda: tiny_system()._replace(D=build_schedule([["1", "0"]], 4)),  # (1, 2), not (1, 1)
-    lambda: UncertaintySpec._make([0.0] * 8 + [None, -1]),
+@pytest.mark.parametrize("make_bad, message", [
+    (lambda: UncertaintySpec(seed=0)._replace(seed=2 ** 64),
+     r"seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
+    (lambda: UncertaintySpec(seed=0)._replace(amp_D=-1.0), "amp_D must be finite and nonnegative"),
+    (lambda: IlcConfig(mode="direct-xi", iterations=5, u0=np.zeros((5, 1, 1)))
+     ._replace(mode="sideways"), "unknown mode 'sideways'"),
+    (lambda: tiny_system(N=4)._replace(A=build_schedule([["0"]], 3)),  # horizon 3, not 4
+     "A schedule horizon 3 != 4"),
+    (lambda: tiny_system()._replace(D=build_schedule([["1", "0"]], 4)),  # (1, 2), not (1, 1)
+     r"D schedule has shape \(1, 2\), expected \(1, 1\)"),
+    (lambda: UncertaintySpec._make([0.0] * 8 + [None, -1]),
+     r"seed must lie in \[0, 2\*\*64\), got -1"),
 ], ids=["seed", "amplitude", "mode", "horizon", "shape", "make"])
-def test_records_check_their_fields_on_replace(make_bad):
-    with pytest.raises(DimensionMismatchError):
+def test_records_check_their_fields_on_replace(make_bad, message):
+    with pytest.raises(IlcsetError, match=message):
         make_bad()
 
 
@@ -337,7 +336,7 @@ def test_verifiers_need_two_iterations(example1):
     result = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
                  IlcConfig(mode="direct-xi", iterations=1, u0=cfg.u0))
     assert result.error_recursion is None and result.input_recursion is None
-    with pytest.raises(MissingDataError):
+    with pytest.raises(IlcsetError, match="run must retain every trial's data, and at least two"):
         verify_error_recursion(result, realizations_for(cfg.system,
                                                         cfg.uncertainty, 1))
 
@@ -485,7 +484,7 @@ def test_kept_trials_are_rows_of_the_full_record(example1):
                 assert np.array_equal(getattr(trial, name)[:, s], stack[l]), (name, l)
         assert max(states) == full.error_recursion.max_state_residual
         # The recursions can be re-checked only on every trial's record.
-        with pytest.raises(MissingDataError):
+        with pytest.raises(IlcsetError, match="run must retain every trial's data"):
             verify_input_recursion(part, realizations_for(cfg.system, specs[s], 12))
 
 
@@ -529,17 +528,35 @@ def test_limit_input_rejects_unconverged(example2_clean, p_example2):
     result = run_transformed(cfg.system, cfg.uncertainty, p_example2,
                              IlcConfig(mode="transformed-gamma", iterations=5,
                                        u0=cfg.u0))
-    with pytest.raises(NotConvergedError):
+    with pytest.raises(IlcsetError, match=r"final error \S+ above 1e-09"):
         limit_input(cfg.system, p_example2, cfg.u0, result)
 
 
 def test_transform_kind_checked_against_mode(example1, example2,
                                              q_example1, p_example2):
-    with pytest.raises(DimensionMismatchError):
+    trials = []
+    with pytest.raises(IlcsetError, match="transformed-xi needs a feedthrough-coupled transform"):
         run_transformed(example1.system, example1.uncertainty, p_example2,
                         IlcConfig(mode="transformed-xi", iterations=2,
-                                  u0=example1.u0))
-    with pytest.raises(DimensionMismatchError):
+                                  u0=example1.u0), sink=trials.append)
+    with pytest.raises(IlcsetError, match="transformed-gamma needs a state-coupled transform "
+                                          r"on k in 0\.\.N-1"):
         run_transformed(example2.system, example2.uncertainty, q_example1,
                         IlcConfig(mode="transformed-gamma", iterations=2,
-                                  u0=example2.u0))
+                                  u0=example2.u0), sink=trials.append)
+    assert trials == []
+
+
+@pytest.mark.parametrize("plant, mode, transform, message", [
+    ("example1", "direct-xi", "p_example2", "direct-xi needs a feedthrough-coupled transform"),
+    ("example2", "direct-gamma", "q_example1",
+     r"direct-gamma needs a state-coupled transform on k in 0\.\.N-1"),
+])
+def test_counterpart_kind_checked_against_mode(request, plant, mode, transform, message):
+    cfg, transform = request.getfixturevalue(plant), request.getfixturevalue(transform)
+    trials = []
+    with pytest.raises(IlcsetError, match=message):
+        run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
+            IlcConfig(mode=mode, iterations=2, u0=cfg.u0), counterpart=transform,
+            sink=trials.append)
+    assert trials == []

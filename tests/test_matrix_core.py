@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ilcset.errors import NoConvergenceError, NonSquareError, SingularError
+from ilcset.errors import IlcsetError
 from ilcset import matrix_core as mc
 
 
@@ -50,7 +50,7 @@ def test_spectral_radius_quadratic_formula_oracle():
 
 
 def test_spectral_radius_requires_square():
-    with pytest.raises(NonSquareError):
+    with pytest.raises(IlcsetError, match=r"square matrix required, got shape \(2, 3\)"):
         mc.spectral_radius(np.ones((2, 3)))
 
 
@@ -77,9 +77,9 @@ def test_invert_hand_checked_2x2():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(SingularError):
+    with pytest.raises(IlcsetError, match="pivot 0.000e[+]00 below threshold 6.000e-12"):
         mc.invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(SingularError):
+    with pytest.raises(IlcsetError, match="pivot 0.000e[+]00 below threshold 2.225e-320"):
         mc.invert(np.zeros((3, 3)))
 
 
@@ -168,7 +168,7 @@ def test_stacked_radii_and_norms_match_single_matrix_values_exactly():
         assert radii[k] == mc.spectral_radius(square[k])
         assert norms[k] == mc.spectral_norms(wide[k])
         assert row_sums[k] == mc.inf_norm(wide[k])
-    with pytest.raises(NonSquareError):
+    with pytest.raises(IlcsetError, match=r"square matrix required, got shape \(30, 2, 3\)"):
         mc.spectral_radii(wide)
 
 
@@ -177,9 +177,10 @@ def test_symmetric_eigenvalue_failure_raises_no_convergence(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NoConvergenceError):
+    failed = "eigenvalue iteration failed: Eigenvalues did not converge"
+    with pytest.raises(IlcsetError, match=failed):
         mc.symmetric_eigvals(np.eye(2))
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(IlcsetError, match=failed):
         mc.spectral_norms(np.ones((3, 2, 2)))
 
 
@@ -195,7 +196,7 @@ def invert_one_matrix(m):
         pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
         pivot = aug[pivot_row, col]
         if abs(pivot) < threshold:
-            raise SingularError(f"pivot {abs(pivot):.3e} below threshold {threshold:.3e}")
+            raise IlcsetError(f"pivot {abs(pivot):.3e} below threshold {threshold:.3e}")
         if pivot_row != col:
             aug[[col, pivot_row]] = aug[[pivot_row, col]]
         aug[col] /= aug[col, col]
@@ -231,15 +232,15 @@ def test_stacked_invert_names_the_first_singular_matrix():
         for m in stack:
             try:
                 invert_one_matrix(m)
-            except SingularError as exc:
+            except IlcsetError as exc:
                 messages.append(str(exc))
         assert messages
-        with pytest.raises(SingularError) as exc:
+        with pytest.raises(IlcsetError, match="below threshold") as exc:
             mc.invert(stack)
         assert str(exc.value) == messages[0]
     # Two small pivots that leave each other's columns untouched: the
     # error names the first one.
-    with pytest.raises(SingularError) as exc:
+    with pytest.raises(IlcsetError, match="below threshold") as exc:
         mc.invert(np.stack([np.eye(3), np.diag([1.0, 1e-15, 3e-15])]))
     assert str(exc.value) == "pivot 1.000e-15 below threshold 1.000e-12"
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ilcset.config import config_from_dict
-from ilcset.errors import DimensionMismatchError, NonFiniteError
+from ilcset.errors import IlcsetError, NonFiniteError
 from ilcset.ilc_engine import _draw, _with_lane_axis
 from ilcset.matrix_core import spectral_norms
 from ilcset.plant import (
@@ -244,7 +244,8 @@ def test_structured_shape_conflict_raises():
         E=MatrixSchedule.from_values([[1.0, 0.0]], sys.N),
         F=MatrixSchedule.from_values([[1.0]], sys.N),
     )
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match=r"structured D blocks E\(1, 2\), F\(1, 1\) "
+                                          r"do not match p=1, s=2, m=1"):
         sample_iteration(sys, UncertaintySpec(structured_D=structured, seed=1), 0)
 
 
@@ -515,12 +516,12 @@ def test_state_is_blamed_before_the_output_of_the_same_step():
 
 def test_simulate_checks_input_length():
     sys = scalar_system()
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="input sequence has 6 entries, expected 3"):
         simulate(sample_iteration(sys, UncertaintySpec(), 0), np.zeros((6, 1, 1)))
 
 
 def test_negative_amplitude_rejected():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match="amp_A must be finite and nonnegative"):
         UncertaintySpec(amp_A=-0.1)
 
 

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from ilcset.conditions import check_rho_cb_gamma, check_rho_dxi
-from ilcset.errors import (
-    ConditionViolatedError,
-    DimensionMismatchError,
-    ModelMismatchError,
-    RankDeficientError,
-)
+from ilcset.errors import ConditionViolatedError, IlcsetError
 from ilcset.matrix_core import inf_norm, invert, spectral_radius
 from ilcset.plant import UncertaintySpec, sample_iteration
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
@@ -50,9 +45,9 @@ def test_select_on_benchmark_feedthrough(example1):
 
 
 def test_select_rejects_rank_deficient():
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(IlcsetError, match=r"row rank 1 < 2 \(pivot 0.000e\+00 in row 1\)"):
         select_nonsingular_block(np.array([[1.0, 2.0], [2.0, 4.0]]))
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(IlcsetError, match=r"row rank 0 < 2 \(pivot 0.000e\+00 in row 0\)"):
         select_nonsingular_block(np.zeros((2, 3)))
 
 
@@ -179,7 +174,7 @@ def test_fixed_permutation_with_per_step_fallback():
 
 def test_conforming_shapes_required():
     N = 1
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match=r"D \(1, 2\) and gain \(1, 1\) do not conform"):
         build_q_transform(MatrixSchedule.from_values([[1.0, 0.0]], N),
                           MatrixSchedule.from_values([[1.0]], N))
 
@@ -308,10 +303,10 @@ def sample_iteration_scalar_chain(N):
 def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_example2):
     noisy_b = UncertaintySpec(amp_B=0.01, seed=1)
     realized = sample_iteration(example2.system, noisy_b, 0)
-    with pytest.raises(ModelMismatchError):
+    with pytest.raises(IlcsetError, match="B is nonrepetitive at k=0"):
         apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
     with_feedthrough = sample_iteration(example1.system, example1.uncertainty, 0)
-    with pytest.raises(ModelMismatchError):
+    with pytest.raises(IlcsetError, match="feedthrough must be zero, nonzero at k=0"):
         apply_p_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
 
 
@@ -355,9 +350,10 @@ def test_split_assemble_round_trip(q_example1, p_example2):
 
 
 def test_split_rejects_wrong_stack_shape(q_example1):
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match=r"input shape \(3, 1\), expected \(101, 3, 1\)"):
         split_input(q_example1, np.zeros((3, 1)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(IlcsetError, match=r"split shapes \(101, 2, 1\), \(101, 2, 1\) do not "
+                                          "match steps=101, p=2, m=3"):
         assemble_input(q_example1, np.zeros((101, 2, 1)), np.zeros((101, 2, 1)))
 
 
