@@ -271,11 +271,11 @@ def cmd_run(args) -> int:
     # Only run needs the engine, and only a run that builds a transform the
     # transform module.  Compiled after the config's arrays exist, they
     # fragment the heap (the sweep's peak RSS rose by ~0.4 MB).  The order of
-    # the two moves --verify-set's peak RSS by ~0.1 MB: engine first is lower.
+    # the two moves --verify-set's peak RSS ~0.1 MB: transform first is lower.
     # A transformed mode named only in the config file loads it later.
-    importlib.import_module(f"{__package__}.ilc_engine")
     if args.verify_set or (args.mode or "").startswith("transformed"):
         importlib.import_module(f"{__package__}.set_transform")
+    importlib.import_module(f"{__package__}.ilc_engine")
     # Fail before any trial when --out or its _traj.csv cannot be opened:
     # its directory is missing or it names a directory.
     for path in ([] if args.out is None else [args.out] + [
@@ -394,19 +394,22 @@ def _step_text(*stacks: np.ndarray) -> tuple:
         [a.reshape(steps, math.prod(a.shape[1:])).astype(object) for a in stacks], axis=1))
 
 
-def _transform_json(transform, star) -> str:
-    """transform's document for one iteration's transformed system, in
-    json.dumps(indent=2)'s text: every step's blocks, then star's arrays."""
+def _transform_json(transform, square) -> str:
+    """transform's document for one iteration's square plant, in
+    json.dumps(indent=2)'s text: every step's blocks, then the square plant's
+    B and w on the transform's steps, its D (null for "gamma") and its v."""
     steps = transform.steps
     stacks = {"col_perm": transform.col_perm, "matrix": transform.T,
               "inverse": transform.Tinv, "gain_product": transform.gain_products}
     block = _json_object([("k", "%s")] + [(key, _array_layout(a.shape[1:], 3))
                                           for key, a in stacks.items()], 2)
     blocks = _json_list(block, steps, 1) % _step_text(np.arange(steps), *stacks.values())
+    Dstar = None if transform.kind == "gamma" else square.D[:steps]
     transformed = _json_object(
         [(key, "null" if a is None else _array_layout(a.shape, 2) % _number_text(a))
-         for key, a in (("Bstar", star.Bstar), ("Dstar", star.Dstar), ("wstar", star.wstar),
-                        ("vstar", star.vstar), ("gain_star", star.gain_star))], 1)
+         for key, a in (("Bstar", square.B[:steps]), ("Dstar", Dstar),
+                        ("wstar", square.w[:steps]), ("vstar", square.v),
+                        ("gain_star", transform.gain_products))], 1)
     return _json_object([("kind", json.dumps(transform.kind)), ("p", json.dumps(transform.p)),
                          ("m", json.dumps(transform.m)), ("steps", json.dumps(steps)),
                          ("iteration", "0"), ("blocks", blocks),
@@ -422,12 +425,12 @@ def cmd_transform(args) -> int:
     transform = _build_transform(cfg)
     realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
     if cfg.mode in GAMMA_MODES:
-        star = apply_p_transform(realized, transform, cfg.u0)
+        square = apply_p_transform(realized, transform, cfg.u0)
     else:
-        star = apply_q_transform(realized, transform, cfg.u0)
+        square = apply_q_transform(realized, transform, cfg.u0)
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else open(args.out, "w", encoding="utf-8")) as fh:
-        fh.write(_transform_json(transform, star))
+        fh.write(_transform_json(transform, square))
         fh.write("\n")
     return 0
 

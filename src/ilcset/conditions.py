@@ -19,6 +19,7 @@ from .schedule_lang import MatrixSchedule
 
 SPECTRAL_THRESHOLD = 1.0
 LMI_THRESHOLD = 0.0
+LAMBDA_GRID = np.logspace(-4.0, 4.0, 40)
 
 
 class ConditionReport(NamedTuple):
@@ -167,12 +168,8 @@ def _min_max_eig(work: np.ndarray, s: int, lambda_grid: np.ndarray) -> tuple:
             np.where(use_refined, refined_lam, lambda_grid[best]))
 
 
-def default_lambda_grid() -> np.ndarray:
-    return np.logspace(-4.0, 4.0, 40)
-
-
 def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
-              F: MatrixSchedule, lambda_grid=None) -> ConditionReport:
+              F: MatrixSchedule) -> ConditionReport:
     """Structured-uncertainty feasibility at every k.
 
     Reports, per step, the minimum over the multiplier of the top
@@ -180,33 +177,24 @@ def check_lmi(D: MatrixSchedule, Xi: MatrixSchedule, E: MatrixSchedule,
     With E = F = 0 the test reduces exactly to
     ||I - D(k)Xi(k)||_2 < 1.
 
-    The search runs on all N+1 steps together: a 40-point grid, then 60
-    golden-section steps on log(lam), elementwise over k.  Every evaluation
-    is one stacked eigenvalue call, so the search takes 103 calls whatever
-    the horizon.  When E and F Xi are zero at every step (no
-    ``structured_D``), the multiplier blocks decouple and one call at the
-    largest grid point gives the same values and multipliers bit for bit
-    (see `_min_max_eig`).  Its memory is one reused (N+1, 2p+2s, 2p+2s)
-    work stack plus a few (N+1,) vectors; the grid keeps a running minimum,
-    not a table of every grid value.
-
-    ``lambda_grid`` must be a nonempty 1-D array of finite, positive,
-    strictly increasing multipliers; anything else raises
-    IlcsetError, since the search brackets on log(lam).
+    The search runs on all N+1 steps together: the 40-point LAMBDA_GRID
+    (read at each call), then 60 golden-section steps on log(lam),
+    elementwise over k.  Every evaluation is one stacked eigenvalue call,
+    so the search takes 103 calls whatever the horizon.  When E and F Xi
+    are zero at every step (no ``structured_D``), the multiplier blocks
+    decouple and one call at the largest grid point gives the same values
+    and multipliers bit for bit (see `_min_max_eig`).  Its memory is one
+    reused (N+1, 2p+2s, 2p+2s) work stack plus a few (N+1,) vectors; the
+    grid keeps a running minimum, not a table of every grid value.
+    LAMBDA_GRID must be finite, positive and strictly increasing, since
+    the search brackets on log(lam).
     """
     p, m = D.rows, D.cols
     if E.rows != p or F.cols != m or E.cols != F.rows:
         raise IlcsetError(f"structure grids E {E.shape}, F {F.shape} do not fit D {D.shape}")
-    grid = (default_lambda_grid() if lambda_grid is None
-            else np.asarray(lambda_grid, dtype=np.float64))
-    if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
-            or not (grid > 0).all() or not (np.diff(grid) > 0).all()):
-        raise IlcsetError(
-            f"lambda grid must be a nonempty 1-D array of finite, positive, "
-            f"strictly increasing values, got {grid!r}")
     S = np.eye(p) - D.values @ Xi.values
     work = _lmi_stack(S, E.values, F.values @ Xi.values)
-    values, lambdas = _min_max_eig(work, E.cols, grid)
+    values, lambdas = _min_max_eig(work, E.cols, LAMBDA_GRID)
     return ConditionReport.from_values("lmi", enumerate(values.tolist()),
                                        LMI_THRESHOLD,
                                        best_lambda=tuple(lambdas.tolist()))

@@ -14,8 +14,6 @@ couples through C(k+1)B(k) with gain Gamma(k) and lives on k in 0..N-1.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 import numpy as np
 
 from .errors import ConditionViolatedError, IlcsetError
@@ -190,23 +188,14 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
                           b_cache=B.values, c_cache=C.values)
 
 
-class TransformedSystem(NamedTuple):
-    """The equivalent square system driven only by the p updated channels."""
-
-    Bstar: np.ndarray           # (steps, n, p)
-    Dstar: Optional[np.ndarray]  # (steps, p, p), absent for the feedthrough-free case
-    wstar: np.ndarray
-    vstar: np.ndarray
-    gain_star: np.ndarray       # (steps, p, p) updated-channel gain
-
-
 def _initial_input_correction(transform: InputTransform, u0: np.ndarray) -> np.ndarray:
     return transform.frozen_mix @ _take_rows(u0, transform.col_perm)
 
 
 def apply_q_transform(realized: RealizedIteration, q: InputTransform,
-                       u0) -> TransformedSystem:
-    """Square the feedthrough-coupled plant for one realized iteration.
+                       u0) -> RealizedIteration:
+    """Square the feedthrough-coupled plant for one realized iteration, as
+    a RealizedIteration with p inputs that simulate runs.
 
     The realized B/D matrices are pushed through the inverse's active
     columns; the disturbance and noise pick up the frozen-channel share of
@@ -221,11 +210,8 @@ def apply_q_transform(realized: RealizedIteration, q: InputTransform,
     Bk = _take_columns(realized.B, q.col_perm)
     Dk = _take_columns(realized.D, q.col_perm)
     correction = _initial_input_correction(q, np.asarray(u0, dtype=np.float64))
-    return TransformedSystem(Bstar=Bk @ q.active_columns,
-                             Dstar=Dk @ q.active_columns,
-                             wstar=realized.w + Bk @ correction,
-                             vstar=realized.v + Dk @ correction,
-                             gain_star=q.gain_products)
+    return realized._replace(B=Bk @ q.active_columns, D=Dk @ q.active_columns,
+                             w=realized.w + Bk @ correction, v=realized.v + Dk @ correction)
 
 
 def _first_mismatch(checks) -> None:
@@ -240,12 +226,15 @@ def _first_mismatch(checks) -> None:
 
 
 def apply_p_transform(realized: RealizedIteration, p: InputTransform,
-                       u0) -> TransformedSystem:
-    """Square the feedthrough-free plant for one realized iteration.
+                       u0) -> RealizedIteration:
+    """Square the feedthrough-free plant for one realized iteration, as a
+    RealizedIteration with p inputs that simulate runs.
 
     Requires the realization to match the transform's nominal B and C
     exactly (repetitive input/output maps) and to have zero feedthrough.
-    The resulting coupling satisfies C(k+1) Bstar(k) = I.
+    The resulting coupling satisfies C(k+1) B(k) = I on k in 0..N-1.  The
+    transform stops at N - 1, so B(N) = 0 and D = 0: the active input at
+    k = N drives nothing, as u(N) drives nothing in the original plant.
     """
     if p.steps != realized.N:
         raise IlcsetError(f"transform defined on {p.steps} steps, expected {realized.N}")
@@ -265,9 +254,10 @@ def apply_p_transform(realized: RealizedIteration, p: InputTransform,
         k = int(too_large[0])
         raise IlcsetError(f"coupling inverse residual {residuals[k]:.3e} at k={k}")
     correction = _initial_input_correction(p, np.asarray(u0, dtype=np.float64)[:N])
-    return TransformedSystem(Bstar=Bstar, Dstar=None,
-                             wstar=realized.w[:N] + Bk @ correction,
-                             vstar=realized.v, gain_star=p.gain_products)
+    return realized._replace(B=np.concatenate([Bstar, np.zeros((1,) + Bstar.shape[1:])]),
+                             D=np.zeros((N + 1, p.p, p.p)),
+                             w=np.concatenate([realized.w[:N] + Bk @ correction,
+                                               realized.w[N:]]))
 
 
 def split_input(transform: InputTransform, u):

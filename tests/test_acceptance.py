@@ -236,15 +236,15 @@ def _lifted_plant(system):
     for c in range(N + 1):
         phi = np.eye(n)  # transition from x(c) to x(k)
         for k in range(c, N + 1):
-            G[k * p:(k + 1) * p, c * n:(c + 1) * n] = system.C.at(k) @ phi
-            phi = system.A.at(k) @ phi
+            G[k * p:(k + 1) * p, c * n:(c + 1) * n] = system.C.values[k] @ phi
+            phi = system.A.values[k] @ phi
     H = np.zeros(((N + 1) * p, (N + 1) * m))
     for j in range(N + 1):
-        H[j * p:(j + 1) * p, j * m:(j + 1) * m] = system.D.at(j)
+        H[j * p:(j + 1) * p, j * m:(j + 1) * m] = system.D.values[j]
         if j < N:
-            H[:, j * m:(j + 1) * m] += G[:, (j + 1) * n:(j + 2) * n] @ system.B.at(j)
-    injections = np.concatenate([system.x0] + [system.w.at(k) for k in range(N)])
-    free = G @ injections + np.concatenate([system.v.at(k) for k in range(N + 1)])
+            H[:, j * m:(j + 1) * m] += G[:, (j + 1) * n:(j + 2) * n] @ system.B.values[j]
+    injections = np.concatenate([system.x0] + [system.w.values[k] for k in range(N)])
+    free = G @ injections + np.concatenate([system.v.values[k] for k in range(N + 1)])
     return G, H, free
 
 
@@ -277,9 +277,9 @@ def _predicted_error_rms(cfg, limit):
                + np.diag(np.repeat(output_var, p)))
     L = np.zeros(((N + 1) * m, (N + 1) * p))
     for k in range(N + 1):
-        L[k * m:(k + 1) * m, k * p:(k + 1) * p] = cfg.xi.at(k)
+        L[k * m:(k + 1) * m, k * p:(k + 1) * p] = cfg.xi.values[k]
         if k < N:
-            L[k * m:(k + 1) * m, (k + 1) * p:(k + 2) * p] = cfg.gamma.at(k)
+            L[k * m:(k + 1) * m, (k + 1) * p:(k + 2) * p] = cfg.gamma.values[k]
     M = H @ L
     S = np.eye(len(M)) - M
     # Doubling: after i rounds P holds the first 2^i terms of the series.

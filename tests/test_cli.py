@@ -212,6 +212,7 @@ def test_transform_dump_look_ahead(capsys):
     assert doc["kind"] == "gamma"
     assert doc["steps"] == 100
     assert doc["transformed"]["Dstar"] is None
+    assert len(doc["transformed"]["Bstar"]) == len(doc["transformed"]["wstar"]) == 100
     assert len(doc["transformed"]["vstar"]) == 101
 
 
@@ -983,24 +984,27 @@ def test_array_text_equals_indented_json_dumps(shape, level, dtype):
     assert text == json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _reference_transform_doc(transform, star):
+def _reference_transform_doc(transform, square):
     # The document transform wrote through json.dumps(doc, indent=2).
+    steps = transform.steps
     return {
         "kind": transform.kind, "p": transform.p, "m": transform.m,
-        "steps": transform.steps, "iteration": 0,
+        "steps": steps, "iteration": 0,
         "blocks": [{"k": k, "col_perm": [int(c) for c in transform.col_perm[k]],
                     "matrix": transform.T[k].tolist(), "inverse": transform.Tinv[k].tolist(),
                     "gain_product": transform.gain_products[k].tolist()}
-                   for k in range(transform.steps)],
-        "transformed": {name: None if getattr(star, name) is None
-                        else getattr(star, name).tolist()
-                        for name in ("Bstar", "Dstar", "wstar", "vstar", "gain_star")},
+                   for k in range(steps)],
+        "transformed": {
+            "Bstar": square.B[:steps].tolist(),
+            "Dstar": None if transform.kind == "gamma" else square.D[:steps].tolist(),
+            "wstar": square.w[:steps].tolist(), "vstar": square.v.tolist(),
+            "gain_star": transform.gain_products.tolist()},
     }
 
 
 @pytest.mark.parametrize("steps,p,m,n,star_steps,feedthrough", [
     (5, 1, 2, 2, 5, True),
-    (4, 2, 3, 1, 3, False),   # the gamma kind: no Dstar, star stacks one step shorter
+    (4, 2, 3, 1, 3, False),   # the gamma kind: Dstar is null
     (3, 0, 2, 2, 3, True),    # empty per-step gain products
     (0, 1, 2, 1, 0, True),    # no steps at all
     (2, 1, 2, 0, 2, False),   # a zero-length state axis
@@ -1008,19 +1012,18 @@ def _reference_transform_doc(transform, star):
 def test_transform_json_equals_indented_json_dumps(steps, p, m, n, star_steps, feedthrough):
     rng = np.random.default_rng(steps * 100 + p * 10 + m)
     transform = SimpleNamespace(
-        kind="q" if feedthrough else "p", p=p, m=m, steps=steps,
+        kind="xi" if feedthrough else "gamma", p=p, m=m, steps=steps,
         col_perm=np.array([rng.permutation(m) for _ in range(steps)], dtype=np.intp)
         .reshape(steps, m),
         T=_special_values(rng, (steps, m, m)), Tinv=_special_values(rng, (steps, m, m)),
         gain_products=_special_values(rng, (steps, p, p)))
-    star = SimpleNamespace(
-        Bstar=_special_values(rng, (star_steps, n, p)),
-        Dstar=_special_values(rng, (star_steps, p, p)) if feedthrough else None,
-        wstar=_special_values(rng, (star_steps, n, 1)),
-        vstar=_special_values(rng, (star_steps + 1, p, 1)),
-        gain_star=_special_values(rng, (steps, p, p)))
-    assert ilcset.cli._transform_json(transform, star) == json.dumps(
-        _reference_transform_doc(transform, star), indent=2)
+    square = SimpleNamespace(
+        B=_special_values(rng, (star_steps, n, p)),
+        D=_special_values(rng, (star_steps, p, p)),
+        w=_special_values(rng, (star_steps, n, 1)),
+        v=_special_values(rng, (star_steps + 1, p, 1)))
+    assert ilcset.cli._transform_json(transform, square) == json.dumps(
+        _reference_transform_doc(transform, square), indent=2)
 
 
 @pytest.mark.parametrize("L,steps,p,recorded", [

@@ -6,7 +6,7 @@ import pytest
 from ilcset.conditions import check_rho_cb_gamma, check_rho_dxi
 from ilcset.errors import ConditionViolatedError, IlcsetError
 from ilcset.matrix_core import inf_norm, invert, spectral_radius
-from ilcset.plant import UncertaintySpec, sample_iteration
+from ilcset.plant import NominalSystem, UncertaintySpec, sample_iteration, simulate
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import (
     assemble_input,
@@ -208,9 +208,9 @@ def test_squared_feedthrough_is_identity_when_clean(example1_clean, q_example1):
     realized = sample_iteration(example1_clean.system, example1_clean.uncertainty, 0)
     ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
     for k in range(101):
-        assert inf_norm(ts.Dstar[k] - np.eye(2)) <= 1e-9
-        np.testing.assert_array_equal(ts.wstar[k], realized.w[k])
-        np.testing.assert_array_equal(ts.vstar[k], realized.v[k])
+        assert inf_norm(ts.D[k] - np.eye(2)) <= 1e-9
+        np.testing.assert_array_equal(ts.w[k], realized.w[k])
+        np.testing.assert_array_equal(ts.v[k], realized.v[k])
 
 
 def test_squared_feedthrough_shift_equals_pushed_delta(example1, q_example1):
@@ -219,7 +219,7 @@ def test_squared_feedthrough_shift_equals_pushed_delta(example1, q_example1):
     for k in range(101):
         delta_D = realized.D[k] - example1.system.D.at(k)
         pushed = delta_D[:, q_example1.col_perm[k]] @ q_example1.active_columns[k]
-        assert inf_norm((ts.Dstar[k] - np.eye(2)) - pushed) <= 1e-10
+        assert inf_norm((ts.D[k] - np.eye(2)) - pushed) <= 1e-10
 
 
 def test_initial_input_correction_two_routes(example1, q_example1):
@@ -234,20 +234,20 @@ def test_initial_input_correction_two_routes(example1, q_example1):
         frozen = q_example1.T[k][2:, :] @ u0p
         back = q_example1.Tinv[k][:, 2:] @ frozen
         expected_w = realized.w[k] + realized.B[k][:, perm] @ back
-        np.testing.assert_allclose(ts.wstar[k], expected_w, atol=1e-12)
+        np.testing.assert_allclose(ts.w[k], expected_w, atol=1e-12)
 
 
 def test_spectrum_agreement_under_squaring(example1, q_example1):
-    # The three loop matrices I - gain_star @ Dstar, I - Dstar @ gain_star,
+    # The three loop matrices I - gain_star @ D, I - D @ gain_star,
     # and I - D_l @ Xi share a spectrum.
     for l in (0, 3, 11):
         realized = sample_iteration(example1.system, example1.uncertainty, l)
         ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
         for k in (0, 17, 50, 100):
-            gain_star = ts.gain_star[k]
+            gain_star = q_example1.gain_products[k]
             eigs = [
-                np.sort_complex(np.linalg.eigvals(np.eye(2) - gain_star @ ts.Dstar[k])),
-                np.sort_complex(np.linalg.eigvals(np.eye(2) - ts.Dstar[k] @ gain_star)),
+                np.sort_complex(np.linalg.eigvals(np.eye(2) - gain_star @ ts.D[k])),
+                np.sort_complex(np.linalg.eigvals(np.eye(2) - ts.D[k] @ gain_star)),
                 np.sort_complex(np.linalg.eigvals(
                     np.eye(2) - realized.D[k] @ example1.xi.at(k))),
             ]
@@ -258,11 +258,13 @@ def test_spectrum_agreement_under_squaring(example1, q_example1):
 def test_feedthrough_free_squaring_unit_coupling(example2, p_example2):
     realized = sample_iteration(example2.system, example2.uncertainty, 2)
     ts = apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
-    assert ts.Dstar is None
+    assert ts.B.shape == (101, 4, 2) and ts.D.shape == (101, 2, 2)
+    assert not ts.D.any() and not ts.B[100].any()
+    np.testing.assert_array_equal(ts.w[100], realized.w[100])
     for k in range(100):
-        residual = inf_norm(example2.system.C.at(k + 1) @ ts.Bstar[k] - np.eye(2))
+        residual = inf_norm(example2.system.C.at(k + 1) @ ts.B[k] - np.eye(2))
         assert residual <= 1e-9
-        np.testing.assert_array_equal(ts.wstar[k], realized.w[k])
+        np.testing.assert_array_equal(ts.w[k], realized.w[k])
 
 
 def test_feedthrough_free_loop_matrices_coincide(example2, p_example2):
@@ -288,11 +290,10 @@ def test_scalar_chain_unit_coupling():
     sys_like = sample_iteration_scalar_chain(N)
     ts = apply_p_transform(sys_like, p, np.zeros((N + 1, 1, 1)))
     for k in range(N):
-        assert ts.Bstar[k][0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert ts.B[k][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def sample_iteration_scalar_chain(N):
-    from ilcset.plant import NominalSystem
     zeros = MatrixSchedule.from_values([[0.0]], N)
     ones = MatrixSchedule.from_values([[1.0]], N)
     sys = NominalSystem(n=1, m=1, p=1, N=N, A=zeros, B=ones, C=ones, D=zeros,
@@ -308,6 +309,74 @@ def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_exampl
     with_feedthrough = sample_iteration(example1.system, example1.uncertainty, 0)
     with pytest.raises(IlcsetError, match="feedthrough must be zero, nonzero at k=0"):
         apply_p_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
+
+
+# --- the square plant runs as the original ---------------------------------
+
+def _random_square_case(family, seed):
+    """A seeded plant with p = 2 < m = 4: time-varying A, a constant coupling
+    (D for "xi", C B for "gamma") and a gain of half its right inverse.
+    Returns (system, uncertainty, transform, apply)."""
+    rng = np.random.default_rng(seed)
+    n, m, p, N = 3, 4, 2, 12
+
+    def const(rows, cols, scale=1.0):
+        return MatrixSchedule.from_values(scale * rng.normal(size=(rows, cols)), N)
+
+    A = build_schedule([[f"{0.3 * rng.normal()!r} + {0.2 * rng.normal()!r}"
+                         f"*sin({rng.uniform(0.05, 3.0)!r}*k)" for _ in range(n)]
+                        for _ in range(n)], N)
+    B, C = const(n, m), const(p, n)
+    D = const(p, m) if family == "xi" else MatrixSchedule.from_values(np.zeros((p, m)), N)
+    coupling = D.values[0] if family == "xi" else C.values[0] @ B.values[0]
+    gain = MatrixSchedule.from_values(
+        0.5 * coupling.T @ np.linalg.inv(coupling @ coupling.T), N)
+    system = NominalSystem(n=n, m=m, p=p, N=N, A=A, B=B, C=C, D=D, w=const(n, 1),
+                           v=const(p, 1), r=const(p, 1), x0=rng.normal(size=(n, 1)))
+    if family == "xi":
+        unc = UncertaintySpec(amp_A=0.05, amp_B=0.05, amp_C=0.05, amp_D=0.05,
+                              amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
+        return system, unc, build_q_transform(D, gain), apply_q_transform
+    unc = UncertaintySpec(amp_A=0.05, amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
+    return system, unc, build_p_transform(B, C, gain), apply_p_transform
+
+
+@pytest.mark.parametrize("case", ["example1", "example2", "random-xi", "random-gamma"])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_square_plant_simulates_as_the_original(request, case, seed):
+    # The SET's claim: driven by u1 alone, the square plant has the states
+    # and outputs the original has under the input that u1 and the frozen
+    # channels of u0 assemble to.
+    if case.startswith("example"):
+        cfg = request.getfixturevalue(case)
+        system, unc = cfg.system, cfg.uncertainty._replace(seed=seed)
+        if case == "example1":
+            transform, apply = request.getfixturevalue("q_example1"), apply_q_transform
+        else:
+            transform, apply = request.getfixturevalue("p_example2"), apply_p_transform
+    else:
+        system, unc, transform, apply = _random_square_case(case[len("random-"):], seed)
+    N, steps, p = system.N, transform.steps, transform.p
+    for l in (0, 1, 2):
+        rng = np.random.default_rng([seed, l])
+        realized = sample_iteration(system, unc, l)
+        u0 = rng.normal(size=(N + 1, system.m, 1))
+        u1 = rng.normal(size=(N + 1, p, 1))
+        square = apply(realized, transform, u0)
+        frozen = split_input(transform, u0[:steps])[1]
+        u = np.concatenate([assemble_input(transform, u1[:steps], frozen), u0[steps:]])
+        x, y = simulate(realized, u)
+        x_square, y_square = simulate(square, u1)
+        for original, squared in ((x, x_square), (y, y_square)):
+            gap = np.abs(squared - original).max()
+            assert gap <= 1e-12 * max(1.0, np.abs(original).max())
+        assert square.B.shape == (N + 1, system.n, p) and square.D.shape == (N + 1, p, p)
+        if transform.kind == "gamma":
+            # The active input at k = N drives nothing.
+            u1[N] = rng.normal(size=(p, 1))
+            x_again, y_again = simulate(square, u1)
+            np.testing.assert_array_equal(x_again, x_square)
+            np.testing.assert_array_equal(y_again, y_square)
 
 
 # --- split / assemble ------------------------------------------------------
@@ -373,16 +442,15 @@ def test_stacked_squaring_matches_per_step_products_exactly():
     for k in range(N + 1):
         perm = q.col_perm[k]
         correction = q.frozen_mix[k] @ u0[k][perm, :]
-        np.testing.assert_array_equal(ts.wstar[k],
+        np.testing.assert_array_equal(ts.w[k],
                                       realized.w[k] + realized.B[k][:, perm] @ correction)
-        np.testing.assert_array_equal(ts.Bstar[k],
+        np.testing.assert_array_equal(ts.B[k],
                                       realized.B[k][:, perm] @ q.active_columns[k])
     u1, u2 = split_input(q, u0)
     np.testing.assert_allclose(assemble_input(q, u1, u2), u0, atol=1e-12)
 
 
 def sample_iteration_wide_plant(N):
-    from ilcset.plant import NominalSystem
     return NominalSystem(
         n=2, m=4, p=1, N=N,
         A=MatrixSchedule.from_values([[0.5, 0.1], [0.0, 0.3]], N),
