@@ -417,17 +417,14 @@ def _transform_json(transform, square) -> str:
 
 
 def cmd_transform(args) -> int:
-    from .set_transform import apply_p_transform, apply_q_transform
+    from .set_transform import apply_transform
 
     if args.out is None:
         _require_open("stdout")
     cfg = _build_config(args)
     transform = _build_transform(cfg)
     realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
-    if cfg.mode in GAMMA_MODES:
-        square = apply_p_transform(realized, transform, cfg.u0)
-    else:
-        square = apply_q_transform(realized, transform, cfg.u0)
+    square = apply_transform(realized, transform, cfg.u0)
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else open(args.out, "w", encoding="utf-8")) as fh:
         fh.write(_transform_json(transform, square))

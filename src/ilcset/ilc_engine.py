@@ -395,24 +395,23 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
     # Imported here, so that a direct run never loads the transform module.
     from .set_transform import assemble_input, split_input
 
-    m, p, N = sys.m, sys.p, sys.N
-    zero_gains = np.zeros((N + 1, m, p))
     look_ahead = cfg.mode in GAMMA_MODES
-    if transform.kind != ("gamma" if look_ahead else "xi"):
+    # The look-ahead family is defined on k in 0..N-1 and learns from e(k+1).
+    active_steps = transform.steps
+    shift = sys.N + 1 - active_steps
+    if transform.kind != ("gamma" if look_ahead else "xi") or shift != look_ahead:
         raise IlcsetError(f"{cfg.mode} needs a " + (
             "state-coupled transform on k in 0..N-1" if look_ahead
-            else "feedthrough-coupled transform"))
+            else "feedthrough-coupled transform on k in 0..N"))
+    zero_gains = np.zeros((sys.N + 1, sys.m, sys.p))
     if look_ahead:
-        active_steps = N
         xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
     else:
-        active_steps = N + 1
         xi_seq, gamma_seq = transform.gain, zero_gains
 
     u0 = _initial_input(cfg, seeds)
     u1, frozen = split_input(transform, u0[:active_steps])
     tail = u0[active_steps:]
-    shift = int(look_ahead)
 
     def assemble(active: np.ndarray) -> np.ndarray:
         return np.concatenate([assemble_input(transform, active, frozen), tail])

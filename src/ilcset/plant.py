@@ -126,9 +126,8 @@ class RealizedIteration(NamedTuple):
     Every per-step field is a stacked (N+1, rows, cols) array.  The trial
     loop stacks the draws of its S seeds (S = 1 for one spec) as (N+1, S,
     rows, cols), with a unit seed axis on the fields no seed perturbs, and
-    x0 as (S or 1, n, 1).  set_transform's apply_q_transform and
-    apply_p_transform return the SET's square plant in this form, with p
-    inputs.
+    x0 as (S or 1, n, 1).  set_transform.apply_transform returns the SET's
+    square plant of either family in this form, with p inputs.
     """
 
     l: int

@@ -97,7 +97,7 @@ def _tokenize(src: str) -> list[_Token]:
                 raise ParseError("malformed number", i, expected=("number",))
             tokens.append(_Token("number", m.group(), i))
             i = m.end()
-        elif ch.isalpha() or ch == "_":
+        elif ch.isascii() and (ch.isalpha() or ch == "_"):
             m = _IDENT_RE.match(src, i)
             tokens.append(_Token("ident", m.group(), i))
             i = m.end()

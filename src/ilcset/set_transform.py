@@ -107,8 +107,9 @@ class InputTransform:
     ``kind`` names the family.  "xi" couples through the feedthrough D(k)
     with gain Xi(k) on k in 0..N.  "gamma" couples through C(k+1)B(k) with
     gain Gamma(k) on k in 0..N-1, and keeps the nominal B/C stacks
-    ``b_cache``/``c_cache`` (None for "xi"), so the repetitive precondition
-    can be enforced when transforming a realization.
+    ``b_cache``/``c_cache`` (None for "xi"), which apply_transform requires
+    a realization to repeat.  apply_transform reads the family from
+    ``kind`` and the horizon from ``steps``.
     """
 
     def __init__(self, kind: str, coupling, gain, perms, report: ConditionReport,
@@ -188,32 +189,6 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
                           b_cache=B.values, c_cache=C.values)
 
 
-def _initial_input_correction(transform: InputTransform, u0: np.ndarray) -> np.ndarray:
-    return transform.frozen_mix @ _take_rows(u0, transform.col_perm)
-
-
-def apply_q_transform(realized: RealizedIteration, q: InputTransform,
-                       u0) -> RealizedIteration:
-    """Square the feedthrough-coupled plant for one realized iteration, as
-    a RealizedIteration with p inputs that simulate runs.
-
-    The realized B/D matrices are pushed through the inverse's active
-    columns; the disturbance and noise pick up the frozen-channel share of
-    the initial input.
-    """
-    if q.steps != realized.N + 1:
-        raise IlcsetError(f"transform defined on {q.steps} steps, plant horizon {realized.N}")
-    if realized.D.shape[1:] != (q.p, q.m):
-        raise IlcsetError(f"plant D shape {realized.D.shape[1:]} vs transform {(q.p, q.m)}")
-    if len(u0) != realized.N + 1:
-        raise IlcsetError("initial input length mismatch")
-    Bk = _take_columns(realized.B, q.col_perm)
-    Dk = _take_columns(realized.D, q.col_perm)
-    correction = _initial_input_correction(q, np.asarray(u0, dtype=np.float64))
-    return realized._replace(B=Bk @ q.active_columns, D=Dk @ q.active_columns,
-                             w=realized.w + Bk @ correction, v=realized.v + Dk @ correction)
-
-
 def _first_mismatch(checks) -> None:
     """Raise IlcsetError for the earliest flagged step, in check order."""
     first = min((int(np.argmax(flags)) for _, flags in checks if flags.any()),
@@ -225,39 +200,52 @@ def _first_mismatch(checks) -> None:
             raise IlcsetError(f"{message} at k={first}")
 
 
-def apply_p_transform(realized: RealizedIteration, p: InputTransform,
-                       u0) -> RealizedIteration:
-    """Square the feedthrough-free plant for one realized iteration, as a
+def apply_transform(realized: RealizedIteration, transform: InputTransform,
+                    u0) -> RealizedIteration:
+    """Square the plant of one realized iteration for either family, as a
     RealizedIteration with p inputs that simulate runs.
 
-    Requires the realization to match the transform's nominal B and C
-    exactly (repetitive input/output maps) and to have zero feedthrough.
-    The resulting coupling satisfies C(k+1) B(k) = I on k in 0..N-1.  The
-    transform stops at N - 1, so B(N) = 0 and D = 0: the active input at
-    k = N drives nothing, as u(N) drives nothing in the original plant.
+    On the transform's steps the realized B is pushed through the
+    inverse's active columns, and w picks up the frozen-channel share of
+    the initial input; for "xi", D and v are treated the same way.  "gamma"
+    requires the realization to match the transform's nominal B and C
+    exactly (repetitive input/output maps) and to have zero feedthrough;
+    its coupling then satisfies C(k+1) B(k) = I on k in 0..N-1.  It stops
+    at N - 1, so B(N) = 0 and D = 0: the active input at k = N drives
+    nothing, as u(N) drives nothing in the original plant.
     """
-    if p.steps != realized.N:
-        raise IlcsetError(f"transform defined on {p.steps} steps, expected {realized.N}")
-    if len(u0) != realized.N + 1:
-        raise IlcsetError("initial input length mismatch")
-    _first_mismatch((
-        ("feedthrough must be zero, nonzero", np.any(realized.D != 0.0, axis=(1, 2))),
-        ("B is nonrepetitive", np.any(realized.B != p.b_cache, axis=(1, 2))),
-        ("C is nonrepetitive", np.any(realized.C != p.c_cache, axis=(1, 2))),
-    ))
-    N = realized.N
-    Bk = _take_columns(p.b_cache[:N], p.col_perm)
-    Bstar = Bk @ p.active_columns
-    residuals = inf_norms(p.c_cache[1:] @ Bstar - np.eye(p.p))
+    steps, p, m, N = transform.steps, transform.p, transform.m, realized.N
+    look_ahead = transform.kind == "gamma"
+    if steps != N + 1 - look_ahead:
+        raise IlcsetError(f"{transform.kind} transform defined on {steps} steps, "
+                          f"plant horizon {N}")
+    u0 = np.asarray(u0, dtype=np.float64)
+    if u0.shape != (N + 1, m, 1):
+        raise IlcsetError(f"initial input shape {u0.shape}, expected {(N + 1, m, 1)}")
+    if realized.D.shape[1:] != (p, m):
+        raise IlcsetError(f"plant D shape {realized.D.shape[1:]} vs transform {(p, m)}")
+    if look_ahead:
+        _first_mismatch((
+            ("feedthrough must be zero, nonzero", np.any(realized.D != 0.0, axis=(1, 2))),
+            ("B is nonrepetitive", np.any(realized.B != transform.b_cache, axis=(1, 2))),
+            ("C is nonrepetitive", np.any(realized.C != transform.c_cache, axis=(1, 2))),
+        ))
+    Bk = _take_columns(realized.B[:steps], transform.col_perm)
+    Bstar = Bk @ transform.active_columns
+    correction = transform.frozen_mix @ _take_rows(u0[:steps], transform.col_perm)
+    wstar = realized.w[:steps] + Bk @ correction
+    if not look_ahead:
+        Dk = _take_columns(realized.D, transform.col_perm)
+        return realized._replace(B=Bstar, D=Dk @ transform.active_columns, w=wstar,
+                                 v=realized.v + Dk @ correction)
+    residuals = inf_norms(realized.C[1:] @ Bstar - np.eye(p))
     too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
     if too_large.size:
         k = int(too_large[0])
         raise IlcsetError(f"coupling inverse residual {residuals[k]:.3e} at k={k}")
-    correction = _initial_input_correction(p, np.asarray(u0, dtype=np.float64)[:N])
     return realized._replace(B=np.concatenate([Bstar, np.zeros((1,) + Bstar.shape[1:])]),
-                             D=np.zeros((N + 1, p.p, p.p)),
-                             w=np.concatenate([realized.w[:N] + Bk @ correction,
-                                               realized.w[N:]]))
+                             D=np.zeros((N + 1, p, p)),
+                             w=np.concatenate([wstar, realized.w[N:]]))
 
 
 def split_input(transform: InputTransform, u):

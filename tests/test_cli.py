@@ -24,7 +24,7 @@ from ilcset.cli import main
 from ilcset.errors import SchemaError
 from ilcset.ilc_engine import GAMMA_MODES, MODES
 from ilcset.plant import sample_iteration
-from ilcset.presets import build_preset
+from ilcset.presets import build_preset, preset_config
 
 CSV_HEADER = "l,E_inf,U_inf,res_err_rec,res_in_rec"
 
@@ -461,6 +461,17 @@ def test_expression_nested_too_deeply_is_a_config_error(tmp_path, capsys, cell, 
     path.write_text(json.dumps(doc))
     assert main(["check", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: /system/A/0/0: {detail}\n"
+
+
+def test_non_ascii_cell_is_a_config_error(tmp_path, capsys):
+    doc = preset_config("example1")
+    doc["system"]["A"][0][0] = "é"
+    path = tmp_path / "accent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /system/A/0/0: parse: unexpected character 'é' ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],

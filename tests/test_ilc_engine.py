@@ -560,3 +560,18 @@ def test_counterpart_kind_checked_against_mode(request, plant, mode, transform, 
             IlcConfig(mode=mode, iterations=2, u0=cfg.u0), counterpart=transform,
             sink=trials.append)
     assert trials == []
+
+
+def test_transform_horizon_checked_against_plant(example1):
+    # The right family, built on N = 98 for a plant with N = 100.
+    cfg, N = example1, 98
+    transform = ilcset.set_transform.build_q_transform(
+        MatrixSchedule.from_values(cfg.system.D.values[0], N),
+        MatrixSchedule.from_values(cfg.xi.values[0], N))
+    trials = []
+    with pytest.raises(IlcsetError, match=r"transformed-xi needs a feedthrough-coupled "
+                                          r"transform on k in 0\.\.N$"):
+        run_transformed(cfg.system, cfg.uncertainty, transform,
+                        IlcConfig(mode="transformed-xi", iterations=2, u0=cfg.u0),
+                        sink=trials.append)
+    assert trials == []

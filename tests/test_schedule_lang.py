@@ -62,6 +62,13 @@ def test_unknown_identifier():
         parse_expr("q+1")
 
 
+@pytest.mark.parametrize("src, offset", [("é", 0), ("ß", 0), ("2*µ", 2), ("kµ", 1)])
+def test_non_ascii_letter_is_an_unexpected_character(src, offset):
+    with pytest.raises(ParseError, match=f"unexpected character {src[offset]!r} "
+                                         f"at offset {offset}"):
+        parse_expr(src)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError) as err:
         parse_expr("1 2")

@@ -1,5 +1,7 @@
 """Input-space transforms: block formulas, inverses, and squared systems."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,7 @@ from ilcset.set_transform import (
     build_q_transform,
     select_nonsingular_block,
     split_input,
-    apply_q_transform,
-    apply_p_transform,
+    apply_transform,
 )
 
 
@@ -206,7 +207,7 @@ def test_full_rank_coupling_always_admits_a_gain():
 
 def test_squared_feedthrough_is_identity_when_clean(example1_clean, q_example1):
     realized = sample_iteration(example1_clean.system, example1_clean.uncertainty, 0)
-    ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
+    ts = apply_transform(realized, q_example1, np.zeros((101, 3, 1)))
     for k in range(101):
         assert inf_norm(ts.D[k] - np.eye(2)) <= 1e-9
         np.testing.assert_array_equal(ts.w[k], realized.w[k])
@@ -215,7 +216,7 @@ def test_squared_feedthrough_is_identity_when_clean(example1_clean, q_example1):
 
 def test_squared_feedthrough_shift_equals_pushed_delta(example1, q_example1):
     realized = sample_iteration(example1.system, example1.uncertainty, 4)
-    ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
+    ts = apply_transform(realized, q_example1, np.zeros((101, 3, 1)))
     for k in range(101):
         delta_D = realized.D[k] - example1.system.D.at(k)
         pushed = delta_D[:, q_example1.col_perm[k]] @ q_example1.active_columns[k]
@@ -226,7 +227,7 @@ def test_initial_input_correction_two_routes(example1, q_example1):
     realized = sample_iteration(example1.system, example1.uncertainty, 1)
     rng = np.random.default_rng(3)
     u0 = [rng.normal(size=(3, 1)) for _ in range(101)]
-    ts = apply_q_transform(realized, q_example1, u0)
+    ts = apply_transform(realized, q_example1, u0)
     for k in range(0, 101, 10):
         perm = q_example1.col_perm[k]
         u0p = u0[k][perm, :]
@@ -242,7 +243,7 @@ def test_spectrum_agreement_under_squaring(example1, q_example1):
     # and I - D_l @ Xi share a spectrum.
     for l in (0, 3, 11):
         realized = sample_iteration(example1.system, example1.uncertainty, l)
-        ts = apply_q_transform(realized, q_example1, np.zeros((101, 3, 1)))
+        ts = apply_transform(realized, q_example1, np.zeros((101, 3, 1)))
         for k in (0, 17, 50, 100):
             gain_star = q_example1.gain_products[k]
             eigs = [
@@ -257,7 +258,7 @@ def test_spectrum_agreement_under_squaring(example1, q_example1):
 
 def test_feedthrough_free_squaring_unit_coupling(example2, p_example2):
     realized = sample_iteration(example2.system, example2.uncertainty, 2)
-    ts = apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
+    ts = apply_transform(realized, p_example2, np.zeros((101, 3, 1)))
     assert ts.B.shape == (101, 4, 2) and ts.D.shape == (101, 2, 2)
     assert not ts.D.any() and not ts.B[100].any()
     np.testing.assert_array_equal(ts.w[100], realized.w[100])
@@ -288,7 +289,7 @@ def test_scalar_chain_unit_coupling():
         Gamma=MatrixSchedule.from_values([[0.8]], N),
     )
     sys_like = sample_iteration_scalar_chain(N)
-    ts = apply_p_transform(sys_like, p, np.zeros((N + 1, 1, 1)))
+    ts = apply_transform(sys_like, p, np.zeros((N + 1, 1, 1)))
     for k in range(N):
         assert ts.B[k][0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -305,10 +306,47 @@ def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_exampl
     noisy_b = UncertaintySpec(amp_B=0.01, seed=1)
     realized = sample_iteration(example2.system, noisy_b, 0)
     with pytest.raises(IlcsetError, match="B is nonrepetitive at k=0"):
-        apply_p_transform(realized, p_example2, np.zeros((101, 3, 1)))
+        apply_transform(realized, p_example2, np.zeros((101, 3, 1)))
     with_feedthrough = sample_iteration(example1.system, example1.uncertainty, 0)
     with pytest.raises(IlcsetError, match="feedthrough must be zero, nonzero at k=0"):
-        apply_p_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
+        apply_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
+
+
+@pytest.mark.parametrize("family, steps, plant_N", [("xi", 3, 3), ("gamma", 2, 1)])
+def test_transform_on_the_other_familys_horizon_is_rejected(family, steps, plant_N):
+    # Built on N = 2, "xi" has 3 steps, the "gamma" horizon of a plant with
+    # N = 3; "gamma" has 2, the "xi" horizon of a plant with N = 1.
+    one, half = (MatrixSchedule.from_values([[value]], 2) for value in (1.0, 0.5))
+    transform = (build_q_transform(one, half) if family == "xi"
+                 else build_p_transform(one, one, half))
+    assert transform.steps == steps
+    with pytest.raises(IlcsetError, match=f"{family} transform defined on {steps} steps, "
+                                          f"plant horizon {plant_N}"):
+        apply_transform(sample_iteration_scalar_chain(plant_N), transform,
+                        np.zeros((plant_N + 1, 1, 1)))
+
+
+@pytest.mark.parametrize("plant, transform", [("example1", "q_example1"),
+                                              ("example2", "p_example2")])
+def test_wrong_input_count_is_rejected(request, plant, transform):
+    # The realization keeps two of the transform's three inputs.
+    cfg = request.getfixturevalue(plant)
+    realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
+    two_inputs = realized._replace(B=realized.B[:, :, :2], D=realized.D[:, :, :2])
+    with pytest.raises(IlcsetError, match=r"plant D shape \(2, 2\) vs transform \(2, 3\)"):
+        apply_transform(two_inputs, request.getfixturevalue(transform),
+                        np.zeros((101, 3, 1)))
+
+
+@pytest.mark.parametrize("plant, transform", [("example1", "q_example1"),
+                                              ("example2", "p_example2")])
+@pytest.mark.parametrize("shape", [(100, 3, 1), (101, 2, 1), (101, 4, 1), (101, 3)])
+def test_initial_input_of_the_wrong_shape_is_rejected(request, plant, transform, shape):
+    cfg = request.getfixturevalue(plant)
+    realized = sample_iteration(cfg.system, cfg.uncertainty, 0)
+    with pytest.raises(IlcsetError, match=re.escape(f"initial input shape {shape}, "
+                                                    "expected (101, 3, 1)")):
+        apply_transform(realized, request.getfixturevalue(transform), np.zeros(shape))
 
 
 # --- the square plant runs as the original ---------------------------------
@@ -316,7 +354,7 @@ def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_exampl
 def _random_square_case(family, seed):
     """A seeded plant with p = 2 < m = 4: time-varying A, a constant coupling
     (D for "xi", C B for "gamma") and a gain of half its right inverse.
-    Returns (system, uncertainty, transform, apply)."""
+    Returns (system, uncertainty, transform)."""
     rng = np.random.default_rng(seed)
     n, m, p, N = 3, 4, 2, 12
 
@@ -336,9 +374,9 @@ def _random_square_case(family, seed):
     if family == "xi":
         unc = UncertaintySpec(amp_A=0.05, amp_B=0.05, amp_C=0.05, amp_D=0.05,
                               amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
-        return system, unc, build_q_transform(D, gain), apply_q_transform
+        return system, unc, build_q_transform(D, gain)
     unc = UncertaintySpec(amp_A=0.05, amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
-    return system, unc, build_p_transform(B, C, gain), apply_p_transform
+    return system, unc, build_p_transform(B, C, gain)
 
 
 @pytest.mark.parametrize("case", ["example1", "example2", "random-xi", "random-gamma"])
@@ -350,19 +388,17 @@ def test_square_plant_simulates_as_the_original(request, case, seed):
     if case.startswith("example"):
         cfg = request.getfixturevalue(case)
         system, unc = cfg.system, cfg.uncertainty._replace(seed=seed)
-        if case == "example1":
-            transform, apply = request.getfixturevalue("q_example1"), apply_q_transform
-        else:
-            transform, apply = request.getfixturevalue("p_example2"), apply_p_transform
+        transform = request.getfixturevalue("q_example1" if case == "example1"
+                                             else "p_example2")
     else:
-        system, unc, transform, apply = _random_square_case(case[len("random-"):], seed)
+        system, unc, transform = _random_square_case(case[len("random-"):], seed)
     N, steps, p = system.N, transform.steps, transform.p
     for l in (0, 1, 2):
         rng = np.random.default_rng([seed, l])
         realized = sample_iteration(system, unc, l)
         u0 = rng.normal(size=(N + 1, system.m, 1))
         u1 = rng.normal(size=(N + 1, p, 1))
-        square = apply(realized, transform, u0)
+        square = apply_transform(realized, transform, u0)
         frozen = split_input(transform, u0[:steps])[1]
         u = np.concatenate([assemble_input(transform, u1[:steps], frozen), u0[steps:]])
         x, y = simulate(realized, u)
@@ -438,7 +474,7 @@ def test_stacked_squaring_matches_per_step_products_exactly():
     realized = sample_iteration(sys, UncertaintySpec(amp_B=0.1, amp_w=0.1, seed=3), 2)
     rng = np.random.default_rng(8)
     u0 = rng.normal(size=(N + 1, 4, 1))
-    ts = apply_q_transform(realized, q, u0)
+    ts = apply_transform(realized, q, u0)
     for k in range(N + 1):
         perm = q.col_perm[k]
         correction = q.frozen_mix[k] @ u0[k][perm, :]
