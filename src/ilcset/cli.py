@@ -44,7 +44,7 @@ if TYPE_CHECKING:
 CSV_HEADER = ("l", "E_inf", "U_inf", "res_err_rec", "res_in_rec")
 _BLOCK = 128  # trajectory rows formatted at a time
 EQUIVALENCE_TOL = 1e-9
-_SWEEP_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+_SWEEP_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)")
 
 def _fmt(x: float) -> str:
     """Shortest decimal that round-trips, for reproducible output."""

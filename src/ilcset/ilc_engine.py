@@ -24,11 +24,14 @@ from .config import GAMMA_MODES, MODES
 from .errors import IlcsetError, NonFiniteError
 from .matrix_core import per_step
 from .plant import (
+    CHANNELS,
     SCHEDULES,
     Checked,
     NominalSystem,
     RealizedIteration,
     UncertaintySpec,
+    _perturbed,
+    _seed_stacks,
     sample_iteration,
     simulate,
 )
@@ -172,10 +175,22 @@ def _precheck(report: ConditionReport) -> tuple:
             f"at k={report.worst_k}; the run may diverge",)
 
 
+def _error_loop(D, xi_seq) -> np.ndarray:
+    """I - D Xi at every k."""
+    return np.eye(D.shape[-2]) - D @ per_step(xi_seq, D)
+
+
+def _input_loop(look_ahead, cur, u, xi_seq, gamma_seq) -> np.ndarray:
+    """I - Xi D at every k, or I - Gamma C(k+1) B(k) on k in 0..N-1."""
+    if look_ahead:
+        return np.eye(u.shape[-2]) - per_step(gamma_seq[:-1], u) @ cur.C[1:] @ cur.B[:-1]
+    return np.eye(u.shape[-2]) - per_step(xi_seq, u) @ cur.D
+
+
 def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
                      x_cur: np.ndarray, x_nxt: np.ndarray, e_cur: np.ndarray,
                      e_nxt: np.ndarray, u_cur: np.ndarray, u_nxt: np.ndarray,
-                     xi_seq: np.ndarray) -> tuple:
+                     xi_seq: np.ndarray, fixed=(), loop=None) -> tuple:
     """Worst residuals of one transition l -> l+1 of the error recursion
     e_{l+1} = (I - D_l Xi) e_l + tau_l and of the state difference in tau_l.
 
@@ -184,44 +199,53 @@ def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
     difference itself obeys a companion recursion, re-derived and checked
     alongside.  All shifted-matrix products are taken in the dimensionally
     meaningful order (matrix shift times vector), at every k at once.
-    Returns both worst residuals per seed (see _worst).
+    The shifts of B, C and D are left out when fixed, the channels no seed
+    perturbs, holds them: they are exact zeros.  loop, when given, is
+    _error_loop's.  Returns both worst residuals per seed (see _worst).
     """
     N = len(x_cur) - 1
     dx = x_nxt - x_cur
-    tau = (-cur.C @ dx - (nxt.C - cur.C) @ x_nxt - (nxt.D - cur.D) @ u_nxt
-           + (nxt.r - cur.r) - (nxt.v - cur.v))
-    loop = np.eye(e_cur.shape[-2]) - cur.D @ per_step(xi_seq, cur.D)
+    tau = -cur.C @ dx
+    if "C" not in fixed:
+        tau -= (nxt.C - cur.C) @ x_nxt
+    if "D" not in fixed:
+        tau -= (nxt.D - cur.D) @ u_nxt
+    tau += nxt.r - cur.r
+    tau -= nxt.v - cur.v
+    if loop is None:
+        loop = _error_loop(cur.D, xi_seq)
     residual = e_nxt - loop @ e_cur - tau
-    predicted = (cur.A[:N] @ dx[:N] + (nxt.A[:N] - cur.A[:N]) @ x_nxt[:N]
-                 + cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
-                 + (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N] + (nxt.w[:N] - cur.w[:N]))
+    predicted = cur.A[:N] @ dx[:N]
+    predicted += (nxt.A[:N] - cur.A[:N]) @ x_nxt[:N]
+    predicted += cur.B[:N] @ (u_nxt[:N] - u_cur[:N])
+    if "B" not in fixed:
+        predicted += (nxt.B[:N] - cur.B[:N]) @ u_nxt[:N]
+    predicted += nxt.w[:N] - cur.w[:N]
     return _worst(residual), _worst(dx[1:] - predicted)
 
 
 def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
                     u_cur: np.ndarray, u_nxt: np.ndarray,
-                    xi_seq: np.ndarray, gamma_seq: np.ndarray) -> float:
+                    xi_seq: np.ndarray, gamma_seq: np.ndarray, loop=None) -> float:
     """Worst residual of one transition l -> l+1 of the input's own dynamics.
 
     Current-error modes: u_{l+1} = (I - Xi D_l) u_l + Xi (r_l - C_l x_l - v_l).
     Look-ahead modes eliminate e_l(k+1) through the one-step state update:
     u_{l+1}(k) = (I - Gamma C_l(k+1) B_l(k)) u_l(k)
     + Gamma [r_l(k+1) - C_l(k+1)(A_l(k) x_l(k) + w_l(k)) - v_l(k+1)]
-    for k in 0..N-1, while the final input is never updated.
-    Returns the worst residual per seed (see _worst).
+    for k in 0..N-1, while the final input is never updated.  loop, when
+    given, is _input_loop's.  Returns the worst residual per seed (see
+    _worst).
     """
     N = len(u_cur) - 1
-    eye = np.eye(u_cur.shape[-2])
+    if loop is None:
+        loop = _input_loop(look_ahead, cur, u_cur, xi_seq, gamma_seq)
     if look_ahead:
-        G = per_step(gamma_seq[:N], u_cur)
-        loop = eye - G @ cur.C[1:] @ cur.B[:N]
-        drive = G @ (cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N])
-                     - cur.v[1:])
+        drive = per_step(gamma_seq[:N], u_cur) @ (
+            cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N]) - cur.v[1:])
         residual = u_nxt[:N] - loop @ u_cur[:N] - drive
         return np.maximum(_worst(residual), _worst(u_nxt[N:] - u_cur[N:]))
-    xi = per_step(xi_seq, u_cur)
-    loop = eye - xi @ cur.D
-    drive = xi @ (cur.r - cur.C @ x - cur.v)
+    drive = per_step(xi_seq, u_cur) @ (cur.r - cur.C @ x - cur.v)
     return _worst(u_nxt - loop @ u_cur - drive)
 
 
@@ -235,16 +259,20 @@ def _report(name: str, per_iteration: Sequence[float],
                           max_state_residual=None if state is None else max(0.0, *state))
 
 
-def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int) -> RealizedIteration:
+def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int,
+          out: Optional[dict] = None) -> RealizedIteration:
     """Trial l's realization of every spec, stacked on a seed axis after the
-    step axis."""
+    step axis: into out's stacks (see plant._seed_stacks; new ones when out
+    is None) where it has one, else as a view with a unit seed axis."""
+    if out is None:
+        out = _seed_stacks(sys, uncs)
     draws = [sample_iteration(sys, unc, l) for unc in uncs]
 
     def stack(name: str, axis: int) -> np.ndarray:
         fields = [getattr(draw, name) for draw in draws]
-        if all(field is fields[0] for field in fields):  # one spec, or unperturbed
+        if name not in out:
             return fields[0][:, None] if axis else fields[0][None]
-        return np.stack(fields, axis=axis)
+        return np.stack(fields, axis=axis, out=out[name])
 
     return RealizedIteration(l=l, N=sys.N, x0=stack("x0", 0),
                              **{name: stack(name, 1) for name in SCHEDULES})
@@ -312,6 +340,10 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
     L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
+    # Trial l draws into stacks[l % 2]; the checks still read trial l - 1's.
+    stacks = _seed_stacks(sys, uncs), _seed_stacks(sys, uncs)
+    fixed = set(CHANNELS).difference(_perturbed(uncs))
+    error_loop = input_loop = None
     E_hist, U_hist, error_res, state_res, input_res = map(np.empty, _stack_shapes(L, S))
     signals = {}
     if sink is None:
@@ -328,7 +360,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     # numpy's overflow warnings, reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(L):
-            realized = _draw(sys, uncs, l)
+            realized = _draw(sys, uncs, l, stacks[l % 2])
             if other is None:
                 x, y = _simulate(realized, u, faults)
             else:
@@ -339,11 +371,18 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
             e = realized.r - y
             E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
             residuals = None
+            if l == 1:
+                # A channel no spec perturbs is the same view in every trial,
+                # so a loop matrix made only of such channels is formed once.
+                if "D" in fixed:
+                    error_loop = _error_loop(previous.D, xi_seq)
+                if (fixed >= {"B", "C"}) if look_ahead else ("D" in fixed):
+                    input_loop = _input_loop(look_ahead, previous, u, xi_seq, gamma_seq)
             if l:
                 residuals = (*_error_residuals(previous, realized, x_previous, x, e_previous,
-                                               e, u_previous, u, xi_seq),
+                                               e, u_previous, u, xi_seq, fixed, error_loop),
                              _input_residual(look_ahead, previous, x_previous, u_previous,
-                                             u, xi_seq, gamma_seq))
+                                             u, xi_seq, gamma_seq, input_loop))
                 error_res[l - 1], state_res[l - 1], input_res[l - 1] = residuals
             sink(Trial(l, E_hist[l], U_hist[l], residuals, u, x, y, realized.r))
             previous, x_previous, u_previous, e_previous = realized, x, u, e

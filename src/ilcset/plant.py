@@ -12,6 +12,7 @@ plus a bounded nonrepetitive perturbation resampled each iteration l.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -30,6 +31,8 @@ SCHEDULES = {"A": "nn", "B": "nm", "C": "pn", "D": "pm", "w": "n1", "v": "p1", "
 CHANNELS = (*SCHEDULES, "x0")
 # Stable stream tags: each perturbed quantity owns one substream per iteration.
 _TAG = {name: tag for tag, name in enumerate((*CHANNELS, "sigma"))}
+# Each thread's (Philox, Generator), built on the thread's first _noise call.
+_GEN = threading.local()
 
 
 def _shapes(n: int, m: int, p: int) -> dict:
@@ -142,18 +145,40 @@ class RealizedIteration(NamedTuple):
     x0: Mat
 
 
+def _perturbed(uncs) -> tuple:
+    """The channels, in CHANNELS order, that some of the specs uncs perturb:
+    amp_<name> > 0, or for D a structured perturbation.  sample_iteration
+    returns every other channel as its nominal schedule (or x0) itself."""
+    return tuple(name for name in CHANNELS if any(
+        getattr(unc, f"amp_{name}") or name == "D" and unc.structured_D is not None
+        for unc in uncs))
+
+
+def _seed_stacks(sys: NominalSystem, uncs) -> dict:
+    """Empty stacks, in the trial loop's layout, of the fields that S > 1
+    specs perturb (see _perturbed): (N+1, S, rows, cols), and x0's
+    (S, n, 1).  A single spec has none."""
+    S = len(uncs)
+    return {name: np.empty(((S,) if name == "x0" else (sys.N + 1, S)) + getattr(sys, name).shape)
+            for name in (_perturbed(uncs) if S > 1 else ())}
+
+
 def _noise(seed: int, l: int):
     """draw(tag, count, shape): a uniform [-1, 1] block, deterministic in
     (seed, l, tag) and call-order free.
 
-    One Philox serves every tag: each draw re-keys it to (seed, l, tag) with
-    a zero counter and an empty buffer, which is exactly the state of a new
-    Philox with that key (counter-based streams may be re-keyed; Salmon et
-    al., SC'11).  It is built with a fixed seed, which the first key replaces,
-    so building it reads no entropy from the operating system.
+    One Philox per thread serves every draw the thread makes: each draw
+    re-keys it to (seed, l, tag) with a zero counter and an empty buffer,
+    which is exactly the state of a new Philox with that key (counter-based
+    streams may be re-keyed; Salmon et al., SC'11), so no draw depends on
+    the ones before it.  It is built with a fixed seed, which the first key
+    replaces, so building it reads no entropy from the operating system.
     """
-    bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
+    parts = getattr(_GEN, "parts", None)
+    if parts is None:
+        bits = np.random.Philox(0)
+        parts = _GEN.parts = bits, np.random.Generator(bits)
+    bits, gen = parts
     zero = np.zeros(4, dtype=np.uint64)
 
     def draw(tag: str, count: int, shape: tuple) -> np.ndarray:
@@ -170,8 +195,8 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
 
     Every delta entry is i.i.d. uniform on [-amp, amp] from a counter-based
     stream keyed by (seed, l, quantity); the same (seed, l) always reproduces
-    the same realization regardless of sampling order.  Each call draws
-    every quantity from one Philox bit generator of its own, re-keyed per
+    the same realization regardless of sampling order.  Each thread draws
+    from one Philox bit generator of its own, re-keyed before every
     quantity, so calls from several threads do not interfere.  The
     initial-state shift varies with l only.  With a structured perturbation
     on D, the contraction matrix is rescaled to keep its largest singular

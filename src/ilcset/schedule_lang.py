@@ -73,7 +73,7 @@ Node = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 # --- Tokenizer -------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -91,7 +91,7 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if ch in "0123456789.":
             m = _NUMBER_RE.match(src, i)
             if m is None:
                 raise ParseError("malformed number", i, expected=("number",))

@@ -386,7 +386,7 @@ def test_sweep_bad_spec_exits_two(capsys):
     assert main(["run", "--preset", "example1", "--sweep", "3..5"]) == 2
     capsys.readouterr()
     for spec in ("seeds=--1..2", "seeds=0..--2", "seeds=1..2-", "seeds=0..1..2",
-                 "seeds=\u00b2..3"):
+                 "seeds=\u00b2..3", "seeds=\u0663..\u0665"):
         assert main(["run", "--preset", "example1", "--iterations", "2",
                      "--sweep", spec]) == 2, spec
         captured = capsys.readouterr()
@@ -464,14 +464,17 @@ def test_expression_nested_too_deeply_is_a_config_error(tmp_path, capsys, cell, 
 
 
 def test_non_ascii_cell_is_a_config_error(tmp_path, capsys):
-    doc = preset_config("example1")
-    doc["system"]["A"][0][0] = "é"
-    path = tmp_path / "accent.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["check", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: /system/A/0/0: parse: unexpected character 'é' ")
-    assert "Traceback" not in err
+    # A letter or a digit of another script: neither is part of the grammar.
+    for cell in ("é", "\u0663"):
+        doc = preset_config("example1")
+        doc["system"]["A"][0][0] = cell
+        path = tmp_path / "accent.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", "--config", str(path)]) == 2, cell
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /system/A/0/0: parse: "
+                              f"unexpected character {cell!r} "), cell
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flags", [["--verify-set"], ["--record-trajectories", "final"],

@@ -233,19 +233,11 @@ def test_split_run_matches_direct_run_look_ahead(example2, example2_clean, p_exa
         _check_counterparts(cfg, p_example2, mode)
 
 
-@pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi"])
-def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
-    # Three seeds through one loop, with a counterpart: each seed's record
-    # is bit for bit its own run's, every stack and the gap included.
-    engine = IlcConfig(mode=mode, iterations=5, u0=example1.u0)
-    gains = (example1.xi, example1.gamma)
-    go = ((lambda unc: run(example1.system, unc, gains, engine, counterpart=q_example1))
-          if mode == "direct-xi" else
-          (lambda unc: run_transformed(example1.system, unc, q_example1, engine,
-                                       counterpart=gains)))
-    specs = [example1.uncertainty._replace(seed=seed) for seed in (3, 4, 5)]
+def _assert_side_by_side_is_alone(go, specs):
+    # Each spec's record from one loop over all of them is bit for bit its
+    # own run's, every stack and the gap included.
     side_by_side = go(specs)
-    assert len(side_by_side) == 3
+    assert len(side_by_side) == len(specs)
     for spec, result in zip(specs, side_by_side):
         alone = go(spec)
         assert result.E_hist == alone.E_hist and result.U_hist == alone.U_hist
@@ -255,6 +247,48 @@ def test_specs_side_by_side_match_separate_runs(example1, q_example1, mode):
         assert result.error_recursion == alone.error_recursion
         assert result.input_recursion == alone.input_recursion
         assert result.equivalence_gap == alone.equivalence_gap
+
+
+# example1 perturbs every channel; example2 never B, C or D, whose shift
+# terms and loop matrices the loop then leaves out or forms once.
+@pytest.mark.parametrize("mode", ["direct-xi", "transformed-xi",
+                                  "direct-gamma", "transformed-gamma"])
+def test_specs_side_by_side_match_separate_runs(request, mode):
+    # Three seeds through one loop, with a counterpart.
+    cfg, transform = ((request.getfixturevalue("example1"), request.getfixturevalue("q_example1"))
+                      if mode.endswith("xi") else
+                      (request.getfixturevalue("example2"), request.getfixturevalue("p_example2")))
+    engine = IlcConfig(mode=mode, iterations=5, u0=cfg.u0)
+    gains = (cfg.xi, cfg.gamma)
+    go = ((lambda unc: run(cfg.system, unc, gains, engine, counterpart=transform))
+          if mode.startswith("direct") else
+          (lambda unc: run_transformed(cfg.system, unc, transform, engine,
+                                       counterpart=gains)))
+    _assert_side_by_side_is_alone(go, [cfg.uncertainty._replace(seed=seed)
+                                       for seed in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("mode", ["direct-gamma", "transformed-gamma"])
+def test_batch_with_one_spec_perturbing_b_c_d_matches_separate_runs(example2, p_example2,
+                                                                    mode):
+    # Only the middle spec perturbs B, C and D: the batch draws them into
+    # its stacks and checks their shift terms, while the outer specs alone
+    # leave those out.  Each run alone reports what the after-the-fact
+    # checks find on a fresh draw with the full formulas.
+    cfg = example2
+    engine = IlcConfig(mode=mode, iterations=6, u0=cfg.u0)
+    specs = [cfg.uncertainty._replace(seed=3),
+             cfg.uncertainty._replace(seed=4, amp_B=0.05, amp_C=0.05, amp_D=0.05),
+             cfg.uncertainty._replace(seed=5)]
+    go = ((lambda unc: run(cfg.system, unc, (cfg.xi, cfg.gamma), engine))
+          if mode == "direct-gamma" else
+          (lambda unc: run_transformed(cfg.system, unc, p_example2, engine)))
+    _assert_side_by_side_is_alone(go, specs)
+    for spec in specs:
+        alone = go(spec)
+        reals = realizations_for(cfg.system, spec, 6)
+        assert alone.error_recursion == verify_error_recursion(alone, reals)
+        assert alone.input_recursion == verify_input_recursion(alone, reals)
 
 
 def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
@@ -504,10 +538,10 @@ def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, exam
     def held_at_last_trial(L):
         held = []
 
-        def spy(sys, uncs, l):
+        def spy(sys, uncs, l, out):
             if l == L - 1:
                 held.append(numpy_bytes())
-            return draw(sys, uncs, l)
+            return draw(sys, uncs, l, out)
 
         monkeypatch.setattr(ilcset.ilc_engine, "_draw", spy)
         tracemalloc.start()

@@ -220,7 +220,10 @@ def test_draws_do_not_depend_on_call_order_or_threads():
     assert drawn == [alone[key] for key in keys * 3]
 
 
-def test_one_philox_per_sample_iteration(monkeypatch):
+def test_one_philox_per_thread(monkeypatch):
+    # A thread builds one Philox, on its first draw, and re-keys it for every
+    # draw after: at most one in this thread, which may have drawn before,
+    # and exactly one in a new thread, over any number of calls.
     built = []
     real = np.random.Philox
 
@@ -230,12 +233,19 @@ def test_one_philox_per_sample_iteration(monkeypatch):
 
     sys, amps, structured = every_tag_system()
     monkeypatch.setattr(np.random, "Philox", counting)
-    for unc in (UncertaintySpec(**amps, seed=1),
-                UncertaintySpec(**amps, structured_D=structured, seed=1)):
-        built.clear()
-        for l in range(4):
-            sample_iteration(sys, unc, l)
-        assert len(built) == 4
+
+    def draw_all():
+        for unc in (UncertaintySpec(**amps, seed=1),
+                    UncertaintySpec(**amps, structured_D=structured, seed=2)):
+            for l in range(4):
+                sample_iteration(sys, unc, l)
+
+    draw_all()
+    assert len(built) <= 1
+    built.clear()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(draw_all).result(timeout=60)
+    assert len(built) == 1
 
 
 def test_structured_shape_conflict_raises():

@@ -62,7 +62,10 @@ def test_unknown_identifier():
         parse_expr("q+1")
 
 
-@pytest.mark.parametrize("src, offset", [("é", 0), ("ß", 0), ("2*µ", 2), ("kµ", 1)])
+# Numbers are ASCII digits too: no other script's digits, no superscripts.
+@pytest.mark.parametrize("src, offset", [("é", 0), ("ß", 0), ("2*µ", 2), ("kµ", 1),
+                                         ("\u0663", 0), ("\u0969.5", 0), ("k^\u0663", 2),
+                                         ("1e\u0663", 2), ("k^\u00b2", 2)])
 def test_non_ascii_letter_is_an_unexpected_character(src, offset):
     with pytest.raises(ParseError, match=f"unexpected character {src[offset]!r} "
                                          f"at offset {offset}"):
