@@ -317,9 +317,8 @@ def config_from_dict(doc) -> ExperimentConfig:
     if mode in GAMMA_MODES:
         if not _zero_schedule(system.D):
             problems.add("/run/mode", f"{mode} requires D identically zero")
-        if uncertainty.amp_B or uncertainty.amp_C or uncertainty.amp_D \
-                or uncertainty.structured_D is not None:
-            problems.add("/run/mode", f"{mode} requires repetitive B, C and zero D uncertainty")
+        if uncertainty.amp_D or uncertainty.structured_D is not None:
+            problems.add("/run/mode", f"{mode} requires zero D uncertainty")
         if not _zero_schedule(xi):
             problems.add("/run/mode", f"{mode} requires Xi identically zero")
     else:

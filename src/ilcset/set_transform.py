@@ -105,18 +105,13 @@ class InputTransform:
     reports as its own.
 
     ``kind`` names the family.  "xi" couples through the feedthrough D(k)
-    with gain Xi(k) on k in 0..N.  "gamma" couples through C(k+1)B(k) with
-    gain Gamma(k) on k in 0..N-1, and keeps the nominal B/C stacks
-    ``b_cache``/``c_cache`` (None for "xi"), which apply_transform requires
-    a realization to repeat.  apply_transform reads the family from
-    ``kind`` and the horizon from ``steps``.
+    with gain Xi(k) on k in 0..N.  "gamma" couples through the nominal
+    C(k+1)B(k) with gain Gamma(k) on k in 0..N-1.  apply_transform reads
+    the family from ``kind`` and the horizon from ``steps``.
     """
 
-    def __init__(self, kind: str, coupling, gain, perms, report: ConditionReport,
-                 b_cache=None, c_cache=None):
+    def __init__(self, kind: str, coupling, gain, perms, report: ConditionReport):
         self.kind = kind
-        self.b_cache = b_cache
-        self.c_cache = c_cache
         self.report = report
         self.coupling = np.asarray(coupling, dtype=np.float64)
         self.gain = np.asarray(gain, dtype=np.float64)
@@ -177,7 +172,8 @@ def build_q_transform(D: MatrixSchedule, Xi: MatrixSchedule) -> InputTransform:
 
 def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
                       Gamma: MatrixSchedule) -> InputTransform:
-    """Construct the C(k+1)B(k)-coupled transform for k in 0..N-1."""
+    """Construct the C(k+1)B(k)-coupled transform for k in 0..N-1 from the
+    nominal B and C; apply_transform takes realizations of any B and C."""
     if B.rows != C.cols or B.cols != Gamma.rows or C.rows != Gamma.cols:
         raise IlcsetError(f"B {B.shape}, C {C.shape}, gain {Gamma.shape} do not conform")
     if not (B.N == C.N == Gamma.N):
@@ -185,19 +181,7 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
     coupling = C.values[1:] @ B.values[:-1]
     report = check_rho_cb_gamma(B, C, Gamma)
     perms = _build(coupling, report, "coupling-gain")
-    return InputTransform("gamma", coupling, Gamma.values[:-1], perms, report,
-                          b_cache=B.values, c_cache=C.values)
-
-
-def _first_mismatch(checks) -> None:
-    """Raise IlcsetError for the earliest flagged step, in check order."""
-    first = min((int(np.argmax(flags)) for _, flags in checks if flags.any()),
-                default=None)
-    if first is None:
-        return
-    for message, flags in checks:
-        if flags[first]:
-            raise IlcsetError(f"{message} at k={first}")
+    return InputTransform("gamma", coupling, Gamma.values[:-1], perms, report)
 
 
 def apply_transform(realized: RealizedIteration, transform: InputTransform,
@@ -208,11 +192,12 @@ def apply_transform(realized: RealizedIteration, transform: InputTransform,
     On the transform's steps the realized B is pushed through the
     inverse's active columns, and w picks up the frozen-channel share of
     the initial input; for "xi", D and v are treated the same way.  "gamma"
-    requires the realization to match the transform's nominal B and C
-    exactly (repetitive input/output maps) and to have zero feedthrough;
-    its coupling then satisfies C(k+1) B(k) = I on k in 0..N-1.  It stops
-    at N - 1, so B(N) = 0 and D = 0: the active input at k = N drives
-    nothing, as u(N) drives nothing in the original plant.
+    requires zero feedthrough and takes any realized B and C: the nominal
+    coupling pushed through the inverse's active columns is I on k in
+    0..N-1 (checked), so the realized C_l(k+1) B*_l(k) is I plus the
+    perturbation.  It stops at N - 1, so B(N) = 0 and D = 0: the active
+    input at k = N drives nothing, as u(N) drives nothing in the original
+    plant.
     """
     steps, p, m, N = transform.steps, transform.p, transform.m, realized.N
     look_ahead = transform.kind == "gamma"
@@ -224,12 +209,9 @@ def apply_transform(realized: RealizedIteration, transform: InputTransform,
         raise IlcsetError(f"initial input shape {u0.shape}, expected {(N + 1, m, 1)}")
     if realized.D.shape[1:] != (p, m):
         raise IlcsetError(f"plant D shape {realized.D.shape[1:]} vs transform {(p, m)}")
-    if look_ahead:
-        _first_mismatch((
-            ("feedthrough must be zero, nonzero", np.any(realized.D != 0.0, axis=(1, 2))),
-            ("B is nonrepetitive", np.any(realized.B != transform.b_cache, axis=(1, 2))),
-            ("C is nonrepetitive", np.any(realized.C != transform.c_cache, axis=(1, 2))),
-        ))
+    if look_ahead and realized.D.any():
+        k = int(np.flatnonzero(realized.D.any(axis=(1, 2)))[0])
+        raise IlcsetError(f"feedthrough must be zero, nonzero at k={k}")
     Bk = _take_columns(realized.B[:steps], transform.col_perm)
     Bstar = Bk @ transform.active_columns
     correction = transform.frozen_mix @ _take_rows(u0[:steps], transform.col_perm)
@@ -238,7 +220,8 @@ def apply_transform(realized: RealizedIteration, transform: InputTransform,
         Dk = _take_columns(realized.D, transform.col_perm)
         return realized._replace(B=Bstar, D=Dk @ transform.active_columns, w=wstar,
                                  v=realized.v + Dk @ correction)
-    residuals = inf_norms(realized.C[1:] @ Bstar - np.eye(p))
+    residuals = inf_norms(_take_columns(transform.coupling, transform.col_perm)
+                          @ transform.active_columns - np.eye(p))
     too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
     if too_large.size:
         k = int(too_large[0])

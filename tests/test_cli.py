@@ -21,6 +21,7 @@ import ilcset.ilc_engine
 import ilcset.plant
 import ilcset.set_transform
 from ilcset.cli import main
+from ilcset.config import config_from_dict
 from ilcset.errors import SchemaError
 from ilcset.ilc_engine import GAMMA_MODES, MODES
 from ilcset.plant import sample_iteration
@@ -214,6 +215,36 @@ def test_transform_dump_look_ahead(capsys):
     assert doc["transformed"]["Dstar"] is None
     assert len(doc["transformed"]["Bstar"]) == len(doc["transformed"]["wstar"]) == 100
     assert len(doc["transformed"]["vstar"]) == 101
+
+
+def test_look_ahead_modes_run_with_nonrepetitive_b_and_c(tmp_path, capsys):
+    # The look-ahead family takes B and C that change from trial to trial;
+    # feedthrough uncertainty is still refused.
+    doc = preset_config("example2")
+    doc["uncertainty"]["amplitudes"].update(B=2e-4, C=2e-4)
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(doc))
+    for mode in ("direct-gamma", "transformed-gamma"):
+        assert main(["run", "--config", str(path), "--mode", mode, "--iterations", "30",
+                     "--verify-set", "--out", str(tmp_path / f"{mode}.csv")]) == 0
+        summary = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(summary["max residual (error recursion)"]) <= 1e-8
+        assert float(summary["max residual (input recursion)"]) <= 1e-8
+        assert (float(summary["set-equivalence max output gap"])
+                <= ilcset.cli.EQUIVALENCE_TOL)
+    assert main(["transform", "--config", str(path)]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    cfg = config_from_dict(doc)
+    square = ilcset.set_transform.apply_transform(
+        sample_iteration(cfg.system, cfg.uncertainty, 0),
+        ilcset.set_transform.build_p_transform(cfg.system.B, cfg.system.C, cfg.gamma),
+        cfg.u0)
+    assert np.array_equal(np.array(dumped["transformed"]["Bstar"]), square.B[:100])
+    doc["uncertainty"]["amplitudes"]["D"] = 2e-4
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--iterations", "1"]) == 2
+    assert (capsys.readouterr().err
+            == "config error: /run/mode: direct-gamma requires zero D uncertainty\n")
 
 
 def test_config_file_with_overrides(tmp_path, capsys):

@@ -114,14 +114,21 @@ def test_look_ahead_mode_needs_zero_feedthrough():
     assert "identically zero" in str(exc.value)
 
 
-def test_look_ahead_mode_needs_repetitive_maps():
-    doc = minimal_doc(gains={"Gamma": [["0.5"]]},
-                      run={"mode": "direct-gamma"})
-    doc["system"]["D"] = [["0"]]
-    doc["uncertainty"] = {"amplitudes": {"B": 0.001}}
-    with pytest.raises(SchemaError) as exc:
-        config_from_dict(doc)
-    assert "repetitive" in str(exc.value)
+def test_look_ahead_modes_need_zero_d_uncertainty():
+    # The look-ahead modes learn through C(k+1)B(k): B and C may change from
+    # trial to trial, D may not.
+    for mode in ("direct-gamma", "transformed-gamma"):
+        doc = minimal_doc(gains={"Gamma": [["0.5"]]}, run={"mode": mode})
+        doc["system"]["D"] = [["0"]]
+        doc["uncertainty"] = {"amplitudes": {"B": 0.001, "C": 0.002}}
+        cfg = config_from_dict(doc)
+        assert (cfg.mode, cfg.uncertainty.amp_B, cfg.uncertainty.amp_C) == (mode, 0.001, 0.002)
+        for rejected in ({"amplitudes": {"B": 0.001, "D": 0.001}},
+                         {"structured_D": {"E": [["0.1"]], "F": [["1"]]}}):
+            doc["uncertainty"] = rejected
+            with pytest.raises(SchemaError) as exc:
+                config_from_dict(doc)
+            assert str(exc.value) == f"/run/mode: {mode} requires zero D uncertainty"
 
 
 def test_look_ahead_mode_accepts_clean_shape():

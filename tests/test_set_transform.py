@@ -270,8 +270,9 @@ def test_feedthrough_free_squaring_unit_coupling(example2, p_example2):
 
 def test_feedthrough_free_loop_matrices_coincide(example2, p_example2):
     for k in range(100):
-        coupling_star = p_example2.c_cache[k + 1] @ (
-            p_example2.b_cache[k][:, p_example2.col_perm[k]] @ p_example2.active_columns[k])
+        coupling_star = example2.system.C.values[k + 1] @ (
+            example2.system.B.values[k][:, p_example2.col_perm[k]]
+            @ p_example2.active_columns[k])
         gain_star = p_example2.gain_products[k]
         direct = p_example2.coupling[k] @ p_example2.gain[k]
         a = np.eye(2) - gain_star @ coupling_star
@@ -303,13 +304,33 @@ def sample_iteration_scalar_chain(N):
 
 
 def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_example2):
+    # A nonrepetitive B is a plant the family takes; feedthrough is not.
     noisy_b = UncertaintySpec(amp_B=0.01, seed=1)
     realized = sample_iteration(example2.system, noisy_b, 0)
-    with pytest.raises(IlcsetError, match="B is nonrepetitive at k=0"):
-        apply_transform(realized, p_example2, np.zeros((101, 3, 1)))
+    square = apply_transform(realized, p_example2, np.zeros((101, 3, 1)))
+    assert square.B.shape == (101, 4, 2) and square.D.shape == (101, 2, 2)
     with_feedthrough = sample_iteration(example1.system, example1.uncertainty, 0)
     with pytest.raises(IlcsetError, match="feedthrough must be zero, nonzero at k=0"):
         apply_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
+
+
+@pytest.mark.parametrize("amp", [0.0, 0.01])
+def test_coupling_inverse_residual_is_checked(amp):
+    # With B = C = I the coupling is I, and the huge off-diagonal gain
+    # leaves the closed-form inverse 6.5e-9 from inverting it at every k.
+    # The check reads the nominal coupling, so perturbing B and C does not
+    # move it.
+    N = 3
+    eye = MatrixSchedule.from_values(np.eye(2), N)
+    zeros = {name: MatrixSchedule.from_values(np.zeros(shape), N)
+             for name, shape in (("A", (2, 2)), ("D", (2, 2)), ("w", (2, 1)),
+                                 ("v", (2, 1)), ("r", (2, 1)))}
+    system = NominalSystem(n=2, m=2, p=2, N=N, B=eye, C=eye, x0=np.zeros((2, 1)), **zeros)
+    transform = build_p_transform(eye, eye, MatrixSchedule.from_values(
+        [[0.7, 1e9 / 3], [0.0, 0.7]], N))
+    realized = sample_iteration(system, UncertaintySpec(amp_B=amp, amp_C=amp, seed=1), 0)
+    with pytest.raises(IlcsetError, match=r"^coupling inverse residual 6\.456e-09 at k=0$"):
+        apply_transform(realized, transform, np.zeros((N + 1, 2, 1)))
 
 
 @pytest.mark.parametrize("family, steps, plant_N", [("xi", 3, 3), ("gamma", 2, 1)])
@@ -375,19 +396,24 @@ def _random_square_case(family, seed):
         unc = UncertaintySpec(amp_A=0.05, amp_B=0.05, amp_C=0.05, amp_D=0.05,
                               amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
         return system, unc, build_q_transform(D, gain)
-    unc = UncertaintySpec(amp_A=0.05, amp_w=0.1, amp_v=0.1, amp_x0=0.1, seed=seed)
+    unc = UncertaintySpec(amp_A=0.05, amp_B=0.05, amp_C=0.05, amp_w=0.1, amp_v=0.1,
+                          amp_x0=0.1, seed=seed)
     return system, unc, build_p_transform(B, C, gain)
 
 
-@pytest.mark.parametrize("case", ["example1", "example2", "random-xi", "random-gamma"])
+@pytest.mark.parametrize("case", ["example1", "example2", "example2-nonrepetitive-BC",
+                                  "random-xi", "random-gamma"])
 @pytest.mark.parametrize("seed", [42, 7])
 def test_square_plant_simulates_as_the_original(request, case, seed):
     # The SET's claim: driven by u1 alone, the square plant has the states
     # and outputs the original has under the input that u1 and the frozen
-    # channels of u0 assemble to.
+    # channels of u0 assemble to.  Every "gamma" case but the example2
+    # preset perturbs B and C from trial to trial.
     if case.startswith("example"):
-        cfg = request.getfixturevalue(case)
+        cfg = request.getfixturevalue(case.split("-")[0])
         system, unc = cfg.system, cfg.uncertainty._replace(seed=seed)
+        if case.endswith("-BC"):
+            unc = unc._replace(amp_B=2e-4, amp_C=2e-4)
         transform = request.getfixturevalue("q_example1" if case == "example1"
                                              else "p_example2")
     else:
