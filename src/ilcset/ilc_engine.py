@@ -20,21 +20,18 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
-from .config import GAMMA_MODES, MODES
-from .errors import IlcsetError, NonFiniteError
-from .matrix_core import per_step
-from .plant import (
+from .config import (
     CHANNELS,
+    GAMMA_MODES,
+    MODES,
     SCHEDULES,
     Checked,
     NominalSystem,
-    RealizedIteration,
     UncertaintySpec,
-    _perturbed,
-    _seed_stacks,
-    sample_iteration,
-    simulate,
 )
+from .errors import IlcsetError, NonFiniteError
+from .matrix_core import per_step
+from .plant import RealizedIteration, _perturbed, _seed_stacks, sample_iteration, simulate
 from .schedule_lang import MatrixSchedule
 
 if TYPE_CHECKING:

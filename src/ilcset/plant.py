@@ -17,110 +17,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .config import CHANNELS, SCHEDULES, SEED_LIMIT, NominalSystem, UncertaintySpec
 from .errors import IlcsetError, NonFiniteError
 from .matrix_core import Mat, spectral_norms
-from .schedule_lang import MatrixSchedule
 
-SEED_LIMIT = 1 << 64  # seeds lie in [0, 2**64): one Philox key word
 _MASK64 = SEED_LIMIT - 1
-
-# The plant's schedules in the order configs list them, each with its
-# (rows, cols) in the dimensions n (states), m (inputs) and p (outputs).
-SCHEDULES = {"A": "nn", "B": "nm", "C": "pn", "D": "pm", "w": "n1", "v": "p1", "r": "p1"}
-# The quantities with a nonrepetitive perturbation, each of amplitude amp_<name>.
-CHANNELS = (*SCHEDULES, "x0")
 # Stable stream tags: each perturbed quantity owns one substream per iteration.
 _TAG = {name: tag for tag, name in enumerate((*CHANNELS, "sigma"))}
 # Each thread's (Philox, Generator), built on the thread's first _noise call.
 _GEN = threading.local()
-
-
-def _shapes(n: int, m: int, p: int) -> dict:
-    """Each schedule's (rows, cols) for n states, m inputs and p outputs."""
-    dims = {"n": n, "m": m, "p": p, "1": 1}
-    return {name: (dims[rows], dims[cols]) for name, (rows, cols) in SCHEDULES.items()}
-
-
-class Checked:
-    """Base of a NamedTuple record that checks its fields.  Construction,
-    _make and _replace (which goes through _make) all run the record's
-    _check, which raises on a bad field."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-class _NominalSystem(NamedTuple):
-    n: int
-    m: int
-    p: int
-    N: int
-    A: MatrixSchedule
-    B: MatrixSchedule
-    C: MatrixSchedule
-    D: MatrixSchedule
-    w: MatrixSchedule
-    v: MatrixSchedule
-    r: MatrixSchedule
-    x0: Mat
-
-
-class NominalSystem(Checked, _NominalSystem):
-    """Repetitive (iteration-independent) part of the plant and task."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        for name, shape in _shapes(self.n, self.m, self.p).items():
-            sched = getattr(self, name)
-            if sched.shape != shape:
-                raise IlcsetError(f"{name} schedule has shape {sched.shape}, expected {shape}")
-            if sched.N != self.N:
-                raise IlcsetError(f"{name} schedule horizon {sched.N} != {self.N}")
-        if self.x0.shape != (self.n, 1):
-            raise IlcsetError(f"x0 has shape {self.x0.shape}, expected {(self.n, 1)}")
-
-
-class StructuredD(NamedTuple):
-    """Norm-bounded structure delta_D = E(k) Sigma_l(k) F(k), Sigma^T Sigma <= I;
-    Sigma is s x s with s = E.cols."""
-
-    E: MatrixSchedule  # p x s
-    F: MatrixSchedule  # s x m
-
-
-class _UncertaintySpec(NamedTuple):
-    amp_A: float = 0.0
-    amp_B: float = 0.0
-    amp_C: float = 0.0
-    amp_D: float = 0.0
-    amp_w: float = 0.0
-    amp_v: float = 0.0
-    amp_r: float = 0.0
-    amp_x0: float = 0.0
-    structured_D: Optional[StructuredD] = None
-    seed: int = 0
-
-
-class UncertaintySpec(Checked, _UncertaintySpec):
-    """Per-entry uniform amplitudes (the bounds of the boundedness assumption)."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise IlcsetError(f"seed must lie in [0, 2**64), got {self.seed}")
-        for name in CHANNELS:
-            if not 0 <= getattr(self, f"amp_{name}") < np.inf:
-                raise IlcsetError(f"amp_{name} must be finite and nonnegative")
 
 
 class RealizedIteration(NamedTuple):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -269,8 +270,8 @@ class _NotExact(Exception):
     """The whole-array walk cannot reproduce the scalar walk at some k."""
 
 
-def _per_element(fn, x):
-    """fn applied with Python floats, element by element.
+def _per_element(fn, x, *args):
+    """fn(v, *args) for each element v of x, with Python floats.
 
     numpy's ``power``, ``exp`` (and, on some CPUs, ``sin``/``cos``) round
     differently from Python's ``**`` and ``math``, so these nodes keep the
@@ -278,8 +279,8 @@ def _per_element(fn, x):
     """
     try:
         if isinstance(x, float):
-            return fn(x)
-        return np.array([fn(v) for v in x.tolist()])
+            return fn(x, *args)
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, len(x))
     except (OverflowError, ValueError) as exc:
         raise _NotExact from exc
 
@@ -312,8 +313,7 @@ def _eval_horizon(node: Node, k: np.ndarray):
             raise _NotExact
         return a / b
     if isinstance(node, Pow):
-        exponent = node.exponent
-        return _per_element(lambda x: x ** exponent, _eval_horizon(node.base, k))
+        return _per_element(pow, _eval_horizon(node.base, k), node.exponent)
     if isinstance(node, Call):
         return _per_element(_FUNCTIONS[node.fn], _eval_horizon(node.arg, k))
     raise _NotExact

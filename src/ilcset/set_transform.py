@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConditionViolatedError, IlcsetError
 from .conditions import ConditionReport, check_rho_cb_gamma, check_rho_dxi
+from .config import GAMMA_MODES
 from .matrix_core import Mat, block2x2, inf_norms, invert, per_step
 from .plant import RealizedIteration
 from .schedule_lang import MatrixSchedule
@@ -102,7 +103,9 @@ class InputTransform:
     ``gain_products`` (steps, p, p), ``col_perm`` (steps, m), ``coupling``
     (steps, p, m) and ``gain`` (steps, m, p).  ``report`` is the contraction
     condition rho(I - G(k)) < 1 the builder checked, which the split loop
-    reports as its own.
+    reports as its own.  Construction raises IlcsetError at the first k
+    where the coupling pushed through the inverse's active columns is more
+    than COUPLING_RESIDUAL_TOL from I in the infinity norm.
 
     ``kind`` names the family.  "xi" couples through the feedthrough D(k)
     with gain Xi(k) on k in 0..N.  "gamma" couples through the nominal
@@ -138,6 +141,14 @@ class InputTransform:
         self.frozen_mix = block2x2(ti12 @ t21, ti12 @ t22, eye_rest @ t21, eye_rest @ t22)
         # The first p columns of the inverse: what u1* drives.
         self.active_columns = np.ascontiguousarray(self.Tinv[:, :, :p])
+        # The coupling pushed through them, the nominal D*(k) or
+        # C(k+1) B*(k), is I at every step up to roundoff.
+        residuals = inf_norms(_take_columns(self.coupling, self.col_perm)
+                              @ self.active_columns - np.eye(p))
+        too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
+        if too_large.size:
+            k = int(too_large[0])
+            raise IlcsetError(f"coupling inverse residual {residuals[k]:.3e} at k={k}")
 
 
 def _build(coupling, report: ConditionReport, label: str):
@@ -184,6 +195,14 @@ def build_p_transform(B: MatrixSchedule, C: MatrixSchedule,
     return InputTransform("gamma", coupling, Gamma.values[:-1], perms, report)
 
 
+def _for_config(cfg) -> InputTransform:
+    """The transform of an ExperimentConfig's family: the look-ahead modes
+    couple through C(k+1)B(k) with Gamma, the others through D with Xi."""
+    if cfg.mode in GAMMA_MODES:
+        return build_p_transform(cfg.system.B, cfg.system.C, cfg.gamma)
+    return build_q_transform(cfg.system.D, cfg.xi)
+
+
 def apply_transform(realized: RealizedIteration, transform: InputTransform,
                     u0) -> RealizedIteration:
     """Square the plant of one realized iteration for either family, as a
@@ -194,10 +213,10 @@ def apply_transform(realized: RealizedIteration, transform: InputTransform,
     the initial input; for "xi", D and v are treated the same way.  "gamma"
     requires zero feedthrough and takes any realized B and C: the nominal
     coupling pushed through the inverse's active columns is I on k in
-    0..N-1 (checked), so the realized C_l(k+1) B*_l(k) is I plus the
-    perturbation.  It stops at N - 1, so B(N) = 0 and D = 0: the active
-    input at k = N drives nothing, as u(N) drives nothing in the original
-    plant.
+    0..N-1 (checked when the transform is built), so the realized
+    C_l(k+1) B*_l(k) is I plus the perturbation.  It stops at N - 1, so
+    B(N) = 0 and D = 0: the active input at k = N drives nothing, as u(N)
+    drives nothing in the original plant.
     """
     steps, p, m, N = transform.steps, transform.p, transform.m, realized.N
     look_ahead = transform.kind == "gamma"
@@ -220,12 +239,6 @@ def apply_transform(realized: RealizedIteration, transform: InputTransform,
         Dk = _take_columns(realized.D, transform.col_perm)
         return realized._replace(B=Bstar, D=Dk @ transform.active_columns, w=wstar,
                                  v=realized.v + Dk @ correction)
-    residuals = inf_norms(_take_columns(transform.coupling, transform.col_perm)
-                          @ transform.active_columns - np.eye(p))
-    too_large = np.flatnonzero(residuals > COUPLING_RESIDUAL_TOL)
-    if too_large.size:
-        k = int(too_large[0])
-        raise IlcsetError(f"coupling inverse residual {residuals[k]:.3e} at k={k}")
     return realized._replace(B=np.concatenate([Bstar, np.zeros((1,) + Bstar.shape[1:])]),
                              D=np.zeros((N + 1, p, p)),
                              w=np.concatenate([wstar, realized.w[N:]]))

@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 import ilcset.cli
+import ilcset.cli_run
+import ilcset.cli_transform
+import ilcset.config
 import ilcset.ilc_engine
 import ilcset.plant
 import ilcset.set_transform
@@ -531,7 +534,7 @@ def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, m
         draws[unc.seed, l] += 1
         return sample_iteration(sys, unc, l)
 
-    for module in (ilcset.plant, ilcset.ilc_engine, ilcset.cli):
+    for module in (ilcset.plant, ilcset.ilc_engine):
         monkeypatch.setattr(module, "sample_iteration", counting)
 
     def drawn(*flags):
@@ -581,7 +584,7 @@ def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, caps
     def no_draw(sys, unc, l):
         raise AssertionError("trial ran")
 
-    for module in (ilcset.plant, ilcset.ilc_engine, ilcset.cli):
+    for module in (ilcset.plant, ilcset.ilc_engine):
         monkeypatch.setattr(module, "sample_iteration", no_draw)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out-dir").mkdir()
@@ -875,21 +878,26 @@ def test_stderr_that_cannot_be_written_leaves_stdout_clean(started_together, red
 
 
 def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
-    # Each command loads only what it uses: check neither the engine nor
-    # the transform module, a direct run not the transform module, and no
-    # command dataclasses or logging.  A run loads its modules before the
-    # config is built, so that compiling them does not fragment the heap
+    # Each command loads only what it uses: check neither the plant, the
+    # engine, the transform module nor the run or transform parts of the
+    # CLI; transform not the engine or the run part; a run not the
+    # transform part, and a direct run not the transform module; and no
+    # command dataclasses or logging.  Each command loads its modules before
+    # the config is built, so that compiling them does not fragment the heap
     # under the config's arrays.  Each command runs in a fresh interpreter,
     # all of them at once.
     run = ["run", "--preset", "example1", "--iterations", "2"]
-    engine, transform = "ilcset.ilc_engine", "ilcset.set_transform"
+    plant, engine, transform, run_part, transform_part = (
+        "ilcset.plant", "ilcset.ilc_engine", "ilcset.set_transform", "ilcset.cli_run",
+        "ilcset.cli_transform")
+    watched = (plant, engine, transform, run_part, transform_part, "dataclasses", "logging")
     procs = []
     for i, (argv, expected) in enumerate((
             (["check", "--preset", "example1"], []),
-            (["transform", "--preset", "example2"], [transform]),
-            (run, [engine]),
-            ([*run, "--verify-set"], [engine, transform]),
-            ([*run, "--mode", "transformed-xi"], [engine, transform]))):
+            (["transform", "--preset", "example2"], [plant, transform, transform_part]),
+            (run, [plant, engine, run_part]),
+            ([*run, "--verify-set"], [plant, engine, transform, run_part]),
+            ([*run, "--mode", "transformed-xi"], [plant, engine, transform, run_part]))):
         if argv[0] != "check":
             argv = [*argv, "--out", str(tmp_path / f"out{i}")]
         script = textwrap.dedent(f"""
@@ -897,10 +905,8 @@ def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
             import ilcset.cli
             from ilcset.cli import main
 
-            WATCHED = ("ilcset.ilc_engine", "ilcset.set_transform", "dataclasses", "logging")
-
             def loaded():
-                return [name for name in WATCHED if name in sys.modules]
+                return [name for name in {watched!r} if name in sys.modules]
 
             at_config = []
             build = ilcset.cli.config_from_dict
@@ -912,8 +918,7 @@ def test_check_and_transform_leave_the_engine_unloaded(tmp_path):
             ilcset.cli.config_from_dict = spy
             assert main({argv!r}) == 0
             assert loaded() == {expected!r}, loaded()
-            if {argv[0]!r} == "run":
-                assert at_config == [{expected!r}], at_config
+            assert at_config == [{expected!r}], at_config
         """)
         procs.append((argv, subprocess.Popen([sys.executable, "-c", script],
                                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -943,7 +948,7 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
         return call
     monkeypatch.setattr(ilcset.ilc_engine, "sample_iteration", refuse("drew a realization"))
     monkeypatch.setattr(ilcset.ilc_engine, "_learn", refuse("allocated the stacks"))
-    monkeypatch.setattr(ilcset.plant.UncertaintySpec, "_replace", refuse("built a spec"))
+    monkeypatch.setattr(ilcset.config.UncertaintySpec, "_replace", refuse("built a spec"))
     for argv in (
         # L (N+1) m 8 bytes overflows intp: numpy refuses it before allocating.
         ["--preset", "example1", "--iterations", str(2 ** 62)],
@@ -984,11 +989,11 @@ def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch, tmp_path, 
         assert [a.shape for a in allocated] == [(7, S)] * 2 + [(6, S)] * 3, flags
         nbytes = sum(a.nbytes for a in allocated)
         with monkeypatch.context() as patch:
-            patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes, "allowed"))
-            ilcset.cli._check_stack_size(cfg, S)
-            patch.setattr(ilcset.cli, "_byte_limit", lambda: (nbytes - 1, "allowed"))
+            patch.setattr(ilcset.cli_run, "_byte_limit", lambda: (nbytes, "allowed"))
+            ilcset.cli_run._check_stack_size(cfg, S)
+            patch.setattr(ilcset.cli_run, "_byte_limit", lambda: (nbytes - 1, "allowed"))
             with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
-                ilcset.cli._check_stack_size(cfg, S)
+                ilcset.cli_run._check_stack_size(cfg, S)
 
 
 def test_sweep_prints_a_violated_condition(tmp_path):
@@ -1025,7 +1030,8 @@ def test_array_text_equals_indented_json_dumps(shape, level, dtype):
         a = _special_values(rng, shape)
     else:
         a = rng.integers(-10 ** 12, 10 ** 12, size=shape, dtype=dtype)
-    text = ilcset.cli._array_layout(a.shape, level) % ilcset.cli._number_text(a)
+    text = (ilcset.cli_transform._array_layout(a.shape, level)
+            % ilcset.cli_transform._number_text(a))
     assert text == json.dumps(a.tolist(), indent=2).replace("\n", "\n" + "  " * level)
 
 
@@ -1067,7 +1073,7 @@ def test_transform_json_equals_indented_json_dumps(steps, p, m, n, star_steps, f
         D=_special_values(rng, (star_steps, p, p)),
         w=_special_values(rng, (star_steps, n, 1)),
         v=_special_values(rng, (star_steps + 1, p, 1)))
-    assert ilcset.cli._transform_json(transform, square) == json.dumps(
+    assert ilcset.cli_transform._transform_json(transform, square) == json.dumps(
         _reference_transform_doc(transform, square), indent=2)
 
 
@@ -1084,7 +1090,7 @@ def test_trajectory_writer_equals_csv_writer(tmp_path, L, steps, p, recorded):
     path = tmp_path / "traj.csv"
     with np.errstate(invalid="ignore"):
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            write = ilcset.cli._trajectory_writer(fh, p)
+            write = ilcset.cli_run._trajectory_writer(fh, p)
             for l, y, r in zip(recorded, outputs, references):
                 write(l, y, r)
         expected = tmp_path / "expected.csv"

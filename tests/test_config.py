@@ -6,9 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from ilcset.config import config_from_dict
+from ilcset.config import UncertaintySpec, config_from_dict
 from ilcset.errors import IlcsetError, SchemaError
-from ilcset.plant import UncertaintySpec
 
 
 def minimal_doc(**overrides) -> dict:

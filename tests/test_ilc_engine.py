@@ -11,7 +11,7 @@ import pytest
 import ilcset.conditions
 import ilcset.ilc_engine
 import ilcset.set_transform
-from ilcset.config import config_from_dict
+from ilcset.config import NominalSystem, UncertaintySpec, config_from_dict
 from ilcset.errors import IlcsetError, NonFiniteError
 from ilcset.ilc_engine import (
     IlcConfig,
@@ -24,7 +24,7 @@ from ilcset.ilc_engine import (
     verify_input_recursion,
 )
 from ilcset.matrix_core import inf_norm
-from ilcset.plant import NominalSystem, UncertaintySpec, simulate
+from ilcset.plant import simulate
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import assemble_input, split_input
 from test_golden import STRUCTURED_CONFIG

@@ -7,20 +7,18 @@ import sys
 import numpy as np
 import pytest
 
-from ilcset.config import config_from_dict
-from ilcset.errors import IlcsetError, NonFiniteError
-from ilcset.ilc_engine import _draw, _with_lane_axis
-from ilcset.matrix_core import spectral_norms
-from ilcset.plant import (
-    _TAG,
+from ilcset.config import (
     CHANNELS,
     SCHEDULES,
     NominalSystem,
     StructuredD,
     UncertaintySpec,
-    sample_iteration,
-    simulate,
+    config_from_dict,
 )
+from ilcset.errors import IlcsetError, NonFiniteError
+from ilcset.ilc_engine import _draw, _with_lane_axis
+from ilcset.matrix_core import spectral_norms
+from ilcset.plant import _TAG, sample_iteration, simulate
 from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from test_golden import LONG_HORIZON_CONFIG

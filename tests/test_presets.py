@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from ilcset.plant import UncertaintySpec
+from ilcset.config import UncertaintySpec
 from ilcset.presets import (
     PRESET_NAMES,
     build_preset,

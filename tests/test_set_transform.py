@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ilcset.conditions import check_rho_cb_gamma, check_rho_dxi
+from ilcset.config import NominalSystem, UncertaintySpec
 from ilcset.errors import ConditionViolatedError, IlcsetError
 from ilcset.matrix_core import inf_norm, invert, spectral_radius
-from ilcset.plant import NominalSystem, UncertaintySpec, sample_iteration, simulate
+from ilcset.plant import sample_iteration, simulate
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import (
     assemble_input,
@@ -314,23 +315,19 @@ def test_feedthrough_free_rejects_mismatched_plants(example1, example2, p_exampl
         apply_transform(with_feedthrough, p_example2, np.zeros((101, 3, 1)))
 
 
-@pytest.mark.parametrize("amp", [0.0, 0.01])
-def test_coupling_inverse_residual_is_checked(amp):
-    # With B = C = I the coupling is I, and the huge off-diagonal gain
-    # leaves the closed-form inverse 6.5e-9 from inverting it at every k.
-    # The check reads the nominal coupling, so perturbing B and C does not
-    # move it.
+@pytest.mark.parametrize("family", ["xi", "gamma"])
+def test_coupling_inverse_residual_is_checked(family):
+    # With the coupling I (D = I, or B = C = I) the huge off-diagonal gain
+    # leaves the closed-form inverse 6.5e-9 from inverting it at every k,
+    # and the builder of either family refuses it.
     N = 3
     eye = MatrixSchedule.from_values(np.eye(2), N)
-    zeros = {name: MatrixSchedule.from_values(np.zeros(shape), N)
-             for name, shape in (("A", (2, 2)), ("D", (2, 2)), ("w", (2, 1)),
-                                 ("v", (2, 1)), ("r", (2, 1)))}
-    system = NominalSystem(n=2, m=2, p=2, N=N, B=eye, C=eye, x0=np.zeros((2, 1)), **zeros)
-    transform = build_p_transform(eye, eye, MatrixSchedule.from_values(
-        [[0.7, 1e9 / 3], [0.0, 0.7]], N))
-    realized = sample_iteration(system, UncertaintySpec(amp_B=amp, amp_C=amp, seed=1), 0)
+    gain = MatrixSchedule.from_values([[0.7, 1e9 / 3], [0.0, 0.7]], N)
     with pytest.raises(IlcsetError, match=r"^coupling inverse residual 6\.456e-09 at k=0$"):
-        apply_transform(realized, transform, np.zeros((N + 1, 2, 1)))
+        if family == "xi":
+            build_q_transform(eye, gain)
+        else:
+            build_p_transform(eye, eye, gain)
 
 
 @pytest.mark.parametrize("family, steps, plant_N", [("xi", 3, 3), ("gamma", 2, 1)])
