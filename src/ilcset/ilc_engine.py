@@ -32,7 +32,6 @@ from .config import (
 from .errors import IlcsetError, NonFiniteError
 from .matrix_core import per_step
 from .plant import RealizedIteration, _perturbed, _seed_stacks, sample_iteration, simulate
-from .schedule_lang import MatrixSchedule
 
 if TYPE_CHECKING:
     from .set_transform import InputTransform
@@ -78,8 +77,9 @@ class RunResult(NamedTuple):
     with k ranging over 0..N in the current-error modes and over 1..N
     (errors) / 0..N-1 (inputs) in the look-ahead modes.  converged_value
     estimates the asymptotic error level as the maximum of E over the last
-    tenth of the iterations.  xi_seq / gamma_seq are the (N+1, m, p) gain
-    stacks the run effectively applied, retained so recorded data can be
+    tenth of the iterations.  gain_seq is the one gain stack the run
+    applied in original input coordinates: Xi's (N+1, m, p) on k in 0..N,
+    or Gamma's (N, m, p) on k in 0..N-1, retained so recorded data can be
     re-checked against the iteration-domain recursions afterwards.
     inputs, states, outputs and references stack every trial's (N+1, rows, 1)
     signals, row l for trial l, or are None for a run given a sink.
@@ -98,8 +98,7 @@ class RunResult(NamedTuple):
     U_hist: tuple
     final_input: np.ndarray  # the input applied on the last trial
     converged_value: float
-    xi_seq: np.ndarray
-    gamma_seq: np.ndarray
+    gain_seq: np.ndarray
     condition_report: Optional[ConditionReport] = None
     warnings: tuple = ()
     error_recursion: Optional[ResidualReport] = None
@@ -127,21 +126,23 @@ class Trial(NamedTuple):
     r: np.ndarray
 
 
-def update_input(u, e, Xi: MatrixSchedule, Gamma: MatrixSchedule) -> np.ndarray:
-    """One step of the update law: u + Xi e(k) + Gamma e(k+1).
+def update_input(u, e, gain: np.ndarray, shift: int = 0) -> np.ndarray:
+    """One step of the update law: u(k) + G(k) e(k + shift) on the steps k
+    of the gain stack G; the inputs after them are left as they are.
 
-    The look-ahead term is dropped at k = N where e(N+1) does not exist.
+    Xi learns from the current error (shift 0, k in 0..N), Gamma from the
+    next one (shift 1, k in 0..N-1), so the look-ahead law never updates
+    the final input: e(N+1) does not exist.
     """
-    N = len(u) - 1
-    if len(e) != N + 1:
-        raise IlcsetError("input and error sequences differ in length")
-    u = np.asarray(u, dtype=np.float64)
+    steps = len(gain)
+    if len(e) != steps + shift or len(u) < steps:
+        raise IlcsetError("input, gain and error sequences differ in length")
+    out = np.array(u, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     # Divergent configurations are allowed to overflow here; the next
     # simulation reports the non-finite values with their iteration.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = u + per_step(Xi.values, e) @ e
-        out[:N] = out[:N] + per_step(Gamma.values[:N], e) @ e[1:]
+        out[:steps] += per_step(gain, e) @ e[shift:]
     return out
 
 
@@ -151,12 +152,6 @@ def _worst(stack: np.ndarray) -> np.ndarray:
     the step axis on its own first is several times faster than one
     reduction over all three."""
     return np.abs(stack).max(axis=0).max(axis=(-2, -1))
-
-
-def _metrics(mode: str, e: np.ndarray, u: np.ndarray, N: int) -> tuple:
-    if mode in GAMMA_MODES:
-        return _worst(e[1:]), _worst(u[:N])
-    return _worst(e), _worst(u)
 
 
 def _converged_value(E_hist: Sequence[float]) -> float:
@@ -172,22 +167,24 @@ def _precheck(report: ConditionReport) -> tuple:
             f"at k={report.worst_k}; the run may diverge",)
 
 
-def _error_loop(D, xi_seq) -> np.ndarray:
-    """I - D Xi at every k."""
-    return np.eye(D.shape[-2]) - D @ per_step(xi_seq, D)
+def _error_loop(D, gain_seq) -> np.ndarray:
+    """I - D Xi at every k.  A gain on k in 0..N-1 is Gamma, whose modes
+    have D = 0: the loop is then I."""
+    eye = np.eye(D.shape[-2])
+    return eye if len(gain_seq) < len(D) else eye - D @ per_step(gain_seq, D)
 
 
-def _input_loop(look_ahead, cur, u, xi_seq, gamma_seq) -> np.ndarray:
+def _input_loop(look_ahead, cur, u, gain_seq) -> np.ndarray:
     """I - Xi D at every k, or I - Gamma C(k+1) B(k) on k in 0..N-1."""
     if look_ahead:
-        return np.eye(u.shape[-2]) - per_step(gamma_seq[:-1], u) @ cur.C[1:] @ cur.B[:-1]
-    return np.eye(u.shape[-2]) - per_step(xi_seq, u) @ cur.D
+        return np.eye(u.shape[-2]) - per_step(gain_seq, u) @ cur.C[1:] @ cur.B[:-1]
+    return np.eye(u.shape[-2]) - per_step(gain_seq, u) @ cur.D
 
 
 def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
                      x_cur: np.ndarray, x_nxt: np.ndarray, e_cur: np.ndarray,
                      e_nxt: np.ndarray, u_cur: np.ndarray, u_nxt: np.ndarray,
-                     xi_seq: np.ndarray, fixed=(), loop=None) -> tuple:
+                     gain_seq: np.ndarray, fixed=(), loop=None) -> tuple:
     """Worst residuals of one transition l -> l+1 of the error recursion
     e_{l+1} = (I - D_l Xi) e_l + tau_l and of the state difference in tau_l.
 
@@ -210,7 +207,7 @@ def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
     tau += nxt.r - cur.r
     tau -= nxt.v - cur.v
     if loop is None:
-        loop = _error_loop(cur.D, xi_seq)
+        loop = _error_loop(cur.D, gain_seq)
     residual = e_nxt - loop @ e_cur - tau
     predicted = cur.A[:N] @ dx[:N]
     predicted += (nxt.A[:N] - cur.A[:N]) @ x_nxt[:N]
@@ -223,7 +220,7 @@ def _error_residuals(cur: RealizedIteration, nxt: RealizedIteration,
 
 def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
                     u_cur: np.ndarray, u_nxt: np.ndarray,
-                    xi_seq: np.ndarray, gamma_seq: np.ndarray, loop=None) -> float:
+                    gain_seq: np.ndarray, loop=None) -> float:
     """Worst residual of one transition l -> l+1 of the input's own dynamics.
 
     Current-error modes: u_{l+1} = (I - Xi D_l) u_l + Xi (r_l - C_l x_l - v_l).
@@ -236,13 +233,13 @@ def _input_residual(look_ahead: bool, cur: RealizedIteration, x: np.ndarray,
     """
     N = len(u_cur) - 1
     if loop is None:
-        loop = _input_loop(look_ahead, cur, u_cur, xi_seq, gamma_seq)
+        loop = _input_loop(look_ahead, cur, u_cur, gain_seq)
     if look_ahead:
-        drive = per_step(gamma_seq[:N], u_cur) @ (
+        drive = per_step(gain_seq, u_cur) @ (
             cur.r[1:] - cur.C[1:] @ (cur.A[:N] @ x[:N] + cur.w[:N]) - cur.v[1:])
         residual = u_nxt[:N] - loop @ u_cur[:N] - drive
         return np.maximum(_worst(residual), _worst(u_nxt[N:] - u_cur[N:]))
-    drive = per_step(xi_seq, u_cur) @ (cur.r - cur.C @ x - cur.v)
+    drive = per_step(gain_seq, u_cur) @ (cur.r - cur.C @ x - cur.v)
     return _worst(u_nxt - loop @ u_cur - drive)
 
 
@@ -312,7 +309,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     unc is one UncertaintySpec, or a sequence of S of them (seeds) that run
     side by side; one spec runs as S = 1.  Every per-trial array carries
     the seed axis after the step axis, (N+1, S, rows, cols).  law(S) builds
-    (report, xi_seq, gamma_seq, u0, advance) for S seeds; advance(l, u, e)
+    (report, gain_seq, u0, advance) for S seeds; advance(l, u, e)
     forms the input of trial l + 1 from trial l's input and tracking error.
     Trial l draws its realizations once, simulates them under the input u
     and forms the tracking error once, for the metrics, the checks of the
@@ -333,9 +330,11 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     if not uncs:
         raise IlcsetError("no uncertainty spec to run")
     S = len(uncs)
-    report, xi_seq, gamma_seq, u, advance = law(S)
+    report, gain_seq, u, advance = law(S)
     other = None if counterpart is None else counterpart(S)
     warnings = _precheck(report)
+    # E and U run over the gain's steps k: e(k + shift) and u(k).
+    steps = len(gain_seq)
     L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
     # Trial l draws into stacks[l % 2]; the checks still read trial l - 1's.
     stacks = _seed_stacks(sys, uncs), _seed_stacks(sys, uncs)
@@ -352,7 +351,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                 stack[trial.l] = signal
     faults = [None] * S
     if other is not None:
-        gap, u_other, advance_other = np.zeros(S), other[3], other[4]
+        gap, u_other, advance_other = np.zeros(S), other[2], other[3]
     # A seed that blew up runs on beside the others; its NonFiniteError, not
     # numpy's overflow warnings, reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,20 +365,20 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
                 x, y, y_other = x[:, 0], y[:, 0], y[:, 1]
                 gap = np.maximum(gap, _worst(y - y_other))
             e = realized.r - y
-            E_hist[l], U_hist[l] = _metrics(cfg.mode, e, u, sys.N)
+            E_hist[l], U_hist[l] = _worst(e[sys.N + 1 - steps:]), _worst(u[:steps])
             residuals = None
             if l == 1:
                 # A channel no spec perturbs is the same view in every trial,
                 # so a loop matrix made only of such channels is formed once.
                 if "D" in fixed:
-                    error_loop = _error_loop(previous.D, xi_seq)
+                    error_loop = _error_loop(previous.D, gain_seq)
                 if (fixed >= {"B", "C"}) if look_ahead else ("D" in fixed):
-                    input_loop = _input_loop(look_ahead, previous, u, xi_seq, gamma_seq)
+                    input_loop = _input_loop(look_ahead, previous, u, gain_seq)
             if l:
                 residuals = (*_error_residuals(previous, realized, x_previous, x, e_previous,
-                                               e, u_previous, u, xi_seq, fixed, error_loop),
+                                               e, u_previous, u, gain_seq, fixed, error_loop),
                              _input_residual(look_ahead, previous, x_previous, u_previous,
-                                             u, xi_seq, gamma_seq, input_loop))
+                                             u, gain_seq, input_loop))
                 error_res[l - 1], state_res[l - 1], input_res[l - 1] = residuals
             sink(Trial(l, E_hist[l], U_hist[l], residuals, u, x, y, realized.r))
             previous, x_previous, u_previous, e_previous = realized, x, u, e
@@ -396,7 +395,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
         return RunResult(mode=cfg.mode, iterations=L,
                          E_hist=E, U_hist=tuple(U_hist[:, s].tolist()),
                          final_input=u[:, s], converged_value=_converged_value(E),
-                         xi_seq=xi_seq, gamma_seq=gamma_seq,
+                         gain_seq=gain_seq,
                          condition_report=report, warnings=warnings,
                          error_recursion=_report("error_recursion", error_res[:, s].tolist(),
                                                  state_res[:, s].tolist()),
@@ -415,14 +414,17 @@ def _initial_input(cfg: IlcConfig, seeds: int) -> np.ndarray:
 
 
 def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig, seeds: int) -> tuple:
-    """The update law in original input coordinates."""
+    """The update law in original input coordinates, with the mode's one
+    gain (Xi, Gamma) = gains; the other family's must be zero."""
     xi, gamma = gains
-    if cfg.mode in GAMMA_MODES:
-        report = check_rho_cb_gamma(sys.B, sys.C, gamma)
-    else:
-        report = check_rho_dxi(sys.D, xi)
-    return (report, xi.values, gamma.values, _initial_input(cfg, seeds),
-            lambda l, u, e: update_input(u, e, xi, gamma))
+    look_ahead = int(cfg.mode in GAMMA_MODES)
+    gain, unused, name = (gamma, xi, "Xi") if look_ahead else (xi, gamma, "Gamma")
+    if np.any(unused.values):
+        raise IlcsetError(f"{cfg.mode} requires {name} identically zero")
+    report = check_rho_cb_gamma(sys.B, sys.C, gain) if look_ahead else check_rho_dxi(sys.D, gain)
+    gain_seq = gain.values[:sys.N + 1 - look_ahead]
+    return (report, gain_seq, _initial_input(cfg, seeds),
+            lambda l, u, e: update_input(u, e, gain_seq, look_ahead))
 
 
 def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
@@ -439,11 +441,6 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
         raise IlcsetError(f"{cfg.mode} needs a " + (
             "state-coupled transform on k in 0..N-1" if look_ahead
             else "feedthrough-coupled transform on k in 0..N"))
-    zero_gains = np.zeros((sys.N + 1, sys.m, sys.p))
-    if look_ahead:
-        xi_seq, gamma_seq = zero_gains, np.concatenate([transform.gain, zero_gains[:1]])
-    else:
-        xi_seq, gamma_seq = transform.gain, zero_gains
 
     u0 = _initial_input(cfg, seeds)
     u1, frozen = split_input(transform, u0[:active_steps])
@@ -454,10 +451,10 @@ def _split_law(sys: NominalSystem, transform: InputTransform, cfg: IlcConfig,
 
     def advance(l, u, e):
         nonlocal u1
-        u1 = u1 + per_step(transform.gain_products, e) @ e[shift:shift + active_steps]
+        u1 = update_input(u1, e, transform.gain_products, shift)
         return assemble(u1)
 
-    return transform.report, xi_seq, gamma_seq, assemble(u1), advance
+    return transform.report, transform.gain, assemble(u1), advance
 
 
 def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], gains: tuple,
@@ -465,7 +462,8 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
         sink: Optional[Callable] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
-    A violated contraction condition does not abort: its warning is kept in
+    gains is (Xi, Gamma); the one the mode does not use must be zero.  A
+    violated contraction condition does not abort: its warning is kept in
     RunResult.warnings, so divergent configurations stay runnable.  Numerical
     blow-up surfaces as NonFinite carrying the offending step and iteration.  Given a transform
     as counterpart, the split-coordinate loop runs beside it on the same draws.
@@ -522,7 +520,7 @@ def verify_error_recursion(result: RunResult,
     x, e = result.states, result.references - result.outputs
     errors, states = zip(*(
         map(float, _error_residuals(realizations[l], realizations[l + 1], x[l], x[l + 1],
-                                    e[l], e[l + 1], inputs[l], inputs[l + 1], result.xi_seq))
+                                    e[l], e[l + 1], inputs[l], inputs[l + 1], result.gain_seq))
         for l in range(len(x) - 1)))
     return _report("error_recursion", errors, states)
 
@@ -540,7 +538,7 @@ def verify_input_recursion(result: RunResult,
     look_ahead = result.mode in GAMMA_MODES
     return _report("input_recursion", [
         float(_input_residual(look_ahead, realizations[l], result.states[l],
-                              inputs[l], inputs[l + 1], result.xi_seq, result.gamma_seq))
+                              inputs[l], inputs[l + 1], result.gain_seq))
         for l in range(len(inputs) - 1)])
 
 

@@ -109,7 +109,8 @@ def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> Realiz
     """
     n, m, p, N = sys.n, sys.m, sys.p, sys.N
     steps, sd = N + 1, unc.structured_D
-    noise = _noise(unc.seed, l)
+    # A spec that perturbs nothing draws nothing: it never loads numpy.random.
+    noise = _noise(unc.seed, l) if _perturbed((unc,)) else None
 
     def perturbed(name: str) -> np.ndarray:
         sched, amp = getattr(sys, name), getattr(unc, f"amp_{name}")

@@ -667,6 +667,26 @@ def test_version_runs_as_module():
     assert proc.stdout.strip() == "0.1.0"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["run", "--preset", "example2-clean", "--mode", "repetitive", "--iterations", "3"], False),
+    (["transform", "--preset", "example2-clean"], False),
+    (["run", "--preset", "example2", "--iterations", "3"], True),
+], ids=["clean-run", "clean-transform", "perturbed-run"])
+def test_numpy_random_loads_only_when_a_channel_is_perturbed(tmp_path, argv, loaded):
+    # A clean spec draws no noise, so its run never imports numpy.random
+    # (about 6 MB of peak RSS).  A child interpreter, since this one may
+    # have imported it already.
+    script = textwrap.dedent("""
+        import sys
+        from ilcset.cli import main
+        status = main(sys.argv[1:])
+        print(status, "numpy.random" in sys.modules, file=sys.stderr)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.stderr.splitlines()[-1] == f"0 {loaded}", proc.stderr
+
+
 def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
     # Only the process entry freezes the heap; an in-process caller such as
     # this test run keeps collecting what main leaves behind.

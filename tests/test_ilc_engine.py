@@ -25,6 +25,7 @@ from ilcset.ilc_engine import (
 )
 from ilcset.matrix_core import inf_norm
 from ilcset.plant import simulate
+from ilcset.presets import preset_config
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from ilcset.set_transform import assemble_input, split_input
 from test_golden import STRUCTURED_CONFIG
@@ -47,20 +48,36 @@ def no_uncertainty():
 
 
 def test_update_input_hand_example():
-    xi = const_gain(0.1, 1)
-    gamma = const_gain(0.2, 1)
+    # Xi learns from the current error at every k in 0..N.
+    xi = np.array([[[0.1]], [[0.3]]])
     u = [np.array([[1.0]]), np.array([[1.0]])]
     e = [np.array([[2.0]]), np.array([[3.0]])]
-    out = update_input(u, e, xi, gamma)
-    # k=0 takes both terms; k=N has no next-step error to look at.
-    assert out[0][0, 0] == pytest.approx(1.0 + 0.1 * 2.0 + 0.2 * 3.0, abs=1e-15)
-    assert out[1][0, 0] == pytest.approx(1.0 + 0.1 * 3.0, abs=1e-15)
+    out = update_input(u, e, xi)
+    assert out[0][0, 0] == pytest.approx(1.0 + 0.1 * 2.0, abs=1e-15)
+    assert out[1][0, 0] == pytest.approx(1.0 + 0.3 * 3.0, abs=1e-15)
+
+
+def test_update_input_look_ahead_hand_example():
+    # Gamma learns from the next-step error on k in 0..N-1; k = N has no
+    # next-step error, so u(N) is left as it is, down to the sign of a zero.
+    gamma = np.array([[[0.2]], [[0.5]]])
+    u = np.array([[[1.0]], [[1.0]], [[-0.0]]])
+    e = np.array([[[2.0]], [[3.0]], [[5.0]]])
+    out = update_input(u, e, gamma, shift=1)
+    assert out[0, 0, 0] == pytest.approx(1.0 + 0.2 * 3.0, abs=1e-15)
+    assert out[1, 0, 0] == pytest.approx(1.0 + 0.5 * 5.0, abs=1e-15)
+    assert out[2, 0, 0] == 0.0 and np.signbit(out[2, 0, 0])
+    # The update returns a new input; the one it was given is unchanged.
+    assert u[0, 0, 0] == 1.0 and u[1, 0, 0] == 1.0
 
 
 def test_update_input_length_mismatch():
-    xi = const_gain(0.1, 1)
-    with pytest.raises(IlcsetError, match="input and error sequences differ in length"):
-        update_input([np.zeros((1, 1))] * 2, [np.zeros((1, 1))] * 3, xi, xi)
+    gain = np.full((2, 1, 1), 0.1)
+    for u, e, shift in (([np.zeros((1, 1))] * 2, [np.zeros((1, 1))] * 3, 0),
+                        ([np.zeros((1, 1))] * 2, [np.zeros((1, 1))] * 2, 1),
+                        ([np.zeros((1, 1))], [np.zeros((1, 1))] * 2, 0)):
+        with pytest.raises(IlcsetError, match="input, gain and error sequences differ in length"):
+            update_input(u, e, gain, shift)
 
 
 def test_config_rejects_unknown_mode_and_bad_counts():
@@ -594,6 +611,48 @@ def test_counterpart_kind_checked_against_mode(request, plant, mode, transform, 
             IlcConfig(mode=mode, iterations=2, u0=cfg.u0), counterpart=transform,
             sink=trials.append)
     assert trials == []
+
+
+@pytest.mark.parametrize("plant, mode, transform, unused", [
+    ("example1", "direct-xi", None, "Gamma"),
+    ("example2", "direct-gamma", None, "Xi"),
+    ("example1", "transformed-xi", "q_example1", "Gamma"),
+    ("example2", "transformed-gamma", "p_example2", "Xi"),
+])
+def test_nonzero_gain_of_the_unused_family_rejected(request, plant, mode, transform, unused):
+    # Each run applies its mode's one gain, so a nonzero gain of the other
+    # family, as main run or as counterpart, is refused in config's words
+    # before any trial.
+    cfg = request.getfixturevalue(plant)
+    sys = cfg.system
+    stray = MatrixSchedule.from_values(np.full((sys.m, sys.p), 0.1), sys.N)
+    gains = (stray, cfg.gamma) if unused == "Xi" else (cfg.xi, stray)
+    engine = IlcConfig(mode=mode, iterations=2, u0=cfg.u0)
+    trials = []
+    with pytest.raises(IlcsetError, match=f"^{mode} requires {unused} identically zero$"):
+        if transform is None:
+            run(sys, cfg.uncertainty, gains, engine, sink=trials.append)
+        else:
+            run_transformed(sys, cfg.uncertainty, request.getfixturevalue(transform), engine,
+                            counterpart=gains, sink=trials.append)
+    assert trials == []
+
+
+def test_look_ahead_runs_never_update_the_final_input(p_example2):
+    # u(N) drives nothing and e(N+1) does not exist: both look-ahead loops
+    # hand it on untouched, down to the sign of a -0 cell.
+    doc = preset_config("example2", iterations=3)
+    doc["run"]["u0"] = [["-0"]] * 3
+    cfg = config_from_dict(doc)
+    N = cfg.system.N
+    assert np.signbit(cfg.u0[N]).all()
+    direct = run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma),
+                 IlcConfig(mode="direct-gamma", iterations=3, u0=cfg.u0))
+    split = run_transformed(cfg.system, cfg.uncertainty, p_example2,
+                            IlcConfig(mode="transformed-gamma", iterations=3, u0=cfg.u0))
+    assert np.signbit(direct.final_input[N]).all()
+    assert np.array_equal(np.signbit(direct.final_input[N]), np.signbit(split.final_input[N]))
+    assert direct.gain_seq.shape == split.gain_seq.shape == (N, 3, 2)
 
 
 def test_transform_horizon_checked_against_plant(example1):
