@@ -125,6 +125,31 @@ _MAX_COUNT = int(np.iinfo(np.intp).max) - 1
 _SHOWN_CHARS = 30
 
 
+def mode_premises(mode: str, D: MatrixSchedule, unc: UncertaintySpec,
+                  gains: Optional[tuple] = None) -> list:
+    """The premises of mode that the nominal feedthrough D, the spec unc and
+    the gain pair (Xi, Gamma), when given, violate, as messages in order.
+
+    The look-ahead (Gamma) law and its convergence condition assume a
+    feedthrough-free plant, so D = 0 with no D uncertainty; each mode
+    applies one gain family, so the other's must be zero; and the
+    repetitive case has no nonrepetitive uncertainty at all.
+    """
+    look_ahead = mode in GAMMA_MODES
+    violated = []
+    if look_ahead and np.any(D.values):
+        violated.append(f"{mode} requires D identically zero")
+    if look_ahead and (unc.amp_D or unc.structured_D is not None):
+        violated.append(f"{mode} requires zero D uncertainty")
+    if gains is not None:
+        unused, name = (gains[0], "Xi") if look_ahead else (gains[1], "Gamma")
+        if np.any(unused.values):
+            violated.append(f"{mode} requires {name} identically zero")
+    if mode == "repetitive" and any(getattr(unc, f"amp_{q}") for q in CHANNELS):
+        violated.append("repetitive mode requires all amplitudes zero")
+    return violated
+
+
 class ExperimentConfig(NamedTuple):
     system: NominalSystem
     uncertainty: UncertaintySpec
@@ -407,23 +432,8 @@ def config_from_dict(doc) -> ExperimentConfig:
 
     problems.raise_if_any()
     system = NominalSystem(n=n, m=m, p=p, N=N, x0=x0, **schedules)
-
-    def _zero_schedule(sched: MatrixSchedule) -> bool:
-        return not np.any(sched.values)
-
-    if mode in GAMMA_MODES:
-        if not _zero_schedule(system.D):
-            problems.add("/run/mode", f"{mode} requires D identically zero")
-        if uncertainty.amp_D or uncertainty.structured_D is not None:
-            problems.add("/run/mode", f"{mode} requires zero D uncertainty")
-        if not _zero_schedule(xi):
-            problems.add("/run/mode", f"{mode} requires Xi identically zero")
-    else:
-        if not _zero_schedule(gamma):
-            problems.add("/run/mode", f"{mode} requires Gamma identically zero")
-    if mode == "repetitive":
-        if any(getattr(uncertainty, f"amp_{q}") for q in CHANNELS):
-            problems.add("/run/mode", "repetitive mode requires all amplitudes zero")
+    for message in mode_premises(mode, system.D, uncertainty, (xi, gamma)):
+        problems.add("/run/mode", message)
     problems.raise_if_any()
 
     return ExperimentConfig(system=system, uncertainty=uncertainty, xi=xi, gamma=gamma,

@@ -28,6 +28,7 @@ from .config import (
     Checked,
     NominalSystem,
     UncertaintySpec,
+    mode_premises,
 )
 from .errors import IlcsetError, NonFiniteError
 from .matrix_core import per_step
@@ -303,7 +304,7 @@ def _stack_shapes(L: int, S: int) -> tuple:
 
 def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
            cfg: IlcConfig, law: Callable, counterpart: Optional[Callable] = None,
-           sink: Optional[Callable] = None) -> RunResult | list:
+           sink: Optional[Callable] = None, gains: Optional[tuple] = None) -> RunResult | list:
     """The trial loop of both coordinate systems.
 
     unc is one UncertaintySpec, or a sequence of S of them (seeds) that run
@@ -329,6 +330,13 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     uncs = (unc,) if isinstance(unc, UncertaintySpec) else tuple(unc)
     if not uncs:
         raise IlcsetError("no uncertainty spec to run")
+    for spec in uncs:
+        violated = mode_premises(cfg.mode, sys.D, spec, gains)
+        if violated:
+            raise IlcsetError(violated[0])
+    shape = np.shape(cfg.u0)
+    if shape != (sys.N + 1, sys.m, 1):
+        raise IlcsetError(f"initial input shape {shape}, expected {(sys.N + 1, sys.m, 1)}")
     S = len(uncs)
     report, gain_seq, u, advance = law(S)
     other = None if counterpart is None else counterpart(S)
@@ -415,12 +423,9 @@ def _initial_input(cfg: IlcConfig, seeds: int) -> np.ndarray:
 
 def _direct_law(sys: NominalSystem, gains: tuple, cfg: IlcConfig, seeds: int) -> tuple:
     """The update law in original input coordinates, with the mode's one
-    gain (Xi, Gamma) = gains; the other family's must be zero."""
-    xi, gamma = gains
+    gain of (Xi, Gamma) = gains."""
     look_ahead = int(cfg.mode in GAMMA_MODES)
-    gain, unused, name = (gamma, xi, "Xi") if look_ahead else (xi, gamma, "Gamma")
-    if np.any(unused.values):
-        raise IlcsetError(f"{cfg.mode} requires {name} identically zero")
+    gain = gains[look_ahead]
     report = check_rho_cb_gamma(sys.B, sys.C, gain) if look_ahead else check_rho_dxi(sys.D, gain)
     gain_seq = gain.values[:sys.N + 1 - look_ahead]
     return (report, gain_seq, _initial_input(cfg, seeds),
@@ -462,11 +467,13 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
         sink: Optional[Callable] = None) -> RunResult | list:
     """Direct loop in original input coordinates.
 
-    gains is (Xi, Gamma); the one the mode does not use must be zero.  A
-    violated contraction condition does not abort: its warning is kept in
-    RunResult.warnings, so divergent configurations stay runnable.  Numerical
-    blow-up surfaces as NonFinite carrying the offending step and iteration.  Given a transform
-    as counterpart, the split-coordinate loop runs beside it on the same draws.
+    gains is (Xi, Gamma).  A u0 that is not (N+1, m, 1), or a violated
+    mode premise (config.mode_premises), raises IlcsetError before any
+    trial.  A violated contraction condition does not abort: its warning is
+    kept in RunResult.warnings, so divergent configurations stay runnable.
+    Numerical blow-up surfaces as NonFiniteError carrying the offending
+    step and iteration.  Given a transform as counterpart, the
+    split-coordinate loop runs beside it on the same draws.
     unc may also be a sequence of UncertaintySpecs (one per seed, say): they
     run side by side through the one loop, and a list of RunResults, one
     per spec in order, comes back.  Given a sink, each finished Trial goes
@@ -474,7 +481,7 @@ def run(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec], ga
     """
     return _learn(sys, unc, cfg, partial(_direct_law, sys, gains, cfg),
                   None if counterpart is None else partial(_split_law, sys, counterpart, cfg),
-                  sink)
+                  sink, gains)
 
 
 def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
@@ -489,12 +496,13 @@ def run_transformed(sys: NominalSystem, unc: UncertaintySpec | Sequence[Uncertai
     uses the collapsed square gain, so its loop matrix coincides with the
     direct one and the same contraction condition applies.  Given (Xi,
     Gamma) as counterpart, the direct loop runs beside it on the same draws.
+    u0 and the premises are checked as in run, on the counterpart's gains.
     A sequence of specs as unc runs them side by side, and a sink takes
     each finished trial, as in run.
     """
     return _learn(sys, unc, cfg, partial(_split_law, sys, transform, cfg),
                   None if counterpart is None else partial(_direct_law, sys, counterpart, cfg),
-                  sink)
+                  sink, counterpart)
 
 
 def _require_logged(result: RunResult) -> None:

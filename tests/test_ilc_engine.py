@@ -2,6 +2,7 @@
 direct and split-coordinate runs, frozen channels, recursion residuals,
 and the closed-form input limit."""
 
+import re
 import tracemalloc
 from functools import partial
 
@@ -11,8 +12,8 @@ import pytest
 import ilcset.conditions
 import ilcset.ilc_engine
 import ilcset.set_transform
-from ilcset.config import NominalSystem, UncertaintySpec, config_from_dict
-from ilcset.errors import IlcsetError, NonFiniteError
+from ilcset.config import CHANNELS, NominalSystem, StructuredD, UncertaintySpec, config_from_dict
+from ilcset.errors import IlcsetError, NonFiniteError, SchemaError
 from ilcset.ilc_engine import (
     IlcConfig,
     limit_input,
@@ -286,16 +287,16 @@ def test_specs_side_by_side_match_separate_runs(request, mode):
 
 
 @pytest.mark.parametrize("mode", ["direct-gamma", "transformed-gamma"])
-def test_batch_with_one_spec_perturbing_b_c_d_matches_separate_runs(example2, p_example2,
-                                                                    mode):
-    # Only the middle spec perturbs B, C and D: the batch draws them into
-    # its stacks and checks their shift terms, while the outer specs alone
-    # leave those out.  Each run alone reports what the after-the-fact
-    # checks find on a fresh draw with the full formulas.
+def test_batch_with_one_spec_perturbing_b_c_matches_separate_runs(example2, p_example2, mode):
+    # Only the middle spec perturbs B and C (the look-ahead modes take no D
+    # uncertainty): the batch draws them into its stacks and checks their
+    # shift terms, while the outer specs alone leave those out.  Each run
+    # alone reports what the after-the-fact checks find on a fresh draw
+    # with the full formulas.
     cfg = example2
     engine = IlcConfig(mode=mode, iterations=6, u0=cfg.u0)
     specs = [cfg.uncertainty._replace(seed=3),
-             cfg.uncertainty._replace(seed=4, amp_B=0.05, amp_C=0.05, amp_D=0.05),
+             cfg.uncertainty._replace(seed=4, amp_B=0.05, amp_C=0.05),
              cfg.uncertainty._replace(seed=5)]
     go = ((lambda unc: run(cfg.system, unc, (cfg.xi, cfg.gamma), engine))
           if mode == "direct-gamma" else
@@ -309,7 +310,7 @@ def test_batch_with_one_spec_perturbing_b_c_d_matches_separate_runs(example2, p_
 
 
 def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
-                                          example2, p_example2):
+                                          example2, example2_clean, p_example2):
     # Every frozen share a run hands to assemble_input is the split of u0,
     # bit for bit, in both transformed modes and the repetitive counterpart.
     shares = []
@@ -321,7 +322,7 @@ def test_frozen_channels_bitwise_constant(monkeypatch, example1, q_example1,
     monkeypatch.setattr(ilcset.set_transform, "assemble_input", spy)
     for cfg, transform, mode in ((example1, q_example1, "transformed-xi"),
                                  (example2, p_example2, "transformed-gamma"),
-                                 (example2, p_example2, "repetitive")):
+                                 (example2_clean, p_example2, "repetitive")):
         shares.clear()
         result = run_transformed(cfg.system, cfg.uncertainty, transform,
                                  IlcConfig(mode=mode, iterations=6, u0=cfg.u0))
@@ -635,6 +636,79 @@ def test_nonzero_gain_of_the_unused_family_rejected(request, plant, mode, transf
         else:
             run_transformed(sys, cfg.uncertainty, request.getfixturevalue(transform), engine,
                             counterpart=gains, sink=trials.append)
+    assert trials == []
+
+
+def _assert_refused_as_config_refuses(doc, sys, unc, gains, transform):
+    # The engine, given what doc describes, refuses before any trial with
+    # the first /run/mode message config_from_dict gives for doc itself.
+    with pytest.raises(SchemaError) as refused:
+        config_from_dict(doc)
+    assert refused.value.path == "/run/mode"
+    expected = str(refused.value).removeprefix("/run/mode: ").split("; /run/mode: ")[0]
+    mode = doc["run"]["mode"]
+    engine = IlcConfig(mode=mode, iterations=2, u0=np.zeros((sys.N + 1, sys.m, 1)))
+    trials = []
+    with pytest.raises(IlcsetError) as err:
+        if mode.startswith("transformed"):
+            run_transformed(sys, unc, transform, engine, sink=trials.append)
+        else:
+            run(sys, unc, gains, engine, sink=trials.append)
+    assert str(err.value) == expected
+    assert trials == []
+
+
+_D_GRID = [["0.1", "0", "0"], ["0", "0.1", "0"]]
+_E_GRID, _F_GRID = [["1"], ["0"]], [["0.1", "0", "0"]]
+
+
+@pytest.mark.parametrize("mode", ["direct-gamma", "transformed-gamma"])
+@pytest.mark.parametrize("violation", ["amp_D", "structured_D", "nominal D"])
+def test_look_ahead_runs_refuse_feedthrough_as_config_does(example2, p_example2, mode,
+                                                           violation):
+    # The look-ahead law assumes a feedthrough-free plant: no nominal D and
+    # no D uncertainty, in either coordinate system.
+    doc = preset_config("example2", iterations=2)
+    doc["run"]["mode"] = mode
+    sys, unc, N = example2.system, example2.uncertainty, example2.system.N
+    if violation == "amp_D":
+        doc["uncertainty"]["amplitudes"]["D"] = 0.05
+        unc = unc._replace(amp_D=0.05)
+    elif violation == "structured_D":
+        doc["uncertainty"]["structured_D"] = {"E": _E_GRID, "F": _F_GRID}
+        unc = unc._replace(structured_D=StructuredD(E=build_schedule(_E_GRID, N),
+                                                    F=build_schedule(_F_GRID, N)))
+    else:
+        doc["system"]["D"] = _D_GRID
+        sys = sys._replace(D=build_schedule(_D_GRID, N))
+    _assert_refused_as_config_refuses(doc, sys, unc, (example2.xi, example2.gamma), p_example2)
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+def test_repetitive_runs_refuse_any_amplitude_as_config_does(example2_clean, channel):
+    doc = preset_config("example2-clean", iterations=2)
+    doc["run"]["mode"] = "repetitive"
+    doc["uncertainty"]["amplitudes"] = {channel: 0.05}
+    cfg = example2_clean
+    _assert_refused_as_config_refuses(doc, cfg.system,
+                                      cfg.uncertainty._replace(**{f"amp_{channel}": 0.05}),
+                                      (cfg.xi, cfg.gamma), None)
+
+
+@pytest.mark.parametrize("shape", [(101, 2, 1), (101, 3), (100, 3, 1)])
+@pytest.mark.parametrize("split", [False, True])
+def test_initial_input_of_the_wrong_shape_refused(example1, q_example1, shape, split):
+    cfg = example1
+    engine = IlcConfig(mode="transformed-xi" if split else "direct-xi", iterations=2,
+                       u0=np.zeros(shape))
+    trials = []
+    with pytest.raises(IlcsetError, match=re.escape(f"initial input shape {shape}, "
+                                                    "expected (101, 3, 1)")):
+        if split:
+            run_transformed(cfg.system, cfg.uncertainty, q_example1, engine,
+                            sink=trials.append)
+        else:
+            run(cfg.system, cfg.uncertainty, (cfg.xi, cfg.gamma), engine, sink=trials.append)
     assert trials == []
 
 
