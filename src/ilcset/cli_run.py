@@ -19,6 +19,7 @@ import numpy as np
 from .config import SEED_LIMIT, ExperimentConfig, _byte_limit
 from .errors import SchemaError
 from .ilc_engine import IlcConfig, RunResult, _stack_shapes, run, run_transformed
+from .plant import _draw_shapes
 
 CSV_HEADER = ("l", "E_inf", "U_inf", "res_err_rec", "res_in_rec")
 _BLOCK = 128  # trajectory rows formatted at a time
@@ -31,10 +32,16 @@ def _fmt(x: float) -> str:
 
 
 def _check_stack_size(cfg: ExperimentConfig, seeds: int) -> None:
-    """Reject a run whose histories need more bytes than numpy can address
-    or the machine has, before anything is drawn; _learn allocates them up
-    front, in _stack_shapes' shapes."""
-    nbytes = sum(8 * math.prod(shape) for shape in _stack_shapes(cfg.iterations, seeds))
+    """Reject a run whose arrays need more bytes than numpy can address or
+    the machine has, before anything is drawn.  They are what the loop
+    allocates up front, _learn's histories in _stack_shapes' shapes and the
+    plant's two sets of seed stacks in _draw_shapes', for seeds that all
+    perturb what cfg.uncertainty does, and the scratch of the largest
+    stack's size that the plant holds while it draws a channel."""
+    stacks = [*_draw_shapes(cfg.system, (cfg.uncertainty,), seeds).values()]
+    shapes = [*_stack_shapes(cfg.iterations, seeds), *stacks, *stacks,
+              max(stacks, key=math.prod, default=(0,))]
+    nbytes = sum(8 * math.prod(shape) for shape in shapes)
     limit, what = _byte_limit()
     if nbytes > limit:
         raise SchemaError("/run/iterations",

@@ -32,7 +32,7 @@ from .config import (
 )
 from .errors import IlcsetError, NonFiniteError
 from .matrix_core import per_step
-from .plant import RealizedIteration, _perturbed, _seed_stacks, sample_iteration, simulate
+from .plant import RealizedIteration, _draw_plan, draw_trial, sample_iteration, simulate
 
 if TYPE_CHECKING:
     from .set_transform import InputTransform
@@ -254,25 +254,6 @@ def _report(name: str, per_iteration: Sequence[float],
                           max_state_residual=None if state is None else max(0.0, *state))
 
 
-def _draw(sys: NominalSystem, uncs: Sequence[UncertaintySpec], l: int,
-          out: Optional[dict] = None) -> RealizedIteration:
-    """Trial l's realization of every spec, stacked on a seed axis after the
-    step axis: into out's stacks (see plant._seed_stacks; new ones when out
-    is None) where it has one, else as a view with a unit seed axis."""
-    if out is None:
-        out = _seed_stacks(sys, uncs)
-    draws = [sample_iteration(sys, unc, l) for unc in uncs]
-
-    def stack(name: str, axis: int) -> np.ndarray:
-        fields = [getattr(draw, name) for draw in draws]
-        if name not in out:
-            return fields[0][:, None] if axis else fields[0][None]
-        return np.stack(fields, axis=axis, out=out[name])
-
-    return RealizedIteration(l=l, N=sys.N, x0=stack("x0", 0),
-                             **{name: stack(name, 1) for name in SCHEDULES})
-
-
 def _with_lane_axis(realized: RealizedIteration) -> RealizedIteration:
     """The realization viewed with a unit lane axis ahead of the seed axis;
     x0, (S or 1, n, 1), already broadcasts against it."""
@@ -344,9 +325,9 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     # E and U run over the gain's steps k: e(k + shift) and u(k).
     steps = len(gain_seq)
     L, look_ahead = cfg.iterations, cfg.mode in GAMMA_MODES
-    # Trial l draws into stacks[l % 2]; the checks still read trial l - 1's.
-    stacks = _seed_stacks(sys, uncs), _seed_stacks(sys, uncs)
-    fixed = set(CHANNELS).difference(_perturbed(uncs))
+    # Trial l's draws leave trial l - 1's, which the checks still read.
+    plan = _draw_plan(sys, uncs)
+    fixed = set(CHANNELS).difference(plan.stacks[0])
     error_loop = input_loop = None
     E_hist, U_hist, error_res, state_res, input_res = map(np.empty, _stack_shapes(L, S))
     signals = {}
@@ -364,7 +345,7 @@ def _learn(sys: NominalSystem, unc: UncertaintySpec | Sequence[UncertaintySpec],
     # numpy's overflow warnings, reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(L):
-            realized = _draw(sys, uncs, l, stacks[l % 2])
+            realized = draw_trial(plan, l)
             if other is None:
                 x, y = _simulate(realized, u, faults)
             else:

@@ -24,7 +24,7 @@ from .matrix_core import Mat, spectral_norms
 _MASK64 = SEED_LIMIT - 1
 # Stable stream tags: each perturbed quantity owns one substream per iteration.
 _TAG = {name: tag for tag, name in enumerate((*CHANNELS, "sigma"))}
-# Each thread's (Philox, Generator), built on the thread's first _noise call.
+# Each thread's (Philox, Generator, state, key), built on the thread's first draw.
 _GEN = threading.local()
 
 
@@ -32,10 +32,10 @@ class RealizedIteration(NamedTuple):
     """One iteration's fully sampled plant: nominal + perturbation at every k.
 
     Every per-step field is a stacked (N+1, rows, cols) array.  The trial
-    loop stacks the draws of its S seeds (S = 1 for one spec) as (N+1, S,
-    rows, cols), with a unit seed axis on the fields no seed perturbs, and
-    x0 as (S or 1, n, 1).  set_transform.apply_transform returns the SET's
-    square plant of either family in this form, with p inputs.
+    loop stacks the draws of its S seeds as (N+1, S, rows, cols), with a
+    unit seed axis on the fields no seed perturbs, and x0 as (S or 1, n,
+    1).  set_transform.apply_transform returns the SET's square plant of
+    either family in this form, with p inputs.
     """
 
     l: int
@@ -50,91 +50,127 @@ class RealizedIteration(NamedTuple):
     x0: Mat
 
 
-def _perturbed(uncs) -> tuple:
-    """The channels, in CHANNELS order, that some of the specs uncs perturb:
-    amp_<name> > 0, or for D a structured perturbation.  sample_iteration
-    returns every other channel as its nominal schedule (or x0) itself."""
-    return tuple(name for name in CHANNELS if any(
-        getattr(unc, f"amp_{name}") or name == "D" and unc.structured_D is not None
-        for unc in uncs))
+class _Plan(NamedTuple):
+    """A run's draws, worked out once from its specs (see _draw_plan)."""
+
+    N: int
+    stacks: list    # two {channel: seed stack} of the channels some spec perturbs
+    fields: dict    # every channel's nominal, in the trial loop's layout
+    channels: list  # (name, seeds, amps, draws' shape) per perturbed channel
+    sigmas: list    # (s, seed, E, F, nominal D) per spec with a structured D
 
 
-def _seed_stacks(sys: NominalSystem, uncs) -> dict:
-    """Empty stacks, in the trial loop's layout, of the fields that S > 1
-    specs perturb (see _perturbed): (N+1, S, rows, cols), and x0's
-    (S, n, 1).  A single spec has none."""
+def _draw_shapes(sys: NominalSystem, uncs, S: int) -> dict:
+    """The shapes of the seed stacks a run of S seeds draws into, the seeds
+    perturbing what the specs uncs do: one per channel some spec perturbs
+    (amp_<name> > 0, or for D a structured perturbation), in CHANNELS
+    order, (N+1, S, rows, cols) or x0's (S, n, 1).  While it draws a
+    channel, draw_trial also holds a scratch of the stack's size."""
+    return {name: ((S,) if name == "x0" else (sys.N + 1, S)) + getattr(sys, name).shape
+            for name in CHANNELS if any(getattr(unc, f"amp_{name}") or name == "D"
+                                        and unc.structured_D is not None for unc in uncs)}
+
+
+def _draw_plan(sys: NominalSystem, uncs) -> _Plan:
+    """Work out the draws of the specs uncs, S seeds side by side, once for
+    a whole run: the seeds that draw each channel, their amplitudes, the
+    shape of its scratch, and two sets of seed stacks in _draw_shapes'
+    shapes.  A structured perturbation of D takes the place of its spec's
+    amp_D."""
     S = len(uncs)
-    return {name: np.empty(((S,) if name == "x0" else (sys.N + 1, S)) + getattr(sys, name).shape)
-            for name in (_perturbed(uncs) if S > 1 else ())}
+    shapes = _draw_shapes(sys, uncs, S)
+    stacks = [{name: np.empty(shape) for name, shape in shapes.items()} for _ in range(2)]
+    fields = {name: getattr(sys, name).values[:, None] for name in SCHEDULES}
+    fields["x0"] = sys.x0[None]
+    channels, sigmas = [], []
+    for name, shape in shapes.items():
+        # A seed that leaves the channel alone draws nothing: a zero row at
+        # amplitude +0.0 adds 0.0 * (2 * 0 - 1) = -0.0, which keeps every
+        # bit of the nominal, -0.0 included.
+        amps = [getattr(unc, f"amp_{name}") + 0.0 for unc in uncs]
+        # The scratch holds one row per seed, (S, N+1, rows, cols) or x0's
+        # (S, n, 1); the amplitudes broadcast against its transpose.
+        channels.append((name, [unc.seed if amp else None for unc, amp in zip(uncs, amps)],
+                         np.array(amps), (S, *shape[:-3], *shape[-2:])))
+    for s, unc in enumerate(uncs):
+        sd = unc.structured_D
+        if sd is not None:
+            k = sd.E.cols
+            if sd.E.rows != sys.p or sd.F.shape != (k, sys.m):
+                raise IlcsetError(f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
+                                  f"do not match p={sys.p}, s={k}, m={sys.m}")
+            sigmas.append((s, unc.seed, sd.E.values, sd.F.values, sys.D.values))
+    return _Plan(sys.N, stacks, fields, channels, sigmas)
 
 
-def _noise(seed: int, l: int):
-    """draw(tag, count, shape): a uniform [-1, 1] block, deterministic in
-    (seed, l, tag) and call-order free.
+def draw_trial(plan: _Plan, l: int) -> RealizedIteration:
+    """Trial l's realization of a run's specs (see _draw_plan), stacked on
+    a seed axis after the step axis: every channel some spec perturbs is
+    written into its stack in the plan's stacks[l % 2], so that trial l -
+    1's stays as it was, and every other is its nominal schedule (or x0)
+    with a unit seed axis.
 
-    One Philox per thread serves every draw the thread makes: each draw
-    re-keys it to (seed, l, tag) with a zero counter and an empty buffer,
-    which is exactly the state of a new Philox with that key (counter-based
-    streams may be re-keyed; Salmon et al., SC'11), so no draw depends on
-    the ones before it.  It is built with a fixed seed, which the first key
-    replaces, so building it reads no entropy from the operating system.
+    Every delta entry is i.i.d. uniform on [-amp, amp] from a counter-based
+    stream keyed by (seed, l, quantity); the same (seed, l) always
+    reproduces the same realization regardless of sampling order.  Each
+    thread draws from one Philox bit generator of its own, built on the
+    thread's first draw, and re-keys it per seed and quantity, so calls
+    from several threads do not interfere.  Its doubles d fill a scratch
+    per channel, where -1 + 2 d is exactly numpy's uniform(-1, 1) of them;
+    then all seeds are scaled and added to the nominal at once.
+    The initial-state shift varies with l only.  With a structured
+    perturbation on D, the contraction matrix is rescaled to keep its
+    largest singular value <= 1.  A plan that draws nothing never loads
+    numpy.random.
     """
-    parts = getattr(_GEN, "parts", None)
-    if parts is None:
-        bits = np.random.Philox(0)
-        parts = _GEN.parts = bits, np.random.Generator(bits)
-    bits, gen = parts
-    zero = np.zeros(4, dtype=np.uint64)
-
-    def draw(tag: str, count: int, shape: tuple) -> np.ndarray:
-        key = np.array([seed & _MASK64, ((l << 8) | _TAG[tag]) & _MASK64], dtype=np.uint64)
-        bits.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-                      "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return gen.uniform(-1.0, 1.0, size=(count, *shape))
-
-    return draw
+    out = plan.stacks[l % 2]
+    if out:
+        # With the key set, assigning the state puts the Philox in exactly
+        # the state of a new one with that key, a zero counter and an empty
+        # buffer (counter-based streams may be re-keyed; Salmon et al.,
+        # SC'11), so no draw depends on the ones before it.  It is built
+        # with a fixed seed, which the first key replaces, so building it
+        # reads no entropy from the operating system.
+        if not hasattr(_GEN, "parts"):
+            bits = np.random.Philox(0)
+            state = bits.state  # a new Philox's: zero counter, empty buffer
+            _GEN.parts = bits, np.random.Generator(bits), state, state["state"]["key"]
+        bits, gen, state, key = _GEN.parts
+    word = (l << 8) & _MASK64
+    for name, seeds, amps, shape in plan.channels:
+        # Made per channel and trial, the scratch is free again while the
+        # trial's results are written; one kept for the run would add its
+        # size to the peak RSS.  A seed that leaves the channel alone keeps
+        # a zero row.
+        draws = np.zeros(shape)
+        key[1] = word | _TAG[name]
+        for seed, row in zip(seeds, draws):
+            if seed is not None:
+                key[0] = seed
+                bits.state = state
+                gen.random(out=row)
+        seeds_last = draws.T
+        seeds_last *= 2.0
+        seeds_last -= 1.0
+        seeds_last *= amps
+        # Swapping the seed axis with the step axis (none for x0) lays the
+        # rows out as the stack.
+        np.add(plan.fields[name], draws.swapaxes(0, -3), out=out[name])
+    for s, seed, E, F, D in plan.sigmas:
+        key[:] = seed, word | _TAG["sigma"]
+        bits.state = state
+        sigma = 2.0 * gen.random((len(E), F.shape[1], F.shape[1])) - 1.0
+        sigma /= np.maximum(1.0, spectral_norms(sigma))[:, None, None]
+        out["D"][:, s] = D + E @ sigma @ F
+    return RealizedIteration(l, plan.N, **plan.fields | out)
 
 
 def sample_iteration(sys: NominalSystem, unc: UncertaintySpec, l: int) -> RealizedIteration:
-    """Draw one iteration's perturbations and attach them to the nominal plant.
-
-    Every delta entry is i.i.d. uniform on [-amp, amp] from a counter-based
-    stream keyed by (seed, l, quantity); the same (seed, l) always reproduces
-    the same realization regardless of sampling order.  Each thread draws
-    from one Philox bit generator of its own, re-keyed before every
-    quantity, so calls from several threads do not interfere.  The
-    initial-state shift varies with l only.  With a structured perturbation
-    on D, the contraction matrix is rescaled to keep its largest singular
-    value <= 1.
-    """
-    n, m, p, N = sys.n, sys.m, sys.p, sys.N
-    steps, sd = N + 1, unc.structured_D
-    # A spec that perturbs nothing draws nothing: it never loads numpy.random.
-    noise = _noise(unc.seed, l) if _perturbed((unc,)) else None
-
-    def perturbed(name: str) -> np.ndarray:
-        sched, amp = getattr(sys, name), getattr(unc, f"amp_{name}")
-        if amp == 0.0:
-            return sched.values
-        return sched.values + amp * noise(name, steps, sched.shape)
-
-    fields = {name: perturbed(name) for name in SCHEDULES if name != "D" or sd is None}
-    if sd is not None:
-        s = sd.E.cols
-        if sd.E.rows != p or sd.F.shape != (s, m):
-            raise IlcsetError(
-                f"structured D blocks E{sd.E.shape}, F{sd.F.shape} "
-                f"do not match p={p}, s={s}, m={m}")
-        sigmas = noise("sigma", steps, (s, s))
-        sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
-        fields["D"] = sys.D.values + sd.E.values @ sigmas @ sd.F.values
-
-    if unc.amp_x0 == 0.0:
-        x0 = sys.x0
-    else:
-        x0 = sys.x0 + unc.amp_x0 * noise("x0", 1, (n, 1))[0]
-
-    return RealizedIteration(l=l, N=N, x0=x0, **fields)
+    """Draw one iteration's perturbations and attach them to the nominal
+    plant: draw_trial's one-spec case, with every per-step field (N+1,
+    rows, cols) and x0 (n, 1)."""
+    realized = draw_trial(_draw_plan(sys, (unc,)), l)
+    return RealizedIteration(l, sys.N, *(np.squeeze(field, -3) for field in realized[2:]))
 
 
 def _first_fault(bad_x: np.ndarray, bad_y: np.ndarray, l: int) -> Optional[NonFiniteError]:

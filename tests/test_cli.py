@@ -526,16 +526,26 @@ def test_sweep_rejects_flags_it_cannot_honour(tmp_path, capsys, flags):
                                           ("example2", "transformed-gamma")])
 def test_each_realization_is_drawn_once(monkeypatch, tmp_path, capsys, preset, mode):
     # The run checks both recursions on the realizations it draws, so each
-    # (seed, l) is sampled once; --verify-set's counterpart runs in the same
-    # loop on the same draws.
+    # (seed, l) is drawn once; --verify-set's counterpart runs in the same
+    # loop on the same draws.  Every draw goes through draw_trial, whose
+    # plan holds the seeds that _draw_plan was given.
     draws = collections.Counter()
+    seeds_of = {}
+    real_plan, real_draw = ilcset.plant._draw_plan, ilcset.plant.draw_trial
 
-    def counting(sys, unc, l):
-        draws[unc.seed, l] += 1
-        return sample_iteration(sys, unc, l)
+    def planning(sys, uncs):
+        plan = real_plan(sys, uncs)
+        seeds_of[id(plan)] = [unc.seed for unc in uncs]
+        return plan
+
+    def counting(plan, l):
+        for seed in seeds_of[id(plan)]:
+            draws[seed, l] += 1
+        return real_draw(plan, l)
 
     for module in (ilcset.plant, ilcset.ilc_engine):
-        monkeypatch.setattr(module, "sample_iteration", counting)
+        monkeypatch.setattr(module, "_draw_plan", planning)
+        monkeypatch.setattr(module, "draw_trial", counting)
 
     def drawn(*flags):
         draws.clear()
@@ -563,13 +573,13 @@ def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("sample_iteration", "simulate"):
+    for name in ("draw_trial", "simulate"):
         spy(ilcset.ilc_engine, name)
     for name in ("assemble_input", "split_input"):
         spy(ilcset.set_transform, name)
     assert main(["run", "--preset", "example1", "--iterations", "30", "--verify-set",
                  "--out", str(tmp_path / "m.csv")]) == 0
-    assert calls == {"sample_iteration": 30, "simulate": 30,
+    assert calls == {"draw_trial": 30, "simulate": 30,
                      "assemble_input": 30, "split_input": 1}
     capsys.readouterr()
 
@@ -581,11 +591,11 @@ def test_verify_set_counterpart_shares_the_loop(monkeypatch, tmp_path, capsys):
 ], ids=["missing", "directory"])
 def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, capsys,
                                                      flags, out, message):
-    def no_draw(sys, unc, l):
+    def no_draw(plan, l):
         raise AssertionError("trial ran")
 
     for module in (ilcset.plant, ilcset.ilc_engine):
-        monkeypatch.setattr(module, "sample_iteration", no_draw)
+        monkeypatch.setattr(module, "draw_trial", no_draw)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "out-dir").mkdir()
     code = main(["run", "--preset", "example1", "--out", out, *flags])
@@ -597,10 +607,10 @@ def test_missing_out_directory_fails_before_any_draw(monkeypatch, tmp_path, caps
 
 def test_unopenable_trajectory_path_fails_before_any_trial(monkeypatch, tmp_path, capsys):
     # The _traj.csv is checked with --out: no trial runs and no CSV is made.
-    def no_draw(sys, uncs, l):
+    def no_draw(plan, l):
         raise AssertionError("trial ran")
 
-    monkeypatch.setattr(ilcset.ilc_engine, "_draw", no_draw)
+    monkeypatch.setattr(ilcset.ilc_engine, "draw_trial", no_draw)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "m_traj.csv").mkdir()
     code = main(["run", "--preset", "example1", "--iterations", "3",
@@ -966,7 +976,7 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
         def call(*args, **kwargs):
             raise AssertionError(what)
         return call
-    monkeypatch.setattr(ilcset.ilc_engine, "sample_iteration", refuse("drew a realization"))
+    monkeypatch.setattr(ilcset.ilc_engine, "draw_trial", refuse("drew a realization"))
     monkeypatch.setattr(ilcset.ilc_engine, "_learn", refuse("allocated the stacks"))
     monkeypatch.setattr(ilcset.config.UncertaintySpec, "_replace", refuse("built a spec"))
     for argv in (
@@ -981,12 +991,27 @@ def test_run_larger_than_numpy_can_address_is_a_config_error(monkeypatch, capsys
         assert capsys.readouterr().err.startswith("config error: /run/iterations: "), argv
 
 
+def plant_stacks(preset, S):
+    """The seed stacks the plant allocates, in order, for a run of S seeds
+    of a preset: one of each channel it perturbs (example1 all eight,
+    example2 A, w, v, r and x0)."""
+    return {"example1": [(101, S, 4, 4), (101, S, 4, 3), (101, S, 2, 4), (101, S, 2, 3),
+                         (101, S, 4, 1), (101, S, 2, 1), (101, S, 2, 1), (S, 4, 1)],
+            "example2": [(101, S, 4, 4), (101, S, 4, 1), (101, S, 2, 1), (101, S, 2, 1),
+                         (S, 4, 1)],
+            "example2-clean": []}[preset]
+
+
 def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch, tmp_path, capsys):
-    # The check and _learn read one layout, so the check counts exactly the
-    # bytes the loop allocates: a budget one byte short refuses the run.
-    # Every run of the CLI hands its trials to a sink, so the loop allocates
-    # the five histories and no trial stack, whatever trials it writes.
-    allocated = []
+    # The check, _learn and the plant read one layout, so the check counts
+    # exactly the bytes the loop allocates: a budget one byte short refuses
+    # the run.  Every run of the CLI hands its trials to a sink, so the loop
+    # allocates the five histories and no signal stack, whatever trials it
+    # writes; the plant's draw plan allocates two sets of seed stacks, and
+    # each trial draws each channel into a scratch of its stack's size,
+    # seed axis first, one channel at a time.  simulate's per-trial results
+    # are not counted.
+    allocated, scratches = [], []
 
     class SpyNumpy:
         def __getattr__(self, name):
@@ -997,23 +1022,69 @@ def test_stack_size_check_counts_what_the_loop_allocates(monkeypatch, tmp_path, 
             allocated.append(np.empty(shape))
             return allocated[-1]
 
-    cfg = build_preset("example1", iterations=7)
+    class SpyPlantNumpy(SpyNumpy):
+        @staticmethod
+        def zeros(shape):
+            scratches.append(np.zeros(shape))
+            return scratches[-1]
+
+    def spying(real):
+        def call(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(ilcset.plant, "np", SpyPlantNumpy())
+                return real(*args)
+        return call
+
     monkeypatch.setattr(ilcset.ilc_engine, "np", SpyNumpy())
-    for flags, S in ((["--sweep", "seeds=0..1"], 2), ([], 1),
-                     (["--record-trajectories", "final"], 1),
-                     (["--record-trajectories", "all"], 1)):
+    for name in ("_draw_plan", "draw_trial"):
+        monkeypatch.setattr(ilcset.ilc_engine, name, spying(getattr(ilcset.plant, name)))
+    for preset, flags, S in (("example1", ["--sweep", "seeds=0..1"], 2), ("example1", [], 1),
+                             ("example1", ["--record-trajectories", "final"], 1),
+                             ("example1", ["--record-trajectories", "all"], 1),
+                             ("example2", ["--sweep", "seeds=0..3"], 4),
+                             ("example2-clean", ["--mode", "repetitive"], 1)):
         allocated.clear()
-        assert main(["run", "--preset", "example1", "--iterations", "7", *flags,
+        scratches.clear()
+        assert main(["run", "--preset", preset, "--iterations", "7", *flags,
                      "--out", str(tmp_path / "m.csv")]) == 0
         capsys.readouterr()
-        assert [a.shape for a in allocated] == [(7, S)] * 2 + [(6, S)] * 3, flags
-        nbytes = sum(a.nbytes for a in allocated)
+        stacks = plant_stacks(preset, S)
+        assert [a.shape for a in allocated] == (
+            stacks * 2 + [(7, S)] * 2 + [(6, S)] * 3), (preset, flags)
+        assert [a.shape for a in scratches] == [
+            shape if len(shape) == 3 else (S, 101, *shape[2:]) for shape in stacks] * 7
+        nbytes = sum(a.nbytes for a in allocated) + max((a.nbytes for a in scratches), default=0)
+        cfg = build_preset(preset, iterations=7)
         with monkeypatch.context() as patch:
             patch.setattr(ilcset.cli_run, "_byte_limit", lambda: (nbytes, "allowed"))
             ilcset.cli_run._check_stack_size(cfg, S)
             patch.setattr(ilcset.cli_run, "_byte_limit", lambda: (nbytes - 1, "allowed"))
             with pytest.raises(SchemaError, match=f" need {nbytes} bytes "):
                 ilcset.cli_run._check_stack_size(cfg, S)
+
+
+def test_sweep_whose_seed_stacks_exceed_memory_fails_before_any_draw(monkeypatch, capsys):
+    # 200 000 seeds of example1 need 3.2 MB of histories but 2 x 200 000 x
+    # (101 * 50 + 4) x 8 B = 16.2 GB of seed stacks, and a scratch of A's
+    # stack, 2.6 GB: more than an 8 GiB machine has.  The check counts them
+    # before any spec is built or anything is drawn.
+    def refuse(what):
+        def call(*args, **kwargs):
+            raise AssertionError(what)
+        return call
+    for module in (ilcset.plant, ilcset.ilc_engine):
+        monkeypatch.setattr(module, "_draw_plan", refuse("allocated the seed stacks"))
+        monkeypatch.setattr(module, "draw_trial", refuse("drew a realization"))
+    monkeypatch.setattr(ilcset.config.UncertaintySpec, "_replace", refuse("built a spec"))
+    monkeypatch.setattr(ilcset.cli_run, "_byte_limit", lambda: (8 << 30, "of physical memory"))
+    assert main(["run", "--preset", "example1", "--iterations", "1",
+                 "--sweep", "seeds=0..199999"]) == 2
+    stacks = 2 * 200000 * (101 * 50 + 4) * 8
+    scratch = 200000 * 101 * 16 * 8
+    assert capsys.readouterr().err == (
+        f"config error: /run/iterations: 1 trials of 200000 seed(s) need "
+        f"{stacks + scratch + 2 * 200000 * 8} bytes of trial stacks, more than the "
+        f"{8 << 30} bytes of physical memory\n")
 
 
 def test_sweep_prints_a_violated_condition(tmp_path):

@@ -547,7 +547,7 @@ def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, exam
     cfg, S = example1, 2
     seeds = [cfg.uncertainty._replace(seed=s) for s in range(S)]
     numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-    draw = ilcset.ilc_engine._draw
+    draw = ilcset.ilc_engine.draw_trial
 
     def numpy_bytes():
         return sum(trace.size for trace in
@@ -556,12 +556,12 @@ def test_memory_kept_without_trials_does_not_grow_with_the_run(monkeypatch, exam
     def held_at_last_trial(L):
         held = []
 
-        def spy(sys, uncs, l, out):
+        def spy(plan, l):
             if l == L - 1:
                 held.append(numpy_bytes())
-            return draw(sys, uncs, l, out)
+            return draw(plan, l)
 
-        monkeypatch.setattr(ilcset.ilc_engine, "_draw", spy)
+        monkeypatch.setattr(ilcset.ilc_engine, "draw_trial", spy)
         tracemalloc.start()
         try:
             before = numpy_bytes()

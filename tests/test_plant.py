@@ -16,9 +16,9 @@ from ilcset.config import (
     config_from_dict,
 )
 from ilcset.errors import IlcsetError, NonFiniteError
-from ilcset.ilc_engine import _draw, _with_lane_axis
+from ilcset.ilc_engine import _with_lane_axis
 from ilcset.matrix_core import spectral_norms
-from ilcset.plant import _TAG, sample_iteration, simulate
+from ilcset.plant import _TAG, _draw_plan, draw_trial, sample_iteration, simulate
 from ilcset.presets import build_preset
 from ilcset.schedule_lang import MatrixSchedule, build_schedule
 from test_golden import LONG_HORIZON_CONFIG
@@ -48,6 +48,11 @@ def sampled_sigma(sys, unc, l, k):
     s = unc.structured_D.E.cols
     raw = fresh_noise(unc.seed, l, "sigma", sys.N + 1, (s, s))[k]
     return raw / max(1.0, float(spectral_norms(raw)))
+
+
+def batch_draw(sys, specs, l):
+    """Trial l of the specs side by side, as the trial loop draws it."""
+    return draw_trial(_draw_plan(sys, specs), l)
 
 
 def scalar_system(a=0.5, b=1.0, c=1.0, d=0.0, w=0.0, v=0.0, r=0.0, x0=1.0, N=2):
@@ -246,6 +251,147 @@ def test_one_philox_per_thread(monkeypatch):
     assert len(built) == 1
 
 
+def signed_zero_system():
+    """every_tag_system's plants with a -0.0 cell in every nominal channel."""
+    sys, amps, structured = every_tag_system()
+
+    def signed(sched):
+        grid = sched.values[0].copy()
+        grid[0, 0] = -0.0
+        return MatrixSchedule.from_values(grid, sys.N)
+
+    x0 = sys.x0.copy()
+    x0[0, 0] = -0.0
+    sys = sys._replace(**{name: signed(getattr(sys, name)) for name in SCHEDULES}, x0=x0)
+    return sys, amps, structured
+
+
+def mixed_specs(amps, structured, S):
+    """S specs, seeds 0 and 2**64 - 1 among them, each perturbing some
+    channels that other seeds leave alone (one at amplitude -0.0), and a
+    structured D on every third."""
+    seeds = [0, 2 ** 64 - 1] + list(range(3, S + 1))
+    specs = []
+    for s in range(S):
+        own = {name: amp if (s + i) % 3 else 0.0 for i, (name, amp) in enumerate(amps.items())}
+        if s % 4 == 1:
+            own["amp_v"] = -0.0
+        specs.append(UncertaintySpec(**own, structured_D=structured if s % 3 == 2 else None,
+                                     seed=seeds[s]))
+    return specs
+
+
+def fresh_draw(sys, unc, l):
+    """One spec's realization, channel by channel, from one fresh Philox per
+    tag: nominal + amp * noise where the spec perturbs a channel, else the
+    nominal itself."""
+    steps, fields = sys.N + 1, {}
+    for name in CHANNELS:
+        nominal = sys.x0 if name == "x0" else getattr(sys, name).values
+        amp, sd = getattr(unc, f"amp_{name}"), unc.structured_D
+        if name == "D" and sd is not None:
+            sigmas = fresh_noise(unc.seed, l, "sigma", steps, (sd.E.cols, sd.E.cols))
+            sigmas = sigmas / np.maximum(1.0, spectral_norms(sigmas))[:, None, None]
+            fields[name] = nominal + sd.E.values @ sigmas @ sd.F.values
+        elif amp:
+            noise = fresh_noise(unc.seed, l, name, steps, nominal.shape[-2:])
+            fields[name] = nominal + amp * (noise[0] if name == "x0" else noise)
+        else:
+            fields[name] = nominal
+    return fields
+
+
+def seed_field(realized, name, s, S):
+    """Seed s's slice of a batch realization's field, (steps, rows, cols) or
+    x0's (n, 1); a field with a unit seed axis is every seed's."""
+    field = getattr(realized, name)
+    return np.broadcast_to(field, field.shape[:-3] + (S,) + field.shape[-2:])[..., s, :, :]
+
+
+def assert_batch_is_fresh(sys, specs, l, realized):
+    for s, spec in enumerate(specs):
+        for name, expected in fresh_draw(sys, spec, l).items():
+            got = seed_field(realized, name, s, len(specs))
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), (s, name)
+
+
+@pytest.mark.parametrize("S", [1, 4, 16])
+@pytest.mark.parametrize("l", [0, 5, 2 ** 56 + 3], ids=["l=0", "l=5", "l-wraps-mask"])
+def test_batch_draws_match_a_fresh_philox_per_seed_bit_for_bit(S, l):
+    # The batch path draws each channel of all seeds into one scratch and
+    # scales all seeds at once: bit for bit what a new Philox per (seed, l,
+    # tag) draws.  A seed that leaves a channel alone, also at amplitude
+    # -0.0, keeps its nominal's bits, -0.0 cells included.
+    sys, amps, structured = signed_zero_system()
+    assert all(np.signbit(getattr(sys, name).values[:, 0, 0]).all() for name in SCHEDULES)
+    specs = mixed_specs(amps, structured, S)
+    plan = _draw_plan(sys, specs)
+    assert_batch_is_fresh(sys, specs, l, draw_trial(plan, l))
+    # The plan's stacks are reused: a later trial on the same plan draws
+    # what a fresh plan draws, and leaves the trial before it as it was.
+    previous = draw_trial(plan, l + 1)
+    assert_batch_is_fresh(sys, specs, l + 2, draw_trial(plan, l + 2))
+    assert_batch_is_fresh(sys, specs, l + 1, previous)
+    if S > 1:
+        dead = seed_field(draw_trial(plan, l), "A", 0, S)
+        assert np.signbit(dead[:, 0, 0]).all() and specs[0].amp_A == 0.0
+
+
+def test_batch_draws_do_not_depend_on_call_order_or_threads():
+    # Each batch call re-keys the thread's own generator: interleaved
+    # calls on one plan, or on plans of several threads, draw what each
+    # call draws alone.
+    system, amps, structured = signed_zero_system()
+    specs = mixed_specs(amps, structured, 4)
+    keys = [(first, l) for first in (0, 2) for l in range(6)]
+
+    def draw(key, plan=None):
+        first, l = key
+        realized = draw_trial(plan or _draw_plan(system, specs[first:]), l)
+        return [getattr(realized, name).tobytes() for name in CHANNELS]
+
+    alone = {key: draw(key) for key in keys}
+    plans = {first: _draw_plan(system, specs[first:]) for first in (0, 2)}
+    assert [draw(key, plans[key[0]]) for key in reversed(keys)] == [
+        alone[key] for key in reversed(keys)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            drawn = list(pool.map(draw, keys * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert drawn == [alone[key] for key in keys * 3]
+
+
+def test_one_philox_per_thread_on_the_batch_path(monkeypatch):
+    # The batch path re-keys the thread's one Philox too: at most one built
+    # in this thread, and exactly one in a new thread, over any number of
+    # plans and trials.
+    built = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    sys, amps, structured = every_tag_system()
+    monkeypatch.setattr(np.random, "Philox", counting)
+
+    def draw_all():
+        for S in (1, 4):
+            plan = _draw_plan(sys, mixed_specs(amps, structured, S))
+            for l in range(4):
+                draw_trial(plan, l)
+
+    draw_all()
+    assert len(built) <= 1
+    built.clear()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(draw_all).result(timeout=60)
+    assert len(built) == 1
+
+
 def test_structured_shape_conflict_raises():
     sys = scalar_system()
     structured = StructuredD(
@@ -413,7 +559,7 @@ def test_single_trial_in_the_loop_layout_is_the_stepwise_recursion():
     # the long-horizon plant: the single-trial kernel (ndarray.dot on 2-D
     # step views, taken for C-contiguous A steps) over 1000 steps.
     cfg = config_from_dict(LONG_HORIZON_CONFIG)
-    realized = _draw(cfg.system, [cfg.uncertainty._replace(seed=7)], 3)
+    realized = batch_draw(cfg.system, [cfg.uncertainty._replace(seed=7)], 3)
     assert realized.A.shape == (1001, 1, 4, 4) and realized.A[0].flags.c_contiguous
     u = np.random.default_rng(5).normal(size=(1001, 1, 3, 1))
     x, y = simulate(realized, u)
@@ -427,7 +573,7 @@ def test_lanes_and_seeds_are_each_the_stepwise_recursion_alone():
     # the recursion on its own slices and the single-trial kernel's result.
     cfg = build_preset("example1", seed=11)
     rng = np.random.default_rng(6)
-    realized = _draw(cfg.system, [cfg.uncertainty], 2)
+    realized = batch_draw(cfg.system, [cfg.uncertainty], 2)
     lanes = _with_lane_axis(realized)
     u = rng.normal(size=(101, 2, 1, 3, 1))
     x, y = simulate(lanes, u)
@@ -438,7 +584,7 @@ def test_lanes_and_seeds_are_each_the_stepwise_recursion_alone():
         assert np.array_equal(x[:, lane], alone[0]) and np.array_equal(y[:, lane], alone[1])
 
     specs = [cfg.uncertainty._replace(seed=seed) for seed in range(4)]
-    seeds = _draw(cfg.system, specs, 2)
+    seeds = batch_draw(cfg.system, specs, 2)
     assert seeds.A.shape == (101, 4, 4, 4)
     u = rng.normal(size=(101, 4, 3, 1))
     x, y = simulate(seeds, u)
