@@ -123,6 +123,15 @@ GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 # N + 1 steps fit as well.
 _MAX_COUNT = int(np.iinfo(np.intp).max) - 1
 _SHOWN_CHARS = 30
+# The keys each object of a document accepts, by the object's path.
+_KEYS = {
+    "": ("system", "uncertainty", "gains", "run"),
+    "/system": ("n", "m", "p", "N", *SCHEDULES, "x0"),
+    "/uncertainty": ("amplitudes", "seed", "structured_D"),
+    "/uncertainty/structured_D": ("E", "F"),
+    "/gains": ("Xi", "Gamma"),
+    "/run": ("mode", "iterations", "record_every", "u0"),
+}
 
 
 def mode_premises(mode: str, D: MatrixSchedule, unc: UncertaintySpec,
@@ -179,6 +188,18 @@ def _shown(value) -> str:
     """repr(value) for an error message, cut after _SHOWN_CHARS characters."""
     text = repr(value)
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
+
+def _known_keys(doc: dict, path: str, problems: _Collector) -> None:
+    """Report each key of the object at path that it does not accept, with
+    the closest accepted key as a hint."""
+    for key in doc:
+        if key not in _KEYS[path]:
+            import difflib  # only a document in error pays for its import
+
+            close = difflib.get_close_matches(str(key), _KEYS[path], n=1)
+            problems.add(f"{path}/{key}", "unknown key"
+                         + (f" (did you mean {close[0]!r}?)" if close else ""))
 
 
 def _as_cell(value) -> Optional[str]:
@@ -326,10 +347,12 @@ def config_from_dict(doc) -> ExperimentConfig:
     problems = _Collector()
     if not isinstance(doc, dict):
         raise SchemaError("/", "top-level document must be an object")
+    _known_keys(doc, "", problems)
     sys_doc = doc.get("system")
     if not isinstance(sys_doc, dict):
         problems.add("/system", "missing or not an object")
         problems.raise_if_any()
+    _known_keys(sys_doc, "/system", problems)
 
     n = _positive_int(sys_doc, "n", "/system", problems)
     m = _positive_int(sys_doc, "m", "/system", problems)
@@ -365,6 +388,7 @@ def config_from_dict(doc) -> ExperimentConfig:
     if not isinstance(unc_doc, dict):
         problems.add("/uncertainty", "expected an object")
     else:
+        _known_keys(unc_doc, "/uncertainty", problems)
         amps = _amplitudes(unc_doc.get("amplitudes"), "/uncertainty/amplitudes", problems)
         seed = unc_doc.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
@@ -377,6 +401,7 @@ def config_from_dict(doc) -> ExperimentConfig:
             if not isinstance(sd_doc, dict):
                 problems.add("/uncertainty/structured_D", "expected an object with E and F grids")
             else:
+                _known_keys(sd_doc, "/uncertainty/structured_D", problems)
                 e_grid = _normalize_grid(sd_doc.get("E"), "/uncertainty/structured_D/E", problems)
                 f_grid = _normalize_grid(sd_doc.get("F"), "/uncertainty/structured_D/F", problems)
                 if e_grid is not None and f_grid is not None:
@@ -400,6 +425,7 @@ def config_from_dict(doc) -> ExperimentConfig:
     if not isinstance(gains_doc, dict):
         problems.add("/gains", "expected an object")
     else:
+        _known_keys(gains_doc, "/gains", problems)
         if "Xi" in gains_doc:
             xi = _schedule(gains_doc, "Xi", (m, p), N, "/gains", problems)
         if "Gamma" in gains_doc:
@@ -417,6 +443,7 @@ def config_from_dict(doc) -> ExperimentConfig:
     if not isinstance(run_doc, dict):
         problems.add("/run", "expected an object")
     else:
+        _known_keys(run_doc, "/run", problems)
         mode = run_doc.get("mode", "direct-xi")
         if mode not in MODES:
             problems.add("/run/mode", f"unknown mode {mode!r} (expected one of {MODES})")

@@ -76,7 +76,7 @@ def _draw_plan(sys: NominalSystem, uncs) -> _Plan:
     a whole run: the seeds that draw each channel, their amplitudes, the
     shape of its scratch, and two sets of seed stacks in _draw_shapes'
     shapes.  A structured perturbation of D takes the place of its spec's
-    amp_D."""
+    amp_D, which is not drawn."""
     S = len(uncs)
     shapes = _draw_shapes(sys, uncs, S)
     stacks = [{name: np.empty(shape) for name, shape in shapes.items()} for _ in range(2)]
@@ -86,8 +86,10 @@ def _draw_plan(sys: NominalSystem, uncs) -> _Plan:
     for name, shape in shapes.items():
         # A seed that leaves the channel alone draws nothing: a zero row at
         # amplitude +0.0 adds 0.0 * (2 * 0 - 1) = -0.0, which keeps every
-        # bit of the nominal, -0.0 included.
-        amps = [getattr(unc, f"amp_{name}") + 0.0 for unc in uncs]
+        # bit of the nominal, -0.0 included.  A structured D is drawn in
+        # place of its spec's amp_D, which therefore draws nothing either.
+        amps = [0.0 if name == "D" and unc.structured_D is not None
+                else getattr(unc, f"amp_{name}") + 0.0 for unc in uncs]
         # The scratch holds one row per seed, (S, N+1, rows, cols) or x0's
         # (S, n, 1); the amplitudes broadcast against its transpose.
         channels.append((name, [unc.seed if amp else None for unc, amp in zip(uncs, amps)],

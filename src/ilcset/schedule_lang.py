@@ -14,10 +14,10 @@ Whitespace is ignored; operators are left-associative with the usual
 precedence.  Unary minus binds looser than ``^`` (so ``-2^2`` is ``-4``)
 and tighter than ``*``.
 
-`eval_expr` is the scalar reference: one tree walk per (cell, k).  A
-`MatrixSchedule` instead walks each cell's tree once over the whole
-horizon, with ``k`` as the vector ``0.0, 1.0, ..., N``, and stores exactly
-the bits `eval_expr` would give (see `MatrixSchedule`).
+One walker evaluates a tree: `eval_expr` runs it at one step k, and a
+`MatrixSchedule` once per cell over the whole horizon, with ``k`` the
+vector ``0.0, 1.0, ..., N``, which gives exactly the bits `eval_expr`
+would (see `MatrixSchedule`).
 """
 
 from __future__ import annotations
@@ -222,30 +222,48 @@ def parse_expr(src: str) -> Node:
 
 # --- Evaluation ------------------------------------------------------------
 
-def _eval_node(node: Node, k: float) -> float:
+def _per_element(fn, x, *args):
+    """fn(v, *args) for a float x, or for each element v of a vector x.
+
+    numpy's ``power``, ``exp`` (and, on some CPUs, ``sin``/``cos``) round
+    differently from Python's ``**`` and ``math``, so these nodes keep the
+    scalar operation over ``tolist()``.
+    """
+    if isinstance(x, float):
+        return fn(x, *args)
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, len(x))
+
+
+def _eval(node: Node, k):
+    """Walk the tree at k: a float (one step), or the float64 vector of
+    every step, where each k-dependent subtree is a vector over k and each
+    constant subtree a float.  ``+ - * /`` and negation are the same
+    correctly rounded IEEE operations on both, so every element of a
+    vector walk is the float walk's value at that k."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return k
     if isinstance(node, Neg):
-        return -_eval_node(node.child, k)
+        return -_eval(node.child, k)
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, k)
-        b = _eval_node(node.right, k)
+        a = _eval(node.left, k)
+        b = _eval(node.right, k)
         if node.op == "+":
             return a + b
         if node.op == "-":
             return a - b
         if node.op == "*":
             return a * b
-        if b == 0.0:
+        # Checked here, not by the result: 1/(1/(k-3)) is finite at k = 3.
+        if (b == 0.0) if isinstance(b, float) else 0.0 in b:
             raise EvalError(f"division by zero ({a!r} / 0)")
         return a / b
     if isinstance(node, Pow):
-        return _eval_node(node.base, k) ** node.exponent
+        return _per_element(pow, _eval(node.base, k), node.exponent)
     if isinstance(node, Call):
         try:
-            return _FUNCTIONS[node.fn](_eval_node(node.arg, k))
+            return _per_element(_FUNCTIONS[node.fn], _eval(node.arg, k))
         except (OverflowError, ValueError) as exc:
             raise EvalError(f"{node.fn} evaluation failed: {exc}") from exc
     raise EvalError(f"unknown node {node!r}")
@@ -256,76 +274,11 @@ def eval_expr(e: Node, k: int) -> float:
     if k < 0:
         raise EvalError(f"time step must be nonnegative, got {k}")
     try:
-        value = _eval_node(e, float(k))
+        value = _eval(e, float(k))
     except OverflowError as exc:
         raise EvalError(f"overflow at k={k}") from exc
     if not math.isfinite(value):
         raise EvalError(f"non-finite value {value} at k={k}")
-    return value
-
-
-# --- Whole-horizon evaluation ---------------------------------------------
-
-class _NotExact(Exception):
-    """The whole-array walk cannot reproduce the scalar walk at some k."""
-
-
-def _per_element(fn, x, *args):
-    """fn(v, *args) for each element v of x, with Python floats.
-
-    numpy's ``power``, ``exp`` (and, on some CPUs, ``sin``/``cos``) round
-    differently from Python's ``**`` and ``math``, so these nodes keep the
-    scalar operation over ``tolist()``.
-    """
-    try:
-        if isinstance(x, float):
-            return fn(x, *args)
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), np.float64, len(x))
-    except (OverflowError, ValueError) as exc:
-        raise _NotExact from exc
-
-
-def _eval_horizon(node: Node, k: np.ndarray):
-    """Evaluate a tree at every step at once: a Python float where the
-    subtree does not depend on k, a float64 vector over k where it does.
-
-    ``+ - * /`` and negation are correctly rounded IEEE operations in
-    numpy as in Python, so each element equals the scalar walk's value.
-    Raises _NotExact wherever the scalar walk would raise at some k.
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return k
-    if isinstance(node, Neg):
-        return -_eval_horizon(node.child, k)
-    if isinstance(node, BinOp):
-        a = _eval_horizon(node.left, k)
-        b = _eval_horizon(node.right, k)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        # Checked here, not by the result: 1/(1/(k-3)) is finite at k = 3.
-        if np.any(b == 0.0):
-            raise _NotExact
-        return a / b
-    if isinstance(node, Pow):
-        return _per_element(pow, _eval_horizon(node.base, k), node.exponent)
-    if isinstance(node, Call):
-        return _per_element(_FUNCTIONS[node.fn], _eval_horizon(node.arg, k))
-    raise _NotExact
-
-
-def _eval_cell(e: Node, k: np.ndarray):
-    """The cell's values at every k, bit-equal to eval_expr; raises
-    _NotExact if eval_expr fails at any k."""
-    with np.errstate(all="ignore"):
-        value = _eval_horizon(e, k)
-        if not np.isfinite(value).all():
-            raise _NotExact
     return value
 
 
@@ -337,15 +290,12 @@ class MatrixSchedule:
     ``values`` is the read-only (N+1, rows, cols) stack computed eagerly at
     construction; `at(k)` is a bounds-checked view of one step.
 
-    Each cell's tree is walked once on ``k = arange(N+1)`` as a float64
-    vector: ``+ - * /`` and negation become numpy operations, which round
-    exactly as Python's do, while ``^`` and ``sin``/``cos``/``exp`` run per
-    element with Python's ``**`` and ``math``, because numpy's versions can
-    differ in the last bit.  A cell that divides by zero, overflows in
-    ``^`` or a function, or ends non-finite at any k is evaluated again
-    with `eval_expr` step by step, so ``ScheduleBuildError.failures``
-    lists the same failures, in the same (k, row, col) order, as a per-step
-    evaluation of the whole grid would.
+    Each cell's tree is walked once, by the walker behind `eval_expr`,
+    with ``k`` the float64 vector ``arange(N+1)``.  A cell whose walk
+    divides by zero, overflows in ``^`` or a function, or ends non-finite
+    at any k is walked again step by step through `eval_expr`, so
+    ``ScheduleBuildError.failures`` lists the same failures, in the same
+    (k, row, col) order, as a per-step evaluation of the whole grid would.
     """
 
     def __init__(self, exprs: Sequence[Sequence[Node]], N: int):
@@ -363,20 +313,24 @@ class MatrixSchedule:
         steps = np.arange(N + 1, dtype=np.float64)
         failures: list[tuple[int, int, int, str]] = []
         values = np.empty((N + 1, rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                expr = exprs[i][j]
+        for i, j in np.ndindex(rows, cols):
+            expr = exprs[i][j]
+            try:
                 try:
+                    with np.errstate(all="ignore"):
+                        value = _eval(expr, steps)
+                    if np.isfinite(value).all():
+                        values[:, i, j] = value
+                        continue
+                except (EvalError, OverflowError):
+                    pass
+                for k in range(N + 1):
                     try:
-                        values[:, i, j] = _eval_cell(expr, steps)
-                    except _NotExact:
-                        for k in range(N + 1):
-                            try:
-                                values[k, i, j] = eval_expr(expr, k)
-                            except EvalError as exc:
-                                failures.append((k, i, j, f"k={k}: {exc}"))
-                except RecursionError:
-                    failures.append((0, i, j, _TOO_DEEP))
+                        values[k, i, j] = eval_expr(expr, k)
+                    except EvalError as exc:
+                        failures.append((k, i, j, f"k={k}: {exc}"))
+            except RecursionError:
+                failures.append((0, i, j, _TOO_DEEP))
         if failures:
             failures.sort(key=lambda f: f[:3])
             raise ScheduleBuildError([(i, j, detail) for _, i, j, detail in failures])

@@ -497,6 +497,20 @@ def test_expression_nested_too_deeply_is_a_config_error(tmp_path, capsys, cell, 
     assert capsys.readouterr().err == f"config error: /system/A/0/0: {detail}\n"
 
 
+@pytest.mark.parametrize("command", [["run", "--iterations", "2"], ["check"], ["transform"]])
+def test_misspelled_key_is_a_config_error(tmp_path, capsys, command):
+    # Ignored, the misspelling would run example1 with no uncertainty at all.
+    doc = preset_config("example1")
+    doc["uncertainty"]["amplitude"] = doc["uncertainty"].pop("amplitudes")
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + ["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: /uncertainty/amplitude: unknown key "
+                            "(did you mean 'amplitudes'?)\n")
+
+
 def test_non_ascii_cell_is_a_config_error(tmp_path, capsys):
     # A letter or a digit of another script: neither is part of the grammar.
     for cell in ("é", "\u0663"):

@@ -105,6 +105,28 @@ def test_unknown_mode_rejected():
     assert "/run/mode" in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, message", [
+    ((), "sytem", "unknown key (did you mean 'system'?)"),
+    ((), "comment", "unknown key"),
+    (("system",), "x00", "unknown key (did you mean 'x0'?)"),
+    (("uncertainty",), "amplitude", "unknown key (did you mean 'amplitudes'?)"),
+    (("uncertainty", "structured_D"), "Ee", "unknown key (did you mean 'E'?)"),
+    (("gains",), "Gama", "unknown key (did you mean 'Gamma'?)"),
+    (("run",), "iteration", "unknown key (did you mean 'iterations'?)"),
+])
+def test_unknown_key_rejected_at_every_level(section, key, message):
+    doc = minimal_doc()
+    doc["uncertainty"]["structured_D"] = {"E": [["0.1"]], "F": [["1"]]}
+    config_from_dict(doc)
+    obj = doc
+    for name in section:
+        obj = obj[name]
+    obj[key] = 1
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert str(exc.value) == "/" + "/".join(section + (key,)) + ": " + message
+
+
 def test_look_ahead_mode_needs_zero_feedthrough():
     doc = minimal_doc(gains={"Gamma": [["0.5"]]},
                       run={"mode": "direct-gamma"})

@@ -337,6 +337,23 @@ def test_batch_draws_match_a_fresh_philox_per_seed_bit_for_bit(S, l):
         assert np.signbit(dead[:, 0, 0]).all() and specs[0].amp_A == 0.0
 
 
+@pytest.mark.parametrize("S", [1, 3])
+def test_amp_d_beside_a_structured_d_is_not_drawn(S):
+    # A structured D takes the place of its spec's amp_D: no seed draws D
+    # noise for it, and D, like every other channel, is bit for bit the
+    # same at amp_D 0 and 2e-4.
+    sys, amps, structured = every_tag_system()
+    drawn = {}
+    for amp_D in (0.0, 2e-4):
+        specs = [UncertaintySpec(**amps | {"amp_D": amp_D}, structured_D=structured, seed=s)
+                 for s in range(S)]
+        plan = _draw_plan(sys, specs)
+        assert [seeds for name, seeds, _, _ in plan.channels if name == "D"] == [[None] * S]
+        realized = draw_trial(plan, 3)
+        drawn[amp_D] = {name: getattr(realized, name).tobytes() for name in CHANNELS}
+    assert drawn[0.0] == drawn[2e-4]
+
+
 def test_batch_draws_do_not_depend_on_call_order_or_threads():
     # Each batch call re-keys the thread's own generator: interleaved
     # calls on one plan, or on plans of several threads, draw what each

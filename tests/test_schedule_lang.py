@@ -321,3 +321,24 @@ def test_whole_horizon_powers_and_functions_are_bit_exact(grid):
 ])
 def test_whole_horizon_failures_match_per_step(grid):
     assert_build_matches_per_step(grid, 12)
+
+
+@pytest.mark.parametrize("grid", [
+    [["1/0", "k"]],
+    [["k", "1/(2-2)"]],
+    [["exp(1000)", "k"]],
+    [["k", "1/(2-2)*k"], ["k/(0*-1)", "exp(1000)-k"]],
+])
+def test_whole_horizon_failing_constant_subtrees_match_per_step(grid):
+    # The whole-horizon walk takes a subtree free of k as a float, so these
+    # fail on the float path: the same failures, in (k, i, j) order.
+    assert_build_matches_per_step(grid, 12)
+
+
+@pytest.mark.parametrize("grid", [
+    [["-0", "0*-1", "-(k-k)"]],
+    [["k", "-0"], ["(k-k)*-1", "0*-1+k"]],
+])
+def test_whole_horizon_signed_zeros_match_per_step(grid):
+    assert_build_matches_per_step(grid, 12)
+    assert np.signbit(build_schedule(grid, 12).values[:, 0, 1]).all()
