@@ -29,7 +29,7 @@ from .conditions import (
     check_rho_gamma_cb,
     check_rho_xid,
 )
-from .config import GAMMA_MODES, ExperimentConfig, config_from_dict
+from .config import GAMMA_MODES, TRANSFORMED_MODES, ExperimentConfig, config_from_dict
 from .errors import IlcsetError, SchemaError
 from .presets import PRESET_NAMES, preset_config
 from .schedule_lang import MatrixSchedule
@@ -130,7 +130,7 @@ def cmd_run(args) -> int:
     # perfbench runs of ex1-verify read 37.13 MB in this order, 37.17 with
     # the engine first and 37.20 with cli_run (and so the engine) first.
     # A transformed mode named only in the config file loads it later.
-    if args.verify_set or (args.mode or "").startswith("transformed"):
+    if args.verify_set or args.mode in TRANSFORMED_MODES:
         importlib.import_module(f"{__package__}.set_transform")
     importlib.import_module(f"{__package__}.ilc_engine")
     from .cli_run import (_fmt, _parse_sweep, _prepare, _summary_lines, _traj_path,

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .config import SEED_LIMIT, ExperimentConfig, _byte_limit
+from .config import SEED_LIMIT, TRANSFORMED_MODES, ExperimentConfig, _byte_limit
 from .errors import SchemaError
 from .ilc_engine import IlcConfig, RunResult, _stack_shapes, run, run_transformed
 from .plant import _draw_shapes
@@ -58,7 +58,7 @@ def _prepare(cfg: ExperimentConfig, seeds: range | None = None,
            else [cfg.uncertainty._replace(seed=seed) for seed in seeds])
     engine = IlcConfig(mode=cfg.mode, iterations=cfg.iterations, u0=cfg.u0)
     gains = (cfg.xi, cfg.gamma)
-    transformed, transform = cfg.mode.startswith("transformed"), None
+    transformed, transform = cfg.mode in TRANSFORMED_MODES, None
     if transformed or verify_set:
         # Imported here, so that a direct run without --verify-set never loads it.
         from .set_transform import _for_config

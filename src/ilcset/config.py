@@ -4,7 +4,8 @@ A document has four sections: ``system`` (dimensions plus grids for the
 plant schedules), ``uncertainty`` (per-entry amplitudes, seed, optional
 structured perturbation of D), ``gains`` (Xi and/or Gamma grids), and
 ``run`` (mode, iteration count, recording).  Validation collects every
-violation before raising, each tagged with a JSON-pointer-style path.
+violation before raising, each tagged with its JSON Pointer (RFC 6901)
+path.
 """
 
 from __future__ import annotations
@@ -116,7 +117,9 @@ class UncertaintySpec(Checked, _UncertaintySpec):
                 raise IlcsetError(f"amp_{name} must be finite and nonnegative")
 
 
-MODES = ("direct-xi", "direct-gamma", "transformed-xi", "transformed-gamma", "repetitive")
+# The modes that learn in the SET's transformed input coordinates.
+TRANSFORMED_MODES = ("transformed-xi", "transformed-gamma")
+MODES = ("direct-xi", "direct-gamma", *TRANSFORMED_MODES, "repetitive")
 # The next-step-error (look-ahead) modes, which learn through Gamma.
 GAMMA_MODES = ("direct-gamma", "transformed-gamma", "repetitive")
 # The largest count numpy can take as an array dimension, less one so that
@@ -170,18 +173,12 @@ class ExperimentConfig(NamedTuple):
     u0: np.ndarray           # (N+1, m, 1) initial input stack
 
 
-class _Collector:
-    def __init__(self):
-        self.problems: list[tuple[str, str]] = []
-
-    def add(self, path: str, message: str) -> None:
-        self.problems.append((path, message))
-
-    def raise_if_any(self) -> None:
-        if self.problems:
-            (path, message), *rest = self.problems
-            detail = message + "".join(f"; {p}: {m}" for p, m in rest)
-            raise SchemaError(path, detail)
+def _raise_if_any(problems: list) -> None:
+    """Raise the (path, message) problems, if any, as one SchemaError at
+    the first one's path."""
+    if problems:
+        (path, message), *rest = problems
+        raise SchemaError(path, message + "".join(f"; {p}: {m}" for p, m in rest))
 
 
 def _shown(value) -> str:
@@ -190,7 +187,12 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
-def _known_keys(doc: dict, path: str, problems: _Collector) -> None:
+def _segment(key) -> str:
+    """key as one JSON Pointer (RFC 6901) segment: ~ as ~0, then / as ~1."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
+def _known_keys(doc: dict, path: str, problems: list) -> None:
     """Report each key of the object at path that it does not accept, with
     the closest accepted key as a hint."""
     for key in doc:
@@ -198,8 +200,19 @@ def _known_keys(doc: dict, path: str, problems: _Collector) -> None:
             import difflib  # only a document in error pays for its import
 
             close = difflib.get_close_matches(str(key), _KEYS[path], n=1)
-            problems.add(f"{path}/{key}", "unknown key"
-                         + (f" (did you mean {close[0]!r}?)" if close else ""))
+            problems.append((f"{path}/{_segment(key)}", "unknown key"
+                             + (f" (did you mean {close[0]!r}?)" if close else "")))
+
+
+def _section(doc: dict, key: str, problems: list) -> dict:
+    """The object doc[key], {} when it is absent, with its unknown keys
+    reported; one that is not an object is reported and read as {}."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        problems.append((f"/{key}", "expected an object"))
+        return {}
+    _known_keys(section, f"/{key}", problems)
+    return section
 
 
 def _as_cell(value) -> Optional[str]:
@@ -224,15 +237,15 @@ def _finite_number(value) -> bool:
         return False
 
 
-def _normalize_grid(value, path: str, problems: _Collector):
+def _normalize_grid(value, path: str, problems: list):
     """Accept a nested grid or (for vectors) a flat list of cells."""
     if not isinstance(value, list) or not value:
-        problems.add(path, "expected a non-empty list")
+        problems.append((path, "expected a non-empty list"))
         return None
     if all(isinstance(row, list) for row in value):
         rows = value
     elif any(isinstance(row, list) for row in value):
-        problems.add(path, "mixed flat and nested rows")
+        problems.append((path, "mixed flat and nested rows"))
         return None
     else:
         rows = [[cell] for cell in value]
@@ -243,15 +256,15 @@ def _normalize_grid(value, path: str, problems: _Collector):
         for j, cell in enumerate(row):
             src = _as_cell(cell)
             if src is None:
-                problems.add(f"{path}/{i}/{j}",
-                             f"cell must be a string or a finite number, got {_shown(cell)}")
+                problems.append((f"{path}/{i}/{j}",
+                                 f"cell must be a string or a finite number, got {_shown(cell)}"))
                 ok = False
             parsed_row.append(src if src is not None else "0")
         grid.append(parsed_row)
     if not ok:
         return None
     if any(len(row) != len(grid[0]) for row in grid):
-        problems.add(path, "ragged grid")
+        problems.append((path, "ragged grid"))
         return None
     return grid
 
@@ -271,71 +284,93 @@ def _byte_limit() -> tuple:
 
 
 def _schedule(doc: dict, key: str, shape: tuple, N: int, path: str,
-              problems: _Collector) -> Optional[MatrixSchedule]:
+              problems: list) -> Optional[MatrixSchedule]:
     if key not in doc:
-        problems.add(f"{path}/{key}", "missing required field")
+        problems.append((f"{path}/{key}", "missing required field"))
         return None
     grid = _normalize_grid(doc[key], f"{path}/{key}", problems)
     if grid is None:
         return None
     rows, cols = len(grid), len(grid[0])
     if (rows, cols) != shape:
-        problems.add(f"{path}/{key}", f"shape {(rows, cols)} does not match expected {shape}")
+        problems.append((f"{path}/{key}",
+                         f"shape {(rows, cols)} does not match expected {shape}"))
         return None
     return _build(grid, N, f"{path}/{key}", problems)
 
 
-def _build(grid, N: int, path: str, problems: _Collector) -> Optional[MatrixSchedule]:
+def _build(grid, N: int, path: str, problems: list) -> Optional[MatrixSchedule]:
     try:
         return build_schedule(grid, N)
     except ScheduleBuildError as exc:
         for i, j, detail in exc.failures:
-            problems.add(f"{path}/{i}/{j}", detail)
+            problems.append((f"{path}/{i}/{j}", detail))
         return None
 
 
-def _positive_int(doc: dict, key: str, path: str, problems: _Collector,
+def _positive_int(doc: dict, key: str, path: str, problems: list,
                   default=None) -> Optional[int]:
     if key not in doc:
-        if default is not None:
-            return default
-        problems.add(f"{path}/{key}", "missing required field")
-        return None
+        if default is None:
+            problems.append((f"{path}/{key}", "missing required field"))
+        return default
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= _MAX_COUNT:
-        problems.add(f"{path}/{key}",
-                     f"expected an integer in [1, {_MAX_COUNT}], got {_shown(value)}")
+        problems.append((f"{path}/{key}",
+                         f"expected an integer in [1, {_MAX_COUNT}], got {_shown(value)}"))
         return None
     return value
 
 
-def _amplitudes(doc, path: str, problems: _Collector) -> Optional[dict]:
+def _amplitudes(doc, path: str, problems: list) -> Optional[dict]:
     amps = dict.fromkeys(CHANNELS, 0.0)
     if doc is None:
         return amps
     if isinstance(doc, (int, float)) and not isinstance(doc, bool):
         if not _finite_number(doc) or doc < 0:
-            problems.add(path, f"amplitude must be a finite nonnegative number, "
-                               f"got {_shown(doc)}")
+            problems.append((path, f"amplitude must be a finite nonnegative number, "
+                                   f"got {_shown(doc)}"))
             return None
         return dict.fromkeys(CHANNELS, float(doc))
     if isinstance(doc, dict):
-        ok = True
+        count = len(problems)
         for key, value in doc.items():
             if key not in CHANNELS:
-                problems.add(f"{path}/{key}", f"unknown quantity (expected one of {CHANNELS})")
-                ok = False
-                continue
-            if not _finite_number(value) or value < 0:
-                problems.add(f"{path}/{key}",
-                             f"amplitude must be a finite nonnegative number, "
-                             f"got {_shown(value)}")
-                ok = False
-                continue
-            amps[key] = float(value)
-        return amps if ok else None
-    problems.add(path, "expected a number or an object of per-quantity amplitudes")
+                problems.append((f"{path}/{_segment(key)}",
+                                 f"unknown quantity (expected one of {CHANNELS})"))
+            elif not _finite_number(value) or value < 0:
+                problems.append((f"{path}/{key}", f"amplitude must be a finite nonnegative "
+                                                  f"number, got {_shown(value)}"))
+            else:
+                amps[key] = float(value)
+        return amps if len(problems) == count else None
+    problems.append((path, "expected a number or an object of per-quantity amplitudes"))
     return None
+
+
+def _structured_D(doc, p: int, m: int, N: int, problems: list) -> Optional[StructuredD]:
+    """The structured perturbation of D that doc describes, or None."""
+    path = "/uncertainty/structured_D"
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        problems.append((path, "expected an object with E and F grids"))
+        return None
+    _known_keys(doc, path, problems)
+    e_grid = _normalize_grid(doc.get("E"), f"{path}/E", problems)
+    f_grid = _normalize_grid(doc.get("F"), f"{path}/F", problems)
+    if e_grid is None or f_grid is None:
+        return None
+    s = len(e_grid[0])
+    if len(e_grid) != p:
+        problems.append((f"{path}/E", f"expected {p} rows"))
+        return None
+    if len(f_grid) != s or len(f_grid[0]) != m:
+        problems.append((f"{path}/F", f"expected shape {(s, m)}"))
+        return None
+    E = _build(e_grid, N, f"{path}/E", problems)
+    F = _build(f_grid, N, f"{path}/F", problems)
+    return None if E is None or F is None else StructuredD(E=E, F=F)
 
 
 def config_from_dict(doc) -> ExperimentConfig:
@@ -344,126 +379,65 @@ def config_from_dict(doc) -> ExperimentConfig:
     Every violation is collected with a path into the document before the
     single SchemaError is raised.
     """
-    problems = _Collector()
     if not isinstance(doc, dict):
         raise SchemaError("/", "top-level document must be an object")
+    problems = []
     _known_keys(doc, "", problems)
     sys_doc = doc.get("system")
     if not isinstance(sys_doc, dict):
-        problems.add("/system", "missing or not an object")
-        problems.raise_if_any()
+        problems.append(("/system", "missing or not an object"))
+        _raise_if_any(problems)
     _known_keys(sys_doc, "/system", problems)
 
-    n = _positive_int(sys_doc, "n", "/system", problems)
-    m = _positive_int(sys_doc, "m", "/system", problems)
-    p = _positive_int(sys_doc, "p", "/system", problems)
-    N = _positive_int(sys_doc, "N", "/system", problems)
-    problems.raise_if_any()
+    n, m, p, N = (_positive_int(sys_doc, key, "/system", problems) for key in "nmpN")
+    _raise_if_any(problems)
     if p > m:
-        problems.add("/system/p", f"output count p={p} exceeds input count m={m}")
-        problems.raise_if_any()
+        raise SchemaError("/system/p", f"output count p={p} exceeds input count m={m}")
     shapes = _shapes(n, m, p)
     # Every grid built below holds N + 1 float64 steps: the plant's
     # schedules, both gains and the initial input.
     cells = sum(rows * cols for rows, cols in shapes.values()) + 2 * m * p + m
     nbytes, (limit, what) = 8 * (N + 1) * cells, _byte_limit()
     if nbytes > limit:
-        problems.add("/system/N", f"{N + 1} steps of {cells} schedule cells need {nbytes} "
-                                  f"bytes, more than the {limit} bytes {what}")
-        problems.raise_if_any()
+        raise SchemaError("/system/N", f"{N + 1} steps of {cells} schedule cells need "
+                                       f"{nbytes} bytes, more than the {limit} bytes {what}")
 
     schedules = {name: _schedule(sys_doc, name, shape, N, "/system", problems)
                  for name, shape in shapes.items()}
+    x0 = sys_doc.get("x0")
+    if not isinstance(x0, list) or len(x0) != n or not all(map(_finite_number, x0)):
+        problems.append(("/system/x0", f"expected a list of {n} finite numbers"))
 
-    x0 = None
-    x0_doc = sys_doc.get("x0")
-    if not isinstance(x0_doc, list) or len(x0_doc) != n or not all(
-            map(_finite_number, x0_doc)):
-        problems.add("/system/x0", f"expected a list of {n} finite numbers")
-    else:
-        x0 = np.array(x0_doc, dtype=np.float64).reshape(n, 1)
+    unc_doc = _section(doc, "uncertainty", problems)
+    amps = _amplitudes(unc_doc.get("amplitudes"), "/uncertainty/amplitudes", problems)
+    seed = unc_doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
+        problems.append(("/uncertainty/seed",
+                         f"expected an integer in [0, 2**64), got {_shown(seed)}"))
+    structured = _structured_D(unc_doc.get("structured_D"), p, m, N, problems)
 
-    unc_doc = doc.get("uncertainty", {})
-    uncertainty = None
-    if not isinstance(unc_doc, dict):
-        problems.add("/uncertainty", "expected an object")
-    else:
-        _known_keys(unc_doc, "/uncertainty", problems)
-        amps = _amplitudes(unc_doc.get("amplitudes"), "/uncertainty/amplitudes", problems)
-        seed = unc_doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < SEED_LIMIT:
-            problems.add("/uncertainty/seed",
-                         f"expected an integer in [0, 2**64), got {_shown(seed)}")
-            seed = 0
-        structured = None
-        sd_doc = unc_doc.get("structured_D")
-        if sd_doc is not None:
-            if not isinstance(sd_doc, dict):
-                problems.add("/uncertainty/structured_D", "expected an object with E and F grids")
-            else:
-                _known_keys(sd_doc, "/uncertainty/structured_D", problems)
-                e_grid = _normalize_grid(sd_doc.get("E"), "/uncertainty/structured_D/E", problems)
-                f_grid = _normalize_grid(sd_doc.get("F"), "/uncertainty/structured_D/F", problems)
-                if e_grid is not None and f_grid is not None:
-                    s = len(e_grid[0])
-                    if len(e_grid) != p:
-                        problems.add("/uncertainty/structured_D/E", f"expected {p} rows")
-                    elif len(f_grid) != s or len(f_grid[0]) != m:
-                        problems.add("/uncertainty/structured_D/F", f"expected shape {(s, m)}")
-                    else:
-                        E = _build(e_grid, N, "/uncertainty/structured_D/E", problems)
-                        F = _build(f_grid, N, "/uncertainty/structured_D/F", problems)
-                        if E is not None and F is not None:
-                            structured = StructuredD(E=E, F=F)
-        if amps is not None:
-            uncertainty = UncertaintySpec(
-                **{f"amp_{name}": amp for name, amp in amps.items()},
-                structured_D=structured, seed=seed)
+    gains_doc = _section(doc, "gains", problems)
+    zero = MatrixSchedule.from_values(np.zeros((m, p)), N)
+    xi, gamma = (_schedule(gains_doc, name, (m, p), N, "/gains", problems)
+                 if name in gains_doc else zero for name in ("Xi", "Gamma"))
 
-    gains_doc = doc.get("gains", {})
-    xi = gamma = None
-    if not isinstance(gains_doc, dict):
-        problems.add("/gains", "expected an object")
-    else:
-        _known_keys(gains_doc, "/gains", problems)
-        if "Xi" in gains_doc:
-            xi = _schedule(gains_doc, "Xi", (m, p), N, "/gains", problems)
-        if "Gamma" in gains_doc:
-            gamma = _schedule(gains_doc, "Gamma", (m, p), N, "/gains", problems)
-    if xi is None:
-        xi = MatrixSchedule.from_values(np.zeros((m, p)), N)
-    if gamma is None:
-        gamma = MatrixSchedule.from_values(np.zeros((m, p)), N)
+    run_doc = _section(doc, "run", problems)
+    mode = run_doc.get("mode", "direct-xi")
+    if mode not in MODES:
+        problems.append(("/run/mode", f"unknown mode {mode!r} (expected one of {MODES})"))
+    iterations = _positive_int(run_doc, "iterations", "/run", problems, default=300)
+    record_every = _positive_int(run_doc, "record_every", "/run", problems, default=1)
+    u0 = _schedule(run_doc, "u0", (m, 1), N, "/run", problems) if "u0" in run_doc else None
 
-    run_doc = doc.get("run", {})
-    mode = "direct-xi"
-    iterations = 300
-    record_every = 1
-    u0 = None
-    if not isinstance(run_doc, dict):
-        problems.add("/run", "expected an object")
-    else:
-        _known_keys(run_doc, "/run", problems)
-        mode = run_doc.get("mode", "direct-xi")
-        if mode not in MODES:
-            problems.add("/run/mode", f"unknown mode {mode!r} (expected one of {MODES})")
-            mode = "direct-xi"
-        iterations = _positive_int(run_doc, "iterations", "/run", problems, default=300) or 300
-        record_every = _positive_int(run_doc, "record_every", "/run", problems, default=1) or 1
-        if "u0" in run_doc:
-            u0_sched = _schedule(run_doc, "u0", (m, 1), N, "/run", problems)
-            if u0_sched is not None:
-                u0 = u0_sched.values
-    if u0 is None:
-        u0 = np.zeros((N + 1, m, 1))
-
-    problems.raise_if_any()
-    system = NominalSystem(n=n, m=m, p=p, N=N, x0=x0, **schedules)
-    for message in mode_premises(mode, system.D, uncertainty, (xi, gamma)):
-        problems.add("/run/mode", message)
-    problems.raise_if_any()
+    _raise_if_any(problems)
+    system = NominalSystem(n=n, m=m, p=p, N=N, **schedules,
+                           x0=np.array(x0, dtype=np.float64).reshape(n, 1))
+    uncertainty = UncertaintySpec(**{f"amp_{name}": amp for name, amp in amps.items()},
+                                  structured_D=structured, seed=seed)
+    problems = [("/run/mode", message)
+                for message in mode_premises(mode, system.D, uncertainty, (xi, gamma))]
+    _raise_if_any(problems)
 
     return ExperimentConfig(system=system, uncertainty=uncertainty, xi=xi, gamma=gamma,
                             mode=mode, iterations=iterations, record_every=record_every,
-                            u0=u0)
-
+                            u0=np.zeros((N + 1, m, 1)) if u0 is None else u0.values)

@@ -8,6 +8,7 @@ import pytest
 
 from ilcset.config import UncertaintySpec, config_from_dict
 from ilcset.errors import IlcsetError, SchemaError
+from ilcset.presets import preset_config
 
 
 def minimal_doc(**overrides) -> dict:
@@ -125,6 +126,25 @@ def test_unknown_key_rejected_at_every_level(section, key, message):
     with pytest.raises(SchemaError) as exc:
         config_from_dict(doc)
     assert str(exc.value) == "/" + "/".join(section + (key,)) + ": " + message
+
+
+@pytest.mark.parametrize("preset, section, key, message", [
+    ("example1", ("system",), "A/0", "/system/A~10: unknown key"),
+    ("example1", ("system",), "x~1", "/system/x~01: unknown key"),
+    ("example2", ("uncertainty", "amplitudes"), "w/1",
+     "/uncertainty/amplitudes/w~11: unknown quantity "
+     "(expected one of ('A', 'B', 'C', 'D', 'w', 'v', 'r', 'x0'))"),
+], ids=["slash", "tilde", "amplitudes-slash"])
+def test_error_path_escapes_a_key_as_a_json_pointer(preset, section, key, message):
+    # "/system/A/0" would name row 0 of A (RFC 6901: ~ is ~0, / is ~1).
+    doc = preset_config(preset)
+    obj = doc
+    for name in section:
+        obj = obj[name]
+    obj[key] = 0.0002
+    with pytest.raises(SchemaError) as exc:
+        config_from_dict(doc)
+    assert str(exc.value) == message
 
 
 def test_look_ahead_mode_needs_zero_feedthrough():

@@ -4,6 +4,8 @@
 Whatever a mutation does, a command exits 0, 1 or 2 and raises nothing; a
 config error (exit 2) writes nothing to stdout and one ``config error:``
 line to stderr, whose path names a place in the document or its parent.
+And every leaf a document holds is read: changing it changes what `run`
+writes, but for the one leaf the README documents as unused.
 """
 
 import copy
@@ -13,6 +15,7 @@ import random
 import pytest
 
 from ilcset.cli import main
+from ilcset.config import MODES
 from ilcset.presets import preset_config
 
 SEED = 20261022
@@ -25,7 +28,7 @@ VALUES = (None, True, False, 0, -1, 3, 2 ** 70, 0.5, 1e300, float("nan"), float(
           "٣", "３", "2²", "x" * 40, [], [[]], [["1"], ["1", "2"]], ["1", ["2"]],
           [[float("nan")]], {}, {"E": []}, "direct-gamma", "transformed-xi")
 NEW_KEYS = ("extra", "amplitude", "Xi2", "iteration", "modes", "structured_d",
-            "ｎ", "", "N ")
+            "ｎ", "", "N ", "A/0", "x~1")
 
 
 def walk(rnd: random.Random, doc: dict) -> tuple:
@@ -72,9 +75,10 @@ def resolves(doc, segments) -> bool:
 
 
 def error_path(line: str) -> list:
-    """The path of a ``config error:`` line, as its segments."""
+    """The JSON Pointer of a ``config error:`` line, as its decoded segments."""
     path = line.removeprefix("config error: ").split(": ", 1)[0]
-    return [] if path == "/" else path.split("/")[1:]
+    return [] if path == "/" else [segment.replace("~1", "/").replace("~0", "~")
+                                   for segment in path.split("/")[1:]]
 
 
 def mutated_docs():
@@ -115,3 +119,89 @@ def test_mutated_presets_exit_cleanly(command, tmp_path, capsys):
             assert resolves(seen, segments) or resolves(seen, segments[:-1]), (lines[0], doc)
     # Both outcomes are exercised.
     assert statuses.count(2) >= CASES // 4 and statuses.count(2) < CASES
+
+
+def leaf_docs() -> dict:
+    """Documents whose every leaf some output depends on.  A nonzero u0
+    drives the third input, which both presets' gains leave silent (their
+    third row is zero): with u0 = 0, B's and D's third columns would change
+    nothing that run writes."""
+    docs = {}
+    for name, u0 in (("example1", ["0.1", "0.2", "0.3"]), ("example2", ["0.1", "0.2", "0.3"]),
+                     ("structured", ["0.1", "0.2"])):
+        doc = STRUCTURED if name == "structured" else preset_config(name)
+        doc = copy.deepcopy(doc)
+        doc["system"]["N"] = 6
+        # In the document, not by --iterations, which would override the leaf.
+        doc["run"].update(iterations=2, u0=u0)
+        docs[name] = doc
+    return docs
+
+
+# README's structured_D example, with an amplitude for D beside structured_D.
+STRUCTURED = {
+    "system": {
+        "n": 1, "m": 2, "p": 1, "N": 50,
+        "A": [["0.2"]], "B": [["0.5", "0.2*sin(0.3*k)"]],
+        "C": [["1"]], "D": [["1", "0.5"]],
+        "w": ["0"], "v": ["0"], "r": ["sin(0.1*k)"], "x0": [0],
+    },
+    "uncertainty": {
+        "seed": 7,
+        "amplitudes": {"A": 0.0002, "w": 0.0002, "D": 0.0002},
+        "structured_D": {"E": [[0.01]], "F": [["0.01", "0"]]},
+    },
+    "gains": {"Xi": [["0.8"], ["0"]]},
+    "run": {"mode": "direct-xi", "iterations": 200, "record_every": 1},
+}
+# The leaves a document accepts but does not read: D's amplitude beside
+# structured_D, which is D's whole nonrepetitive part.
+UNREAD = {("structured", ("uncertainty", "amplitudes", "D"))}
+
+
+def leaves(node, path=()):
+    """Each scalar of node with its path, as (path, value)."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def changed(path: tuple, value):
+    """value changed once: the next mode, an expression plus 0.5, an
+    integer plus 1, a float doubled (0.5 for 0)."""
+    if path == ("run", "mode"):
+        return MODES[(MODES.index(value) + 1) % len(MODES)]
+    if isinstance(value, str):
+        return f"({value})+0.5"
+    if isinstance(value, int):
+        return value + 1
+    return 2 * value if value else 0.5
+
+
+def test_every_accepted_leaf_is_read(tmp_path, capsys):
+    path, out = tmp_path / "doc.json", tmp_path / "out.csv"
+    written = (out, tmp_path / "out_traj.csv")
+
+    def outcome(doc) -> tuple:
+        for file in written:
+            file.unlink(missing_ok=True)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status = main(["run", "--config", str(path), "--record-trajectories", "all",
+                       "--out", str(out)])
+        return (status, *capsys.readouterr(),
+                *(file.read_bytes() if file.exists() else None for file in written))
+
+    unread, count = set(), 0
+    for name, doc in leaf_docs().items():
+        base = outcome(doc)
+        assert base[0] == 0, base
+        for where, value in leaves(doc):
+            mutated = copy.deepcopy(doc)
+            at(mutated, where[:-1])[where[-1]] = changed(where, value)
+            count += 1
+            if outcome(mutated) == base:
+                unread.add((name, where))
+    assert unread == UNREAD
+    assert count > 150
